@@ -98,7 +98,9 @@ def _pass_encrypt(plane, ks_bytes, perms, n_shift):
 
 def _pass_decrypt(out, ks_bytes, perms, n_shift):
     b = np.roll(out ^ np.roll(ks_bytes, -n_shift, axis=1), n_shift, axis=1)
-    x1 = np.take_along_axis(b, np.argsort(perms, axis=1), axis=1)
+    # undo the gather b = x1[perm] by scattering back: x1[perm] = b
+    x1 = np.empty_like(b)
+    np.put_along_axis(x1, perms, b, axis=1)
     return x1 ^ ks_bytes
 
 

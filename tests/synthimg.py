@@ -49,3 +49,18 @@ def make_image(seed: int, n: int = 256) -> ImageRGB:
 
 #: Seeds of the images the acceptance suite runs on.
 BUNDLED_SEEDS = (1, 2, 3)
+
+
+def make_two_level_image(seed: int, n: int = 256) -> ImageRGB:
+    """Document-like image: dark rectangles on a flat light page, two levels per plane."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(3):
+        ink = np.zeros((n, n), dtype=bool)
+        for _ in range(max(4, n // 4)):
+            y, x = rng.integers(0, n, 2)
+            h, w = rng.integers(1, max(2, n // 16), 2)
+            ink[y : y + h, x : x + w] = True
+        paper, dark = int(rng.integers(190, 256)), int(rng.integers(0, 70))
+        planes.append(np.where(ink, dark, paper).astype(np.uint8))
+    return ImageRGB(tuple(planes))

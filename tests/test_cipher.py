@@ -17,7 +17,7 @@ from lorenzdct.cipher import (
 )
 from lorenzdct.dct import dct2, energy_select
 from lorenzdct.errors import DimensionMismatchError
-from lorenzdct.keystream import build_round_keystream, plane_from_bytes
+from lorenzdct.keystream import KeystreamPlane, build_round_keystream, plane_from_bytes
 from lorenzdct.lorenz import SecretKey
 
 
@@ -107,6 +107,22 @@ class TestShuffle:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             shuffle_encrypt(random_plane(rng, 4), random_keystream(rng, 8), 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    @pytest.mark.parametrize("kind", ["identity", "reversal", "random"])
+    def test_roundtrip_hand_built_permutations(self, kind, n, rng):
+        ident = np.tile(np.arange(n), (n, 1))
+        perms = {
+            "identity": (ident, ident),
+            "reversal": (ident[:, ::-1], ident[:, ::-1]),
+            "random": (rng.permuted(ident, axis=1), rng.permuted(ident, axis=1)),
+        }[kind]
+        ks_bytes = random_plane(rng, n)
+        ks = KeystreamPlane(ks_bytes, ks_bytes.astype(np.float64), *perms)
+        plane = random_plane(rng, n)
+        for shift in (0, 1, n + 2):
+            enc = shuffle_encrypt(plane, ks, shift)
+            assert np.array_equal(shuffle_decrypt(enc, ks, shift), plane)
 
 
 class TestLogEmbedding:

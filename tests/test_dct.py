@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synthimg import make_two_level_image
 
 from lorenzdct.dct import (
     SparseCoeffs,
     UNIT_GUARD_EPS,
+    _UNIT_GUARD_TOP,
     dct1,
     dct2,
     energy_select,
@@ -191,3 +196,147 @@ class TestReconstructSparse:
         s = energy_select(dct2(f), 0.999)
         recon = reconstruct_sparse(s)
         assert np.sum(recon**2) >= 0.998 * np.sum(f * f)
+
+
+def energy_select_full_sort(F, fraction=0.999):
+    """Reference: energy_select by a full stable argsort of all magnitudes."""
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim == 1:
+        F = F.reshape(1, -1)
+    dims = F.shape
+    flat = F.ravel()
+    total = float(np.sum(flat * flat))
+    if total == 0.0:
+        empty = np.empty(0, dtype=np.int64)
+        return SparseCoeffs(dims, empty, empty.copy(), np.empty(0), 1.0)
+    order = np.argsort(-np.abs(flat), kind="stable")
+    cum = np.cumsum(flat[order] ** 2)
+    reached = np.nonzero(cum >= fraction * total)[0]
+    k = int(reached[0]) + 1 if reached.size else flat.size
+    picked = order[:k]
+    vals = flat[picked]
+    keep = np.abs(vals) >= 1.0
+    picked, vals = picked[keep], vals[keep].copy()
+    guard = np.abs(vals) <= 1.0 + UNIT_GUARD_EPS
+    vals[guard] = np.sign(vals[guard]) * _UNIT_GUARD_TOP
+    rows, cols = np.divmod(picked, dims[1])
+    achieved = float(np.sum(vals * vals)) / total
+    return SparseCoeffs(dims, rows, cols, vals, min(achieved, 1.0))
+
+
+def assert_same_selection(got, want):
+    assert got.dims == want.dims
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert type(got.energy_fraction) is type(want.energy_fraction)
+    assert np.float64(got.energy_fraction).tobytes() == np.float64(want.energy_fraction).tobytes()
+
+
+def _two_level(rng, h, w):
+    lo, hi = sorted(rng.integers(0, 256, 2))
+    return dct2(np.where(rng.random((h, w)) < rng.uniform(0.05, 0.5), lo, hi))
+
+
+def _checkerboard(rng, h, w):
+    y, x = np.mgrid[0:h, 0:w]
+    return dct2(rng.integers(0, 255) + ((y + x) % 2 if rng.random() < 0.5 else y % 2))
+
+
+def _trajectory_row(rng, h, w):
+    return dct1(np.cumsum(rng.standard_normal(h * w)))
+
+
+FAMILIES = {
+    "gaussian": lambda rng, h, w: rng.standard_normal((h, w)) * 10.0 ** rng.uniform(-2, 4),
+    "integer_ties": lambda rng, h, w: rng.integers(-3, 4, (h, w)) * rng.choice([0.5, 1.0, 1000.0]),
+    "constant": lambda rng, h, w: dct2(np.full((h, w), float(rng.integers(0, 256)))),
+    "checkerboard": _checkerboard,
+    "two_level": _two_level,
+    "sub_unit": lambda rng, h, w: rng.uniform(-0.999, 0.999, (h, w)),
+    "row": _trajectory_row,
+}
+
+FRACTIONS = (1e-6, 0.5, 0.999, 1.0)
+
+# name -> (matrix maker, fraction), chosen to reach every branch of the
+# partial selection; test_named_cases_take_each_path checks that they do.
+PATH_CASES = {
+    # the first candidate set already holds the energy
+    "smooth_plane_256": (
+        lambda rng: dct2(np.cumsum(np.cumsum(rng.standard_normal((256, 256)), 0), 1)),
+        0.999,
+    ),
+    "trajectory_50001": (lambda rng: _trajectory_row(rng, 1, 50001), 0.999),
+    # the set doubles before the target is reached
+    "two_level_256": (lambda rng: dct2(make_two_level_image(7, 256).planes[0]), 0.999),
+    "gaussian_row_20000": (lambda rng: rng.standard_normal(20000), 0.9),
+    # k is most of the size: doubling runs out and the full sort decides
+    "white_noise_128": (lambda rng: rng.uniform(-1000, 1000, (128, 128)), 0.999),
+    # boundary ties pull every coefficient into the first candidate set
+    "all_ties_100": (lambda rng: np.full((100, 100), 7.0), 1.0),
+    # a non-finite total goes straight to the full sort
+    "with_inf": (
+        lambda rng: np.where(rng.random((80, 80)) < 0.01, np.inf, rng.standard_normal((80, 80))),
+        0.999,
+    ),
+    "overflowing_squares": (lambda rng: rng.standard_normal((80, 80)) * 1e200, 0.5),
+}
+
+
+class TestEnergySelectMatchesFullSort:
+    """energy_select must equal the full-argsort reference byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 160),
+        w=st.integers(1, 160),
+        fraction=st.sampled_from(FRACTIONS),
+    )
+    def test_property(self, family, seed, h, w, fraction):
+        F = FAMILIES[family](np.random.default_rng(seed), h, w)
+        assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
+
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    def test_named_cases(self, case):
+        make, fraction = PATH_CASES[case]
+        F = make(np.random.default_rng(7))
+        with np.errstate(over="ignore"):
+            got, want = energy_select(F, fraction), energy_select_full_sort(F, fraction)
+        assert_same_selection(got, want)
+
+    @pytest.mark.parametrize(
+        "case, rounds, full_sort",
+        [
+            ("smooth_plane_256", 1, False),
+            ("trajectory_50001", 1, False),
+            ("two_level_256", 3, False),
+            ("gaussian_row_20000", 3, False),
+            ("white_noise_128", 2, True),
+            ("all_ties_100", 1, True),
+            ("with_inf", 0, True),
+            ("overflowing_squares", 0, True),
+        ],
+    )
+    def test_named_cases_take_each_path(self, case, rounds, full_sort, monkeypatch):
+        make, fraction = PATH_CASES[case]
+        F = make(np.random.default_rng(7))
+        partitions, sorts = [], []
+        real_partition, real_argsort = np.partition, np.argsort
+
+        def partition(a, *args, **kw):
+            partitions.append(a.size)
+            return real_partition(a, *args, **kw)
+
+        def argsort(a, *args, **kw):
+            sorts.append(a.size)
+            return real_argsort(a, *args, **kw)
+
+        monkeypatch.setattr(np, "partition", partition)
+        monkeypatch.setattr(np, "argsort", argsort)
+        with np.errstate(over="ignore"):
+            energy_select(F, fraction)
+        assert len(partitions) == rounds
+        assert (F.size in sorts) == full_sort
