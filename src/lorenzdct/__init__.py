@@ -27,7 +27,6 @@ from .cipher import (
     shuffle_decrypt,
     shuffle_encrypt,
 )
-from .config import Config
 from .container import read_bundle, write_bundle
 from .dct import SparseCoeffs, dct1, dct2, energy_select, idct1, idct2, reconstruct_sparse
 from .keystream import (
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CipherBundle",
-    "Config",
     "ImageRGB",
     "KeystreamPlane",
     "LorenzParams",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError, EmbeddingDomainError
-from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream
+from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream, real_twin
 from .lorenz import LorenzParams, SecretKey
 
 COMPONENT_NAMES = ("R", "G", "B")
@@ -165,9 +165,9 @@ def log_inverse(m) -> SparseCoeffs:
 def embed_coeffs(logm, ks: KeystreamPlane) -> np.ndarray:
     """Carrier plane: keystream real twin plus the rolled log matrix."""
     logm = np.asarray(logm, dtype=np.float64)
-    if logm.shape != ks.real_twin.shape:
+    if logm.shape != ks.bytes.shape:
         raise DimensionMismatchError("log matrix and keystream dims differ")
-    return ks.real_twin + logm
+    return real_twin(ks) + logm
 
 
 def extract_coeffs(carrier, ks: KeystreamPlane) -> np.ndarray:
@@ -177,9 +177,9 @@ def extract_coeffs(carrier, ks: KeystreamPlane) -> np.ndarray:
     values are small integers and the subtraction cancels without rounding.
     """
     carrier = np.asarray(carrier, dtype=np.float64)
-    if carrier.shape != ks.real_twin.shape:
+    if carrier.shape != ks.bytes.shape:
         raise DimensionMismatchError("carrier and keystream dims differ")
-    return carrier - ks.real_twin
+    return carrier - real_twin(ks)
 
 
 def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
@@ -198,12 +198,7 @@ def _round_keystreams(keys, n, params, t_start, t_end, dt, fraction):
 
 
 def _twin_sum(rounds: list[RoundKeystream], component: int) -> np.ndarray:
-    # integer-valued doubles; the sum stays exact
-    return (
-        rounds[0].plane_for(component).real_twin
-        + rounds[1].plane_for(component).real_twin
-        + rounds[2].plane_for(component).real_twin
-    )
+    return real_twin(*(r.plane_for(component) for r in rounds))
 
 
 def encrypt_image(

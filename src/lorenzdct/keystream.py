@@ -4,8 +4,16 @@ Pipeline per round: integrate from the key's initial conditions, truncate
 each coordinate's DCT to its 99.9%-energy coefficients, form the three outer
 products XY / XZ / YZ, resize each to the image size, then circularly
 convolve the resized planes pairwise and reduce modulo 256 to bytes.  Each
-byte plane also carries its exact real-valued twin plus the row and column
-argsort permutations used by the shuffle cipher.
+byte plane also carries the row and column argsort permutations used by the
+shuffle cipher, as uint16.
+
+Two caches keep repeated work away.  `_key_vectors` holds the truncated
+trajectory vectors per (key, params, window, fraction): a few KB each, 32
+entries, independent of the image size, so a key seen at a new size skips
+the RK4 integration and the trajectory DCT.  `build_round_keystream` holds
+finished rounds per (key, n, ...), 3 entries (one key triple): a round costs
+15 * n**2 bytes, 15 MB at n=1024, so the plane cache is bounded by 45 MB at
+that size.
 """
 
 from __future__ import annotations
@@ -23,24 +31,26 @@ from .lorenz import LorenzParams, SecretKey, Trajectory, derive_initial_conditio
 # in exact arithmetic cannot fall just below the boundary in floating point.
 FLOOR_GUARD = 1e-9
 
+# Longest line whose sort permutation fits in uint16.
+MAX_LINE = 1 << 16
+
 
 @dataclass(frozen=True)
 class KeystreamPlane:
-    """One N x N byte plane with its real twin and sort permutations.
+    """One N x N byte plane with its sort permutations.
 
-    real_twin holds the byte values as exact small-integer doubles, so
-    (real_twin + s) - real_twin returns exactly 0.0 wherever s == 0; the
-    carrier-extraction stage depends on that exactness.  row_perm[i] is the
-    stable ascending argsort of byte row i; col_perm[j] the same for column j.
+    row_perm[i] is the stable ascending argsort of byte row i; col_perm[j]
+    the same for column j.  Both are uint16 (lines of at most 65536 cells),
+    so a plane holds 5 bytes per pixel.  The carrier stage's real-valued
+    view of the bytes is computed on demand by `real_twin`.
     """
 
     bytes: np.ndarray
-    real_twin: np.ndarray
     row_perm: np.ndarray
     col_perm: np.ndarray
 
     def __post_init__(self):
-        for a in (self.bytes, self.real_twin, self.row_perm, self.col_perm):
+        for a in (self.bytes, self.row_perm, self.col_perm):
             a.setflags(write=False)
 
     @property
@@ -58,6 +68,18 @@ class RoundKeystream:
 
     def plane_for(self, component: int) -> KeystreamPlane:
         return (self.xy, self.xz, self.yz)[component]
+
+
+def real_twin(*planes: KeystreamPlane) -> np.ndarray:
+    """Sum of the planes' bytes as float64: one exact integer sum, cast once.
+
+    Every cell is a small integer double, so (twin + s) - twin returns
+    exactly 0.0 wherever s == 0; carrier extraction depends on that.
+    """
+    total = planes[0].bytes.astype(np.uint16)
+    for p in planes[1:]:
+        total += p.bytes
+    return total.astype(np.float64)
 
 
 def truncated_vectors(traj: Trajectory, fraction: float = 0.999):
@@ -118,42 +140,65 @@ def quantize_byte(c) -> np.ndarray:
     return np.mod(np.floor(np.abs(c) + FLOOR_GUARD), 256.0).astype(np.uint8)
 
 
-def circular_conv2_mod(a, b) -> np.ndarray:
-    """Wrap-around 2-D convolution of equal-size planes, bytes mod 256.
+def circular_conv2_mod(fa, fb) -> np.ndarray:
+    """Wrap-around 2-D convolution of two N x N planes, bytes mod 256.
 
-    c[i][j] = sum_{p,q} a[p][q] * b[(i-p) mod N, (j-q) mod N], computed in
-    the Fourier domain, then quantized with quantize_byte.
+    fa and fb are the planes' np.fft.rfft2 spectra, shape (N, N//2 + 1), so
+    a plane used in two convolutions is transformed once.
+    c[i][j] = sum_{p,q} a[p][q] * b[(i-p) mod N, (j-q) mod N], quantized
+    with quantize_byte.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError("operands must be 2-D and share dimensions")
-    c = np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(b), s=a.shape)
-    return quantize_byte(c)
+    fa = np.asarray(fa)
+    fb = np.asarray(fb)
+    n = fa.shape[0] if fa.ndim == 2 else 0
+    # A real 1x1 or 2x2 plane has the spectrum's shape; only dtype tells them apart.
+    spectra = np.iscomplexobj(fa) and np.iscomplexobj(fb)
+    if not spectra or fa.shape != fb.shape or fa.shape != (n, n // 2 + 1):
+        raise ValueError("operands must be rfft2 spectra of equal square planes")
+    return quantize_byte(np.fft.irfft2(fa * fb, s=(n, n)))
+
+
+def _line_argsort(lines) -> np.ndarray:
+    # stable ascending argsort of each row, as uint16
+    if lines.shape[1] > MAX_LINE:
+        raise ValueError(f"lines longer than {MAX_LINE} cells do not fit uint16 permutations")
+    return np.argsort(lines, axis=1, kind="stable").astype(np.uint16)
 
 
 def row_permutations(plane_bytes) -> np.ndarray:
-    """Stable ascending argsort of each row (ties keep column order)."""
-    return np.argsort(np.asarray(plane_bytes), axis=1, kind="stable")
+    """Stable ascending argsort of each row (ties keep column order), uint16."""
+    return _line_argsort(np.asarray(plane_bytes))
 
 
 def col_permutations(plane_bytes) -> np.ndarray:
     """Stable ascending argsort of each column; row j holds column j's order."""
-    return np.argsort(np.asarray(plane_bytes).T, axis=1, kind="stable")
+    return _line_argsort(np.asarray(plane_bytes).T)
 
 
 def plane_from_bytes(byte_matrix) -> KeystreamPlane:
-    """Wrap an N x N byte matrix with its real twin and sort permutations."""
+    """Wrap a byte matrix with its uint16 row and column sort permutations.
+
+    Raises ValueError if a row or column is longer than 65536 cells.
+    """
     byte_matrix = np.ascontiguousarray(byte_matrix, dtype=np.uint8)
     return KeystreamPlane(
         bytes=byte_matrix,
-        real_twin=byte_matrix.astype(np.float64),
         row_perm=row_permutations(byte_matrix),
         col_perm=col_permutations(byte_matrix),
     )
 
 
 @functools.lru_cache(maxsize=32)
+def _key_vectors(key, params, t_start, t_end, dt, fraction):
+    # Truncated trajectory vectors of one key; they do not depend on n.
+    traj = integrate(params, derive_initial_conditions(key), t_start, t_end, dt)
+    vectors = truncated_vectors(traj, fraction)
+    for v in vectors:
+        v.setflags(write=False)
+    return vectors
+
+
+@functools.lru_cache(maxsize=3)
 def build_round_keystream(
     key: SecretKey,
     n: int,
@@ -165,20 +210,20 @@ def build_round_keystream(
 ) -> RoundKeystream:
     """Derive one round's three keystream planes from a secret key.
 
-    Pure in all arguments, so results are memoized; decryption regenerating
-    the same round reuses the cached planes.  The convolution pairing is the
-    fixed cycle XY*XZ, XZ*YZ, YZ*XY.
+    Pure in all arguments, so results are memoized: the last three rounds
+    (one key triple) are kept, and decryption regenerating the same rounds
+    reuses them.  The trajectory vectors come from the per-key cache, so a
+    new n only redoes the resize and the convolutions.  The convolution
+    pairing is the fixed cycle XY*XZ, XZ*YZ, YZ*XY.
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")
-    traj = integrate(params, derive_initial_conditions(key), t_start, t_end, dt)
-    vx, vy, vz = truncated_vectors(traj, fraction)
-    xy, xz, yz = outer_products(vx, vy, vz)
-    rxy = resize_bilinear(xy, n)
-    rxz = resize_bilinear(xz, n)
-    ryz = resize_bilinear(yz, n)
+    vx, vy, vz = _key_vectors(key, params, t_start, t_end, dt, fraction)
+    fxy, fxz, fyz = (
+        np.fft.rfft2(resize_bilinear(m, n)) for m in outer_products(vx, vy, vz)
+    )
     return RoundKeystream(
-        xy=plane_from_bytes(circular_conv2_mod(rxy, rxz)),
-        xz=plane_from_bytes(circular_conv2_mod(rxz, ryz)),
-        yz=plane_from_bytes(circular_conv2_mod(ryz, rxy)),
+        xy=plane_from_bytes(circular_conv2_mod(fxy, fxz)),
+        xz=plane_from_bytes(circular_conv2_mod(fxz, fyz)),
+        yz=plane_from_bytes(circular_conv2_mod(fyz, fxy)),
     )

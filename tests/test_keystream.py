@@ -5,13 +5,16 @@ import pytest
 
 from lorenzdct.dct import idct1
 from lorenzdct.errors import DegenerateKeystreamError
+import lorenzdct.keystream as keystream
 from lorenzdct.keystream import (
+    _key_vectors,
     build_round_keystream,
     circular_conv2_mod,
     col_permutations,
     outer_products,
     plane_from_bytes,
     quantize_byte,
+    real_twin,
     resize_bilinear,
     row_permutations,
     truncated_vectors,
@@ -40,6 +43,10 @@ def conv2_direct(a, b):
                     s += a[p, q] * b[(i - p) % n, (j - q) % n]
             c[i, j] = s
     return c
+
+
+def conv_spectra(a, b):
+    return circular_conv2_mod(np.fft.rfft2(a), np.fft.rfft2(b))
 
 
 def _traj(x, y, z):
@@ -112,23 +119,23 @@ class TestCircularConv:
         a = rng.uniform(-300, 300, (5, 5))
         delta = np.zeros((5, 5))
         delta[0, 0] = 1.0
-        assert np.array_equal(circular_conv2_mod(a, delta), quantize_byte(a))
+        assert np.array_equal(conv_spectra(a, delta), quantize_byte(a))
 
     def test_delta_identity_integer_values(self, rng):
         a = rng.integers(-1000, 1000, (8, 8)).astype(float)
         delta = np.zeros((8, 8))
         delta[0, 0] = 1.0
         assert np.array_equal(
-            circular_conv2_mod(a, delta), (np.abs(a).astype(np.int64) % 256).astype(np.uint8)
+            conv_spectra(a, delta), (np.abs(a).astype(np.int64) % 256).astype(np.uint8)
         )
 
     def test_zero_input(self):
-        assert np.all(circular_conv2_mod(np.zeros((4, 4)), np.ones((4, 4))) == 0)
+        assert np.all(conv_spectra(np.zeros((4, 4)), np.ones((4, 4))) == 0)
 
     def test_2x2_hand_value(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(circular_conv2_mod(a, b), np.full((2, 2), 5, np.uint8))
+        assert np.array_equal(conv_spectra(a, b), np.full((2, 2), 5, np.uint8))
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_matches_direct_sum(self, n, rng):
@@ -136,12 +143,25 @@ class TestCircularConv:
             a = rng.uniform(-500, 500, (n, n))
             b = rng.uniform(-500, 500, (n, n))
             assert np.array_equal(
-                circular_conv2_mod(a, b), quantize_byte(conv2_direct(a, b))
+                conv_spectra(a, b), quantize_byte(conv2_direct(a, b))
             )
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            circular_conv2_mod(np.zeros((2, 2)), np.zeros((3, 3)))
+            conv_spectra(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_rejects_non_spectrum_shape(self):
+        with pytest.raises(ValueError):
+            circular_conv2_mod(np.zeros((4, 4)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_real_planes_shaped_like_spectra(self, n):
+        # (n, n//2 + 1) == (n, n) here, so only the dtype check catches them
+        a = np.ones((n, n))
+        with pytest.raises(ValueError):
+            circular_conv2_mod(a, a)
+        with pytest.raises(ValueError):
+            circular_conv2_mod(np.fft.rfft2(a), a)
 
 
 class TestPermutations:
@@ -168,23 +188,55 @@ class TestPermutations:
         shuffled = np.take_along_axis(m, perm, axis=1)
         assert np.array_equal(np.take_along_axis(shuffled, inv, axis=1), m)
 
+    def test_plane_perms_are_uint16_stable_argsort(self, rng):
+        m = rng.integers(0, 4, (40, 40), dtype=np.uint8)  # many ties
+        plane = plane_from_bytes(m)
+        assert plane.row_perm.dtype == plane.col_perm.dtype == np.uint16
+        assert np.array_equal(plane.row_perm, np.argsort(m, axis=1, kind="stable"))
+        assert np.array_equal(plane.col_perm, np.argsort(m.T, axis=1, kind="stable"))
+
+    def test_longest_line_fits_uint16(self):
+        line = (np.arange(65536)[::-1] % 251).astype(np.uint8)
+        plane = plane_from_bytes(line[None, :])
+        assert plane.row_perm.dtype == np.uint16
+        assert np.array_equal(plane.row_perm[0], np.argsort(line, kind="stable"))
+
+    @pytest.mark.parametrize("shape", [(1, 65537), (65537, 1)])
+    def test_lines_longer_than_uint16_rejected(self, shape):
+        with pytest.raises(ValueError):
+            plane_from_bytes(np.zeros(shape, dtype=np.uint8))
+
 
 class TestRealTwin:
     def test_twin_equals_bytes_exactly(self, rng):
-        plane = plane_from_bytes(rng.integers(0, 256, (16, 16), dtype=np.uint8))
-        assert np.array_equal(plane.real_twin, plane.bytes.astype(np.float64))
+        planes = [
+            plane_from_bytes(rng.integers(0, 256, (16, 16), dtype=np.uint8))
+            for _ in range(3)
+        ]
+        assert np.array_equal(real_twin(planes[0]), planes[0].bytes.astype(np.float64))
+        twin = real_twin(*planes)
+        assert twin.dtype == np.float64
+        assert np.array_equal(
+            twin, sum(p.bytes.astype(np.int64) for p in planes).astype(np.float64)
+        )
+        full = plane_from_bytes(np.full((4, 4), 255, dtype=np.uint8))
+        assert np.all(real_twin(full, full, full) == 765.0)
 
     def test_add_subtract_exact_zero(self, rng):
-        """(real_twin + s) - real_twin == 0 exactly where s == 0.
+        """(twin + s) - twin == 0 exactly where s == 0.
 
         Load-bearing for carrier extraction: empty cells must come back as
         exact zeros, not tiny residues.
         """
-        plane = plane_from_bytes(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+        planes = [
+            plane_from_bytes(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+            for _ in range(3)
+        ]
         s = np.zeros((32, 32))
         s[rng.integers(0, 32, 40), rng.integers(0, 32, 40)] = rng.uniform(-5, 5, 40)
-        back = (plane.real_twin + s) - plane.real_twin
-        assert np.all(back[s == 0.0] == 0.0)
+        for twin in (real_twin(planes[0]), real_twin(*planes)):
+            back = (twin + s) - twin
+            assert np.all(back[s == 0.0] == 0.0)
 
 
 class TestBuildRoundKeystream:
@@ -192,6 +244,7 @@ class TestBuildRoundKeystream:
         key = SecretKey("zz99!!")
         a = build_round_keystream(key, 16)
         build_round_keystream.cache_clear()
+        _key_vectors.cache_clear()
         b = build_round_keystream(key, 16)
         for name in ("xy", "xz", "yz"):
             assert np.array_equal(getattr(a, name).bytes, getattr(b, name).bytes)
@@ -239,6 +292,38 @@ class TestBuildRoundKeystream:
             p = getattr(ks, name)
             assert p.bytes.shape == (32, 32)
             assert p.bytes.dtype == np.uint8
+
+    def test_new_size_reuses_key_vectors(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(keystream, "integrate", spy)
+        build_round_keystream.cache_clear()
+        _key_vectors.cache_clear()
+        key = SecretKey("sz9!ab")
+        a = build_round_keystream(key, 24)
+        b = build_round_keystream(key, 37)
+        assert len(calls) == 1
+        assert a.xy.n == 24 and b.xy.n == 37
+
+    def test_plane_cache_holds_one_key_triple(self):
+        build_round_keystream.cache_clear()
+        for chars, n in (("key(A)", 16), ("key(B)", 16), ("key(C)", 16), ("key(A)", 20)):
+            build_round_keystream(SecretKey(chars), n)
+        assert build_round_keystream.cache_info().currsize <= 3
+
+    def test_key_vectors_match_uncached_derivation(self):
+        from lorenzdct.lorenz import derive_initial_conditions
+
+        key = SecretKey("key(C)")
+        cached = _key_vectors(key, LorenzParams(), 0.0, 50.0, 0.001, 0.999)
+        fresh = truncated_vectors(integrate(LorenzParams(), derive_initial_conditions(key)))
+        for c, f in zip(cached, fresh):
+            assert np.array_equal(c, f)
+            assert not c.flags.writeable
 
     def test_size_below_two_rejected(self):
         with pytest.raises(ValueError):
