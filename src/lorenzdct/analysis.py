@@ -45,16 +45,20 @@ def _adjacent_views(plane, direction):
 
 def correlation(c, d) -> float:
     """Pearson correlation between two equal-size matrices."""
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
+    # one float64 copy per operand, centred in place and reduced by einsum
+    # (numpy's own loop, so no BLAS threading): no other plane-sized
+    # temporaries
+    c = np.array(c, dtype=np.float64)
+    d = np.array(d, dtype=np.float64)
     if c.shape != d.shape:
         raise DimensionMismatchError("correlation operands must share dimensions")
-    cc = c - c.mean()
-    dd = d - d.mean()
-    denom = math.sqrt(float(np.sum(cc * cc)) * float(np.sum(dd * dd)))
+    c, d = c.ravel(), d.ravel()
+    c -= c.mean()
+    d -= d.mean()
+    denom = math.sqrt(float(np.einsum("i,i->", c, c)) * float(np.einsum("i,i->", d, d)))
     if denom == 0.0:
         raise UndefinedCorrelationError("zero variance in a correlation operand")
-    return float(np.sum(cc * dd)) / denom
+    return float(np.einsum("i,i->", c, d)) / denom
 
 
 def adjacent_correlation(plane, direction: str) -> float:
@@ -71,20 +75,26 @@ def npcr(c1, c2) -> float:
     return float(np.count_nonzero(c1 != c2)) / c1.size * 100.0
 
 
+def _difference(a, b, metric: str) -> np.ndarray:
+    """a - b as one float64 plane, without float copies of the operands."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"{metric} operands must share dimensions")
+    return np.subtract(a, b, dtype=np.float64)
+
+
 def mae(c1, c2) -> float:
     """Mean absolute pixel difference."""
-    c1, c2 = np.asarray(c1, np.float64), np.asarray(c2, np.float64)
-    if c1.shape != c2.shape:
-        raise DimensionMismatchError("MAE operands must share dimensions")
-    return float(np.mean(np.abs(c1 - c2)))
+    d = _difference(c1, c2, "MAE")
+    return float(np.mean(np.abs(d, out=d)))
 
 
 def uaci(c1, c2) -> float:
     """Mean absolute difference normalized by 255, as a percentage."""
-    c1, c2 = np.asarray(c1, np.float64), np.asarray(c2, np.float64)
-    if c1.shape != c2.shape:
-        raise DimensionMismatchError("UACI operands must share dimensions")
-    return float(np.mean(np.abs(c1 - c2) / 255.0)) * 100.0
+    d = _difference(c1, c2, "UACI")
+    np.abs(d, out=d)
+    d /= 255.0
+    return float(np.mean(d)) * 100.0
 
 
 def entropy(plane) -> float:
@@ -96,11 +106,9 @@ def entropy(plane) -> float:
 
 def mse(f, g) -> float:
     """Mean squared pixel difference."""
-    f, g = np.asarray(f, np.float64), np.asarray(g, np.float64)
-    if f.shape != g.shape:
-        raise DimensionMismatchError("MSE operands must share dimensions")
-    d = f - g
-    return float(np.mean(d * d))
+    d = _difference(f, g, "MSE")
+    np.square(d, out=d)
+    return float(np.mean(d))
 
 
 def psnr(f, g) -> float:
@@ -112,7 +120,7 @@ def psnr(f, g) -> float:
     m = mse(f, g)
     if m == 0.0:
         return math.inf
-    peak = float(np.max(np.asarray(f, dtype=np.float64)))
+    peak = float(np.max(f))
     return 20.0 * math.log10(peak / math.sqrt(m))
 
 

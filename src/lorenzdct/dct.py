@@ -20,9 +20,11 @@ from scipy import fft as _fft
 UNIT_GUARD_EPS = 1e-12
 _UNIT_GUARD_TOP = np.nextafter(1.0 + UNIT_GUARD_EPS, np.inf)
 
-# Candidate count energy_select starts its partial selection from.  Natural
-# 1024 x 1024 planes keep a few hundred coefficients at 99.9% energy.
+# Candidate count energy_select starts its partial selection from, and the
+# factor it grows by.  Natural 1024 x 1024 planes keep a few hundred
+# coefficients at 99.9% energy, two-level document planes about 150k.
 _FIRST_CANDIDATES = 4096
+_GROWTH = 4
 
 
 def dct1(x):
@@ -94,16 +96,18 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
     indistinguishable from an empty carrier cell otherwise).  A 1-D input is
     treated as a 1 x L matrix.
 
-    The order is found by partial selection rather than a full sort: the m
-    largest magnitudes (m = 4096, doubled as needed) are found with
-    np.partition and widened to every magnitude >= the m-th, so boundary ties
-    stay in.  Those candidates, in row-major order, are stable-sorted by
-    -|value|; since every coefficient outside the set is strictly smaller,
-    that is exactly the head of the full stable argsort, and the sequential
-    cumsum over it is exactly the head of the full cumsum.  When the head
-    does not reach the target, m doubles; once m covers every coefficient,
-    or the total energy is not finite, the full stable argsort is used.
-    The result is bit-identical to a full stable argsort in every case.
+    The order is found by partial selection rather than a full sort: blocks
+    of the largest magnitudes (4096, then growing fourfold) are split off
+    with np.partition until their energy reaches the target, which gives a
+    threshold t just past the crossing.  Every magnitude >= t is a candidate,
+    so boundary ties stay in.  The candidates, in row-major order, are
+    stable-sorted by -|value|; since every coefficient outside the set is
+    strictly smaller, that is exactly the head of the full stable argsort,
+    and the sequential cumsum over it is exactly the head of the full
+    cumsum.  When that cumsum does not reach the target (the block energies
+    are summed in another order), when the blocks outgrow the size, or when
+    the total energy is not finite, the full stable argsort is used.  The
+    result is bit-identical to a full stable argsort in every case.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
@@ -138,23 +142,53 @@ def _head_by_magnitude(flat, target):
     """Shortest head of the stable -|v| order whose cumsum of v**2 reaches
     target (the whole order when none does)."""
     mags = np.abs(flat)
-    size = flat.size
-    m = _FIRST_CANDIDATES if np.isfinite(target) else size
-    while m < size:
-        threshold = np.partition(mags, size - m)[size - m]
+    threshold = _energy_threshold(mags, target) if np.isfinite(target) else None
+    if threshold is not None:
         cand = np.flatnonzero(mags >= threshold)
-        # cheap pairwise pre-check; the cumsum below decides exactly
-        if np.sum(flat[cand] ** 2) >= target:
-            head = cand[np.argsort(-mags[cand], kind="stable")]
-            reached = np.flatnonzero(np.cumsum(flat[head] ** 2) >= target)
-            if reached.size:
-                return head[: int(reached[0]) + 1]
-        m *= 2
+        head = cand[_stable_descending(mags[cand])]
+        reached = np.flatnonzero(np.cumsum(flat[head] ** 2) >= target)
+        if reached.size:
+            return head[: int(reached[0]) + 1]
 
     # stable argsort on -|v| keeps row-major order within magnitude ties
     order = np.argsort(-mags, kind="stable")
     reached = np.flatnonzero(np.cumsum(flat[order] ** 2) >= target)
     return order[: int(reached[0]) + 1] if reached.size else order
+
+
+def _energy_threshold(mags, target):
+    """A magnitude t whose cells mags >= t carry about target energy, found
+    by partial selection; None when the candidate count outgrows mags.
+
+    Each round partitions only the remainder below the previous block and
+    takes the next block of the largest magnitudes (m = 4096, then m grows
+    fourfold).  In the block that reaches target, its sorted magnitudes
+    place t one past the estimated crossing.
+    """
+    size = mags.size
+    rest, energy, m = mags, 0.0, _FIRST_CANDIDATES
+    while m < size:
+        rest = np.partition(rest, size - m)
+        block, rest = rest[size - m :], rest[: size - m]
+        block_energy = np.sum(block * block)
+        if energy + block_energy >= target:
+            block = np.sort(block)[::-1]
+            i = int(np.searchsorted(energy + np.cumsum(block * block), target))
+            return block[min(i + 1, block.size - 1)]
+        energy += block_energy
+        m *= _GROWTH
+    return None
+
+
+def _stable_descending(keys):
+    """np.argsort(-keys, kind="stable") by way of the faster unstable sort:
+    positions are re-sorted inside each run of equal keys, via one sort of
+    run * size + position."""
+    size = keys.size
+    order = np.argsort(-keys)
+    ranked = keys[order]
+    run = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    return np.sort(run * size + order) % size
 
 
 def reconstruct_sparse(s: SparseCoeffs) -> np.ndarray:

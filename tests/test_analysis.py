@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorenzdct.analysis import (
+    _adjacent_views,
     adjacent_correlation,
     correlation,
     entropy,
@@ -62,6 +63,38 @@ class TestCorrelation:
     def test_unknown_direction(self, rng):
         with pytest.raises(ValueError):
             adjacent_correlation(rng.integers(0, 256, (4, 4)), "antidiagonal")
+
+
+class TestAgainstPlaneSizedReference:
+    """The metrics against their textbook forms, which make a float64 copy of
+    each operand and of every intermediate.  mae, uaci and mse do the same
+    arithmetic and must match exactly; correlation sums its products in
+    another order, so it gets a tolerance of a few hundred ulps."""
+
+    @pytest.fixture(params=["uint8", "int64", "float64"])
+    def planes(self, request, rng):
+        a = rng.integers(0, 256, (64, 48)).astype(request.param)
+        b = np.roll(a, 1, axis=1) // 2 + rng.integers(0, 128, a.shape).astype(request.param)
+        return a, b
+
+    def test_differences_exact(self, planes):
+        a, b = (np.asarray(p, np.float64) for p in planes)
+        assert mae(*planes) == float(np.mean(np.abs(a - b)))
+        assert uaci(*planes) == float(np.mean(np.abs(a - b) / 255.0)) * 100.0
+        assert mse(*planes) == float(np.mean((a - b) * (a - b)))
+
+    def test_correlation_close(self, planes):
+        for c, d in (planes, _adjacent_views(planes[0], "diagonal")):
+            c, d = np.asarray(c, np.float64), np.asarray(d, np.float64)
+            cc, dd = c - c.mean(), d - d.mean()
+            want = float(np.sum(cc * dd)) / math.sqrt(float(np.sum(cc * cc)) * float(np.sum(dd * dd)))
+            c_before = c.copy()
+            assert correlation(c, d) == pytest.approx(want, rel=1e-13, abs=1e-15)
+            assert np.array_equal(c, c_before)  # operands are not centred in place
+
+    def test_correlation_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            correlation(np.ones((3, 4)), np.ones((4, 3)))
 
 
 class TestDifferentialMetrics:

@@ -262,18 +262,23 @@ FRACTIONS = (1e-6, 0.5, 0.999, 1.0)
 # name -> (matrix maker, fraction), chosen to reach every branch of the
 # partial selection; test_named_cases_take_each_path checks that they do.
 PATH_CASES = {
-    # the first candidate set already holds the energy
+    # the first block of candidates already holds the energy
     "smooth_plane_256": (
         lambda rng: dct2(np.cumsum(np.cumsum(rng.standard_normal((256, 256)), 0), 1)),
         0.999,
     ),
     "trajectory_50001": (lambda rng: _trajectory_row(rng, 1, 50001), 0.999),
-    # the set doubles before the target is reached
+    # the first block falls short and a later, fourfold block reaches the target
     "two_level_256": (lambda rng: dct2(make_two_level_image(7, 256).planes[0]), 0.999),
     "gaussian_row_20000": (lambda rng: rng.standard_normal(20000), 0.9),
-    # k is most of the size: doubling runs out and the full sort decides
+    # k is most of the size: the blocks outgrow it and the full sort decides
     "white_noise_128": (lambda rng: rng.uniform(-1000, 1000, (128, 128)), 0.999),
-    # boundary ties pull every coefficient into the first candidate set
+    # ties at the threshold widen the candidates past the first block
+    "ties_past_block_100": (
+        lambda rng: np.where(np.arange(10000).reshape(100, 100) % 2, 7.0, 1.0),
+        0.5,
+    ),
+    # all ties at fraction 1: only the whole plane reaches the target
     "all_ties_100": (lambda rng: np.full((100, 100), 7.0), 1.0),
     # a non-finite total goes straight to the full sort
     "with_inf": (
@@ -312,9 +317,10 @@ class TestEnergySelectMatchesFullSort:
         [
             ("smooth_plane_256", 1, False),
             ("trajectory_50001", 1, False),
-            ("two_level_256", 3, False),
-            ("gaussian_row_20000", 3, False),
-            ("white_noise_128", 2, True),
+            ("two_level_256", 2, False),
+            ("gaussian_row_20000", 2, False),
+            ("white_noise_128", 1, True),
+            ("ties_past_block_100", 1, False),
             ("all_ties_100", 1, True),
             ("with_inf", 0, True),
             ("overflowing_squares", 0, True),

@@ -1,5 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzdct.cipher import CipherBundle, ImageRGB
 from lorenzdct.container import read_bundle, write_bundle
@@ -12,14 +17,50 @@ def random_image(rng, w, h=None):
     return ImageRGB(tuple(rng.integers(0, 256, (h, w), dtype=np.uint8) for _ in range(3)))
 
 
-def random_bundle(rng, n):
+def mixed_carrier(rng, n):
+    """Twin-sum-like integer cells, with non-integer exceptions in about a
+    third of them and always at (0, 0)."""
+    plane = rng.integers(0, 766, (n, n)).astype(np.float64)
+    logs = rng.random((n, n)) < 0.3
+    logs[0, 0] = True
+    plane[logs] += rng.uniform(-4.9, 4.9, int(logs.sum()))
+    return plane
+
+
+def random_bundle(rng, n, carriers=None):
     return CipherBundle(
         n=n,
         shifts=(3, 7, 13),
         rotations=((5, 11, 17), (1, 2, 3), (40, 0, 47)),
         dic=tuple(rng.integers(0, 256, (n, n), dtype=np.uint8) for _ in range(3)),
-        carriers=tuple(rng.uniform(-8.0, 770.0, (n, n)) for _ in range(3)),
+        carriers=carriers or tuple(mixed_carrier(rng, n) for _ in range(3)),
     )
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Carrier cells of every kind the v2 encoding distinguishes.
+CELLS = st.one_of(
+    st.integers(0, 65534).map(float),  # the only kind stored as a u16 cell
+    st.integers(65535, 2**53).map(float),  # the sentinel value and beyond
+    st.integers(-(2**53), -1).map(float),
+    st.just(-0.0),
+    st.tuples(st.integers(1, 2**52 - 1), st.booleans()).map(  # subnormals
+        lambda t: _bits_to_float(t[0] | t[1] << 63)
+    ),
+    st.floats(-1e6, 1e6).filter(lambda x: x != int(x)),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.integers(1, 2**51 - 1).map(lambda p: _bits_to_float(0xFFF8 << 48 | p)),  # NaN payloads
+)
+
+
+@st.composite
+def carrier_planes(draw):
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(CELLS, min_size=3 * n * n, max_size=3 * n * n))
+    return np.array(cells, dtype=np.float64).reshape(3, n, n)
 
 
 class TestPpm:
@@ -92,11 +133,28 @@ class TestContainer:
             # bitwise identity, not just numeric closeness
             assert a.tobytes() == b.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(planes=carrier_planes())
+    def test_carriers_roundtrip_bit_exact(self, planes, tmp_path_factory):
+        n = planes.shape[1]
+        bundle = random_bundle(np.random.default_rng(n), n, tuple(planes))
+        path = tmp_path_factory.getbasetemp() / "prop.ldct"
+        write_bundle(path, bundle)
+        back = read_bundle(path)
+        for a, b in zip(bundle.carriers, back.carriers):
+            assert a.tobytes() == b.tobytes()
+
     def test_2x2_total_size(self, rng, tmp_path):
-        # header 31 bytes + 3*4 dic + 3*4*8 carriers + 4 CRC = 143
+        # planes with 0, 1 and 4 non-integer cells: header 31 bytes + 3*4
+        # counts + 3*4 dic + 3*4*2 cells + (0+1+4)*8 exceptions + 4 CRC = 123
+        carriers = (
+            np.array([[0.0, 765.0], [65534.0, 3.0]]),
+            np.array([[0.0, 765.0], [65535.0, 3.0]]),
+            np.array([[-0.0, 0.5], [-1.0, np.nan]]),
+        )
         path = tmp_path / "s.ldct"
-        write_bundle(path, random_bundle(rng, 2))
-        assert path.stat().st_size == 31 + 12 + 96 + 4
+        write_bundle(path, random_bundle(rng, 2, carriers))
+        assert path.stat().st_size == 31 + 12 + 12 + 24 + 40 + 4
 
     def test_flipped_byte_fails_crc(self, rng, tmp_path):
         path = tmp_path / "c.ldct"
@@ -145,3 +203,61 @@ class TestContainer:
         write_bundle(p1, bundle)
         write_bundle(p2, bundle)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Offsets in a v2 container: the 31-byte header, then three u32 exception counts.
+COUNTS_AT = 31
+
+
+def _reseal(blob):
+    """Append a valid CRC, so a test reaches the checks after the CRC."""
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+class TestHostileContainer:
+    """Containers with a valid CRC whose v2 structure is inconsistent."""
+
+    @pytest.fixture()
+    def body(self, rng, tmp_path):
+        path = tmp_path / "h.ldct"
+        write_bundle(path, random_bundle(rng, 4))
+        return bytearray(path.read_bytes()[:-4])
+
+    def _read(self, tmp_path, blob):
+        path = tmp_path / "hostile.ldct"
+        path.write_bytes(_reseal(bytes(blob)))
+        return read_bundle(path)
+
+    def test_intact_body_reads(self, body, tmp_path):
+        assert self._read(tmp_path, body).n == 4
+
+    def test_count_beyond_plane(self, body, tmp_path):
+        struct.pack_into("<I", body, COUNTS_AT + 4, 4 * 4 + 1)
+        with pytest.raises(FormatError, match="exception count"):
+            self._read(tmp_path, body)
+
+    def test_count_disagrees_with_sentinel_cells(self, body, tmp_path):
+        # move one count from G to R: the total size still matches
+        k_r, k_g, k_b = struct.unpack_from("<3I", body, COUNTS_AT)
+        struct.pack_into("<3I", body, COUNTS_AT, k_r + 1, k_g - 1, k_b)
+        with pytest.raises(FormatError, match="exception cells"):
+            self._read(tmp_path, body)
+
+    def test_truncated_exception_values(self, body, tmp_path):
+        with pytest.raises(FormatError, match="size"):
+            self._read(tmp_path, body[:-8])
+
+    def test_trailing_bytes(self, body, tmp_path):
+        with pytest.raises(FormatError, match="size"):
+            self._read(tmp_path, body + struct.pack("<d", 1.5))
+
+    def test_v1_container_rejected(self, rng, tmp_path):
+        # the old layout: raw float64 carriers and no exception counts
+        bundle = random_bundle(rng, 4)
+        blob = struct.pack("<4sHIIBB", b"LDCT", 1, 4, 4, 3, 0)
+        blob += struct.pack("<3H", *bundle.shifts)
+        blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
+        blob += b"".join(p.tobytes() for p in bundle.dic)
+        blob += b"".join(p.astype("<f8").tobytes() for p in bundle.carriers)
+        with pytest.raises(FormatError, match="version 1"):
+            self._read(tmp_path, blob)
