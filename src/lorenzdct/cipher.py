@@ -6,6 +6,8 @@ three sequential XOR / permute / rotate rounds keyed by three independent
 keystreams.  The retained DCT coefficients travel separately: their signed
 base-10 logs are row-rotated and added on top of the summed integer-valued
 keystream planes, from which the receiver can subtract them back out exactly.
+The difference plane is taken against the coefficients read back out of the
+carrier, so encrypt and decrypt round one and the same reconstruction.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
+from .dct import SparseCoeffs, _stable_descending, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError, EmbeddingDomainError
 from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream, real_twin
-from .lorenz import LorenzParams, SecretKey
+from .lorenz import SecretKey
 
 COMPONENT_NAMES = ("R", "G", "B")
 
@@ -75,6 +77,14 @@ class CipherBundle:
             p.setflags(write=False)
 
 
+def _reconstruct_u8(sparse: SparseCoeffs) -> np.ndarray:
+    # Shared by encrypt and decrypt so both round the same values the same
+    # way; non-finite cells (a wrong key can overflow 10**|log|) become 0.
+    recon = reconstruct_sparse(sparse)
+    recon[~np.isfinite(recon)] = 0.0
+    return np.clip(np.rint(recon, out=recon), 0, 255, out=recon).astype(np.uint8)
+
+
 def make_difference(component, sparse: SparseCoeffs):
     """Difference plane between a component and its sparse reconstruction.
 
@@ -82,10 +92,9 @@ def make_difference(component, sparse: SparseCoeffs):
     (recon_u8 + dic) mod 256 recovers the component exactly.
     """
     component = np.asarray(component)
-    recon = reconstruct_sparse(sparse)
-    if recon.shape != component.shape:
+    recon_u8 = _reconstruct_u8(sparse)
+    if recon_u8.shape != component.shape:
         raise DimensionMismatchError("sparse dims disagree with component shape")
-    recon_u8 = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
     dic = (component.astype(np.int16) - recon_u8.astype(np.int16)) % 256
     return dic.astype(np.uint8), recon_u8
 
@@ -127,9 +136,16 @@ def shuffle_decrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
     return _pass_decrypt(h, ks.bytes, ks.row_perm, n_shift)
 
 
-def _row_roll_matrix(n: int, sign: int) -> np.ndarray:
-    # column index map for rolling row i by i positions (sign -1 = left)
-    return (np.arange(n)[None, :] - sign * np.arange(n)[:, None]) % n
+def _roll_rows(m: np.ndarray, sign: int) -> np.ndarray:
+    # copy of square m with row i rolled by i cells (sign -1 = left, +1 = right);
+    # two slice copies per row, so nothing but the output is allocated
+    n = m.shape[0]
+    out = np.empty_like(m)
+    for i in range(n):
+        k = (sign * i) % n
+        out[i, k:] = m[i, : n - k]
+        out[i, :k] = m[i, n - k :]
+    return out
 
 
 def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
@@ -140,7 +156,7 @@ def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
         raise EmbeddingDomainError("sign-log embedding needs |value| >= 1")
     m = np.zeros((n, n), dtype=np.float64)
     m[s.rows, s.cols] = np.sign(s.values) * np.log10(np.abs(s.values))
-    return np.take_along_axis(m, _row_roll_matrix(n, -1), axis=1)
+    return _roll_rows(m, -1)
 
 
 def log_inverse(m) -> SparseCoeffs:
@@ -153,33 +169,13 @@ def log_inverse(m) -> SparseCoeffs:
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise DimensionMismatchError("expected a square matrix")
-    back = np.take_along_axis(m, _row_roll_matrix(n, +1), axis=1)
+    back = _roll_rows(m, +1)
     rows, cols = np.nonzero(back)
     logs = back[rows, cols]
     with np.errstate(over="ignore"):
         values = np.sign(logs) * np.power(10.0, np.abs(logs))
-    order = np.argsort(-np.abs(values), kind="stable")
+    order = _stable_descending(np.abs(values))
     return SparseCoeffs((n, n), rows[order], cols[order], values[order], 1.0)
-
-
-def embed_coeffs(logm, ks: KeystreamPlane) -> np.ndarray:
-    """Carrier plane: keystream real twin plus the rolled log matrix."""
-    logm = np.asarray(logm, dtype=np.float64)
-    if logm.shape != ks.bytes.shape:
-        raise DimensionMismatchError("log matrix and keystream dims differ")
-    return real_twin(ks) + logm
-
-
-def extract_coeffs(carrier, ks: KeystreamPlane) -> np.ndarray:
-    """Recover the rolled log matrix: carrier minus the real twin.
-
-    Exactly 0.0 at every cell that carried no coefficient, because the twin
-    values are small integers and the subtraction cancels without rounding.
-    """
-    carrier = np.asarray(carrier, dtype=np.float64)
-    if carrier.shape != ks.bytes.shape:
-        raise DimensionMismatchError("carrier and keystream dims differ")
-    return carrier - real_twin(ks)
 
 
 def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
@@ -190,26 +186,21 @@ def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
     return tuple(int(s) for s in shifts)
 
 
-def _round_keystreams(keys, n, params, t_start, t_end, dt, fraction):
-    return [
-        build_round_keystream(k, n, params, t_start, t_end, dt, fraction)
-        for k in keys
-    ]
-
-
 def _twin_sum(rounds: list[RoundKeystream], component: int) -> np.ndarray:
     return real_twin(*(r.plane_for(component) for r in rounds))
+
+
+def _carried_coeffs(carrier, rounds: list[RoundKeystream], component: int) -> SparseCoeffs:
+    # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
+    # takes its difference plane against these rather than the exact ones,
+    # so both sides round one and the same reconstruction.
+    return log_inverse(carrier - _twin_sum(rounds, component))
 
 
 def encrypt_image(
     img: ImageRGB,
     keys: Sequence[SecretKey],
     shifts: Sequence[int] = DEFAULT_SHIFTS,
-    params: LorenzParams = LorenzParams(),
-    t_start: float = 0.0,
-    t_end: float = 50.0,
-    dt: float = 0.001,
-    fraction: float = 0.999,
 ) -> CipherBundle:
     """Run the full three-round pipeline on a square image."""
     if not img.is_square:
@@ -220,15 +211,15 @@ def encrypt_image(
     if n < 2:
         raise ValueError("image must be at least 2x2")
     shifts = _check_schedule(keys, shifts)
-    rounds = _round_keystreams(keys, n, params, t_start, t_end, dt, fraction)
+    rounds = [build_round_keystream(k, n) for k in keys]
 
     dics, carriers = [], []
     for comp, plane in enumerate(img.planes):
-        sparse = energy_select(dct2(plane.astype(np.float64)), fraction)
-        dic, _ = make_difference(plane, sparse)
+        sparse = energy_select(dct2(plane.astype(np.float64)))
+        carrier = _twin_sum(rounds, comp) + log_forward(sparse, n)
+        dic, _ = make_difference(plane, _carried_coeffs(carrier, rounds, comp))
         for k in range(3):
             dic = shuffle_encrypt(dic, rounds[k].plane_for(comp), shifts[k])
-        carrier = _twin_sum(rounds, comp) + log_forward(sparse, n)
         dics.append(dic)
         carriers.append(carrier)
 
@@ -245,31 +236,22 @@ def decrypt_image(
     bundle: CipherBundle,
     keys: Sequence[SecretKey],
     shifts: Optional[Sequence[int]] = None,
-    params: LorenzParams = LorenzParams(),
-    t_start: float = 0.0,
-    t_end: float = 50.0,
-    dt: float = 0.001,
-    fraction: float = 0.999,
 ) -> ImageRGB:
-    """Invert encrypt_image given the same keys and configuration.
+    """Invert encrypt_image given the same keys.
 
     A wrong key produces garbage rather than an error: there is no
     authentication, so the pipeline sanitizes any overflowing coefficient
     reconstruction and always returns a valid image.
     """
     shifts = _check_schedule(keys, bundle.shifts if shifts is None else shifts)
-    rounds = _round_keystreams(keys, bundle.n, params, t_start, t_end, dt, fraction)
+    rounds = [build_round_keystream(k, bundle.n) for k in keys]
 
     planes = []
     for comp in range(3):
         dic = bundle.dic[comp]
         for k in (2, 1, 0):
             dic = shuffle_decrypt(dic, rounds[k].plane_for(comp), shifts[k])
-        logm = bundle.carriers[comp] - _twin_sum(rounds, comp)
-        recon = reconstruct_sparse(log_inverse(logm))
-        recon = np.where(np.isfinite(recon), recon, 0.0)
-        recon_u8 = np.clip(np.rint(recon), 0, 255).astype(np.uint8)
-        out = (recon_u8.astype(np.int16) + dic.astype(np.int16)) % 256
-        planes.append(out.astype(np.uint8))
+        recon_u8 = _reconstruct_u8(_carried_coeffs(bundle.carriers[comp], rounds, comp))
+        planes.append(recon_u8 + dic)  # uint8 wraps mod 256
 
     return ImageRGB(tuple(planes))

@@ -7,13 +7,16 @@ convolve the resized planes pairwise and reduce modulo 256 to bytes.  Each
 byte plane also carries the row and column argsort permutations used by the
 shuffle cipher, as uint16.
 
+The Lorenz parameters, the integration window and step, and the energy
+fraction are the paper's fixed values (the defaults of `LorenzParams`,
+`integrate` and `truncated_vectors`); the key is the only input.
+
 Two caches keep repeated work away.  `_key_vectors` holds the truncated
-trajectory vectors per (key, params, window, fraction): a few KB each, 32
-entries, independent of the image size, so a key seen at a new size skips
-the RK4 integration and the trajectory DCT.  `build_round_keystream` holds
-finished rounds per (key, n, ...), 3 entries (one key triple): a round costs
-15 * n**2 bytes, 15 MB at n=1024, so the plane cache is bounded by 45 MB at
-that size.
+trajectory vectors per (key): a few KB each, 32 entries, independent of the
+image size, so a key seen at a new size skips the RK4 integration and the
+trajectory DCT.  `build_round_keystream` holds finished rounds per (key, n),
+3 entries (one key triple): a round costs 15 * n**2 bytes, 15 MB at n=1024,
+so the plane cache is bounded by 45 MB at that size.
 """
 
 from __future__ import annotations
@@ -189,28 +192,19 @@ def plane_from_bytes(byte_matrix) -> KeystreamPlane:
 
 
 @functools.lru_cache(maxsize=32)
-def _key_vectors(key, params, t_start, t_end, dt, fraction):
+def _key_vectors(key: SecretKey):
     # Truncated trajectory vectors of one key; they do not depend on n.
-    traj = integrate(params, derive_initial_conditions(key), t_start, t_end, dt)
-    vectors = truncated_vectors(traj, fraction)
+    vectors = truncated_vectors(integrate(LorenzParams(), derive_initial_conditions(key)))
     for v in vectors:
         v.setflags(write=False)
     return vectors
 
 
 @functools.lru_cache(maxsize=3)
-def build_round_keystream(
-    key: SecretKey,
-    n: int,
-    params: LorenzParams = LorenzParams(),
-    t_start: float = 0.0,
-    t_end: float = 50.0,
-    dt: float = 0.001,
-    fraction: float = 0.999,
-) -> RoundKeystream:
+def build_round_keystream(key: SecretKey, n: int) -> RoundKeystream:
     """Derive one round's three keystream planes from a secret key.
 
-    Pure in all arguments, so results are memoized: the last three rounds
+    Pure in both arguments, so results are memoized: the last three rounds
     (one key triple) are kept, and decryption regenerating the same rounds
     reuses them.  The trajectory vectors come from the per-key cache, so a
     new n only redoes the resize and the convolutions.  The convolution
@@ -218,7 +212,7 @@ def build_round_keystream(
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")
-    vx, vy, vz = _key_vectors(key, params, t_start, t_end, dt, fraction)
+    vx, vy, vz = _key_vectors(key)
     fxy, fxz, fyz = (
         np.fft.rfft2(resize_bilinear(m, n)) for m in outer_products(vx, vy, vz)
     )

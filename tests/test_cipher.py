@@ -5,20 +5,22 @@ from lorenzdct.analysis import adjacent_correlation, correlation
 from lorenzdct.cipher import (
     CipherBundle,
     ImageRGB,
+    _carried_coeffs,
+    _roll_rows,
+    _twin_sum,
     decrypt_image,
-    embed_coeffs,
     encrypt_image,
-    extract_coeffs,
     log_forward,
     log_inverse,
     make_difference,
     shuffle_decrypt,
     shuffle_encrypt,
 )
-from lorenzdct.dct import dct2, energy_select
+from lorenzdct.dct import SparseCoeffs, dct2, energy_select
 from lorenzdct.errors import DimensionMismatchError
 from lorenzdct.keystream import (
     KeystreamPlane,
+    RoundKeystream,
     _key_vectors,
     build_round_keystream,
     plane_from_bytes,
@@ -33,6 +35,10 @@ def random_plane(rng, n):
 
 def random_keystream(rng, n):
     return plane_from_bytes(random_plane(rng, n))
+
+
+def random_rounds(rng, n):
+    return [RoundKeystream(*(random_keystream(rng, n) for _ in range(3))) for _ in range(3)]
 
 
 class TestMakeDifference:
@@ -60,6 +66,13 @@ class TestMakeDifference:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             make_difference(random_plane(rng, 8), energy_select(np.ones((4, 4)), 1.0))
+
+    def test_non_finite_reconstruction_becomes_zero(self, rng):
+        component = random_plane(rng, 4)
+        overflow = SparseCoeffs((4, 4), np.array([0]), np.array([0]), np.array([np.inf]), 1.0)
+        dic, recon_u8 = make_difference(component, overflow)
+        assert np.all(recon_u8 == 0)
+        assert np.array_equal(dic, component)
 
 
 class TestShuffle:
@@ -175,36 +188,63 @@ class TestLogEmbedding:
             assert (r, c) in got
             assert abs(got[(r, c)] - v) <= 1e-12 * abs(v)
 
+    def test_log_inverse_order_matches_selection(self, rng):
+        mat = rng.choice([-300.0, -7.0, 0.0, 0.0, 7.0, 41.5, 300.0], (24, 24))
+        sel = energy_select(mat, 1.0)
+        back = log_inverse(log_forward(sel, 24))
+        assert np.array_equal(back.rows, sel.rows)
+        assert np.array_equal(back.cols, sel.cols)
+
     def test_dims_must_match(self):
         s = energy_select(np.ones((4, 4)) * 5.0, 1.0)
         with pytest.raises(DimensionMismatchError):
             log_forward(s, 8)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_roll_rows_matches_per_row_roll(self, sign, n, rng):
+        m = rng.standard_normal((n, n))
+        expected = np.stack([np.roll(m[i], sign * i) for i in range(n)])
+        got = _roll_rows(m, sign)
+        assert np.array_equal(got, expected)
+        assert not np.shares_memory(got, m)
+
 
 class TestCarrier:
+    """The carrier as the pipeline builds it: _twin_sum plus log_forward."""
+
     def test_zero_log_gives_twin_exactly(self, rng):
-        ks = random_keystream(rng, 16)
-        carrier = embed_coeffs(np.zeros((16, 16)), ks)
-        assert np.array_equal(carrier, real_twin(ks))
-        assert np.array_equal(carrier, ks.bytes.astype(np.float64))
+        rounds = random_rounds(rng, 16)
+        twin = _twin_sum(rounds, 1)
+        carrier = twin + log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
+        assert np.array_equal(carrier, twin)
+        assert np.array_equal(twin, real_twin(*(r.xz for r in rounds)))
+        assert np.array_equal(twin, sum(r.xz.bytes.astype(np.float64) for r in rounds))
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
-        ks = random_keystream(rng, 32)
-        logm = np.zeros((32, 32))
+        rounds = random_rounds(rng, 32)
+        twin = _twin_sum(rounds, 0)
+        mat = np.zeros((32, 32))
         cells = (rng.integers(0, 32, 50), rng.integers(0, 32, 50))
-        logm[cells] = rng.uniform(-4.8, 4.8, 50)
-        back = extract_coeffs(embed_coeffs(logm, ks), ks)
+        mat[cells] = 10.0 ** rng.uniform(0.01, 4.8, 50) * rng.choice([-1.0, 1.0], 50)
+        sel = energy_select(mat, 1.0)
+        logm = log_forward(sel, 32)
+        carrier = twin + logm
+        back = carrier - twin
         assert np.all(back[logm == 0.0] == 0.0)
         assert np.max(np.abs(back - logm)) < 1e-10
+        carried = _carried_coeffs(carrier, rounds, 0)
+        assert np.array_equal(carried.rows, sel.rows) and np.array_equal(carried.cols, sel.cols)
 
     def test_carrier_range_for_8bit_source(self, rng):
-        ks = random_keystream(rng, 64)
+        rounds = random_rounds(rng, 64)
         mat = np.zeros((64, 64))
         # largest possible 8-bit dct2 magnitude is 255*64 here
         mat[0, 0] = 255.0 * 64
         mat[1, 1] = -255.0 * 64
-        carrier = embed_coeffs(log_forward(energy_select(mat, 1.0), 64), ks)
-        assert np.all(carrier >= -8.0) and np.all(carrier <= 263.0)
+        carrier = _twin_sum(rounds, 2) + log_forward(energy_select(mat, 1.0), 64)
+        bound = np.log10(255.0 * 64)
+        assert np.all(carrier >= -bound) and np.all(carrier <= 3 * 255 + bound)
 
 
 class TestPipeline:
@@ -219,8 +259,8 @@ class TestPipeline:
         )
         img = ImageRGB(planes)
         keys = (SecretKey("key(A)"), SecretKey("key(B)"), SecretKey("key(C)"))
-        bundle = encrypt_image(img, keys, fraction=1.0)
-        out = decrypt_image(bundle, keys, fraction=1.0)
+        bundle = encrypt_image(img, keys)
+        out = decrypt_image(bundle, keys)
         for a, b in zip(img.planes, out.planes):
             assert np.array_equal(a, b)
 

@@ -319,7 +319,7 @@ class TestBuildRoundKeystream:
         from lorenzdct.lorenz import derive_initial_conditions
 
         key = SecretKey("key(C)")
-        cached = _key_vectors(key, LorenzParams(), 0.0, 50.0, 0.001, 0.999)
+        cached = _key_vectors(key)
         fresh = truncated_vectors(integrate(LorenzParams(), derive_initial_conditions(key)))
         for c, f in zip(cached, fresh):
             assert np.array_equal(c, f)
