@@ -29,13 +29,7 @@ from .cipher import (
 )
 from .container import read_bundle, write_bundle
 from .dct import SparseCoeffs, dct1, dct2, energy_select, idct1, idct2, reconstruct_sparse
-from .keystream import (
-    KeystreamPlane,
-    RoundKeystream,
-    build_round_keystream,
-    circular_conv2_mod,
-    resize_bilinear,
-)
+from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream
 from .lorenz import (
     LorenzParams,
     SecretKey,
@@ -63,7 +57,6 @@ __all__ = [
     "Trajectory",
     "adjacent_correlation",
     "build_round_keystream",
-    "circular_conv2_mod",
     "dct1",
     "dct2",
     "decrypt_image",
@@ -87,7 +80,6 @@ __all__ = [
     "psnr",
     "read_bundle",
     "reconstruct_sparse",
-    "resize_bilinear",
     "save_ppm",
     "scatter_sample",
     "shuffle_decrypt",

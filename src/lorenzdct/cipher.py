@@ -136,18 +136,6 @@ def shuffle_decrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
     return _pass_decrypt(h, ks.bytes, ks.row_perm, n_shift)
 
 
-def _roll_rows(m: np.ndarray, sign: int) -> np.ndarray:
-    # copy of square m with row i rolled by i cells (sign -1 = left, +1 = right);
-    # two slice copies per row, so nothing but the output is allocated
-    n = m.shape[0]
-    out = np.empty_like(m)
-    for i in range(n):
-        k = (sign * i) % n
-        out[i, k:] = m[i, : n - k]
-        out[i, :k] = m[i, n - k :]
-    return out
-
-
 def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
     """Signed log10 of each coefficient, scattered, rows rolled left by i."""
     if s.dims != (n, n):
@@ -155,8 +143,8 @@ def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
     if len(s) and np.min(np.abs(s.values)) < 1.0:
         raise EmbeddingDomainError("sign-log embedding needs |value| >= 1")
     m = np.zeros((n, n), dtype=np.float64)
-    m[s.rows, s.cols] = np.sign(s.values) * np.log10(np.abs(s.values))
-    return _roll_rows(m, -1)
+    m[s.rows, (s.cols - s.rows) % n] = np.sign(s.values) * np.log10(np.abs(s.values))
+    return m
 
 
 def log_inverse(m) -> SparseCoeffs:
@@ -169,9 +157,10 @@ def log_inverse(m) -> SparseCoeffs:
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise DimensionMismatchError("expected a square matrix")
-    back = _roll_rows(m, +1)
-    rows, cols = np.nonzero(back)
-    logs = back[rows, cols]
+    # un-roll only the non-zero cells, then restore row-major order
+    i, j = np.nonzero(m)
+    rows, cols = np.divmod(np.sort(i * n + (i + j) % n), n)
+    logs = m[rows, (cols - rows) % n]
     with np.errstate(over="ignore"):
         values = np.sign(logs) * np.power(10.0, np.abs(logs))
     order = _stable_descending(np.abs(values))

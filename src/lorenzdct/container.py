@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic    4 bytes  b"LDCT"
-    version  u16      2
+    version  u16      3
     width    u32
     height   u32
     rounds   u8       3
@@ -23,6 +23,10 @@ the sentinel 0xFFFF and its raw double follows in `values`.  Cells without a
 retained coefficient carry the keystream twin sum, an integer in [0, 765],
 so a 1024 x 1024 plane of a natural image has a few hundred exceptions.  The
 decoded planes are bit-identical to the encoded ones.
+
+Version 3 has version 2's layout; only the keystream under it changed (the
+exact 1-D keystream).  A version 2 file would decrypt to garbage without an
+error, so it is refused like any other version.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .cipher import CipherBundle
 from .errors import FormatError
 
 MAGIC = b"LDCT"
-VERSION = 2
+VERSION = 3
 ROUNDS = 3
 SENTINEL = 0xFFFF
 

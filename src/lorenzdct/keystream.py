@@ -1,11 +1,27 @@
 """Keystream planes derived from a Lorenz trajectory.
 
-Pipeline per round: integrate from the key's initial conditions, truncate
-each coordinate's DCT to its 99.9%-energy coefficients, form the three outer
-products XY / XZ / YZ, resize each to the image size, then circularly
-convolve the resized planes pairwise and reduce modulo 256 to bytes.  Each
-byte plane also carries the row and column argsort permutations used by the
-shuffle cipher, as uint16.
+Per round: integrate from the key's initial conditions and truncate each
+coordinate's DCT to its 99.9%-energy coefficients, giving vectors x, y, z.
+The paper resizes the outer products XY = x⊗y, XZ and YZ to the image size,
+circularly convolves them pairwise (XY*XZ, XZ*YZ, YZ*XY) and reduces the
+results modulo 256.  Every one of those planes has rank one: corner-aligned
+bilinear resizing is separable, resize(u⊗v) = û⊗v̂, and circular
+convolution of rank-one planes factors, (a⊗b)⊛(c⊗d) = (a⊛c)⊗(b⊛d).  So
+each plane is built from 1-D pieces:
+
+    XY*XZ = (x̂⊛x̂) ⊗ (ŷ⊛ẑ)
+    XZ*YZ = (x̂⊛ŷ) ⊗ (ẑ⊛ẑ)
+    YZ*XY = (x̂⊛ŷ) ⊗ (ŷ⊛ẑ)
+
+Each resized vector is taken to fixed point, rint(v̂ * 2**S) as int64, the
+four distinct convolutions are exact int64 sums (checked to stay below
+2**53), and byte (i, j) is floor(|A_i| * (|B_j| * 2**-4S)) mod 256 from one
+correctly rounded float64 product.  No step depends on an FFT backend, a
+summation order or a thread count, so given the same truncated vectors the
+bytes are the same on every IEEE-754 platform.  Only the RK4 integration and
+the trajectory DCT with its energy selection are floating point upstream.
+Each byte plane also carries the row and column argsort permutations used by
+the shuffle cipher, as uint16.
 
 The Lorenz parameters, the integration window and step, and the energy
 fraction are the paper's fixed values (the defaults of `LorenzParams`,
@@ -30,9 +46,10 @@ from .dct import dct1, energy_select
 from .errors import DegenerateKeystreamError
 from .lorenz import LorenzParams, SecretKey, Trajectory, derive_initial_conditions, integrate
 
-# Guard added before flooring |conv| so that convolutions which are integers
-# in exact arithmetic cannot fall just below the boundary in floating point.
-FLOOR_GUARD = 1e-9
+# Fixed-point scale of the resized trajectory vectors, v -> rint(v * 2**S).
+# The largest truncated values are near 5.4e3 (z), so the largest
+# convolution, z*z at n=4096, stays below 2**49.
+S = 6
 
 # Longest line whose sort permutation fits in uint16.
 MAX_LINE = 1 << 16
@@ -97,68 +114,58 @@ def truncated_vectors(traj: Trajectory, fraction: float = 0.999):
     return tuple(out)
 
 
-def outer_products(vx, vy, vz):
-    """XY = vx (x) vy, XZ = vx (x) vz, YZ = vy (x) vz."""
-    vx, vy, vz = (np.asarray(v, dtype=np.float64) for v in (vx, vy, vz))
-    for name, v in (("vx", vx), ("vy", vy), ("vz", vz)):
-        if v.size == 0:
-            raise DegenerateKeystreamError(f"{name} has no retained coefficients")
-    return np.outer(vx, vy), np.outer(vx, vz), np.outer(vy, vz)
+def resize_linear(v, n: int) -> np.ndarray:
+    """Resize a vector to length n by corner-aligned linear interpolation.
 
-
-def resize_bilinear(m, n: int) -> np.ndarray:
-    """Resize to n x n by corner-aligned bilinear interpolation.
-
-    Output cell (i, j) samples source coordinate (i*(R-1)/(n-1), j*(C-1)/(n-1));
-    n == 1 returns the top-left entry.
+    Output i samples source coordinate i*(L-1)/(n-1), the per-axis rule of
+    the paper's bilinear plane resize; n == 1 returns the first entry.
+    Raises DegenerateKeystreamError on an empty vector.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError("source must be a non-empty 2-D matrix")
-    if n < 1:
-        raise ValueError("target size must be >= 1")
-    if n == 1:
-        return m[:1, :1].copy()
-
-    def axis_coords(src_len):
-        pos = (np.arange(n, dtype=np.float64) * (src_len - 1)) / (n - 1)
-        lo = np.floor(pos).astype(np.int64)
-        lo = np.minimum(lo, src_len - 1)
-        hi = np.minimum(lo + 1, src_len - 1)
-        return lo, hi, pos - lo
-
-    r0, r1, fr = axis_coords(m.shape[0])
-    c0, c1, fc = axis_coords(m.shape[1])
-    rows = m[r0, :] * (1.0 - fr)[:, None] + m[r1, :] * fr[:, None]
-    return rows[:, c0] * (1.0 - fc)[None, :] + rows[:, c1] * fc[None, :]
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise DegenerateKeystreamError("a trajectory vector has no retained coefficients")
+    pos = (np.arange(n, dtype=np.float64) * (v.size - 1)) / max(n - 1, 1)
+    lo = np.minimum(np.floor(pos).astype(np.int64), v.size - 1)
+    hi = np.minimum(lo + 1, v.size - 1)
+    frac = pos - lo
+    return v[lo] * (1.0 - frac) + v[hi] * frac
 
 
-def quantize_byte(c) -> np.ndarray:
-    """floor(|c| + guard) mod 256, as uint8.
+def circular_conv(a, b) -> np.ndarray:
+    """Exact wrap-around convolution of two equal-length integer vectors.
 
-    The guard keeps convolutions that are exactly integer-valued in real
-    arithmetic from flooring one low due to floating-point round-off.
+    c[k] = sum_p a[p] * b[(k - p) mod n], summed in int64.  Raises
+    DegenerateKeystreamError unless n * max|a| * max|b| < 2**53, which
+    bounds every partial sum, so the result is exact in int64 and exactly
+    representable as float64.
     """
-    c = np.asarray(c, dtype=np.float64)
-    return np.mod(np.floor(np.abs(c) + FLOOR_GUARD), 256.0).astype(np.uint8)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n = a.size
+    if a.ndim != 1 or b.shape != a.shape or n == 0:
+        raise ValueError("operands must be non-empty vectors of equal length")
+    if n * int(np.max(np.abs(a))) * int(np.max(np.abs(b))) >= 2**53:
+        raise DegenerateKeystreamError(f"convolution of length {n} could exceed 2**53")
+    full = np.convolve(a, b)
+    c = full[:n]
+    c[: n - 1] += full[n:]
+    return c
 
 
-def circular_conv2_mod(fa, fb) -> np.ndarray:
-    """Wrap-around 2-D convolution of two N x N planes, bytes mod 256.
+def plane_bytes(a, b) -> np.ndarray:
+    """floor(|a_i| * (|b_j| * 2**-4S)) mod 256, as an (len(a), len(b)) uint8 matrix.
 
-    fa and fb are the planes' np.fft.rfft2 spectra, shape (N, N//2 + 1), so
-    a plane used in two convolutions is transformed once.
-    c[i][j] = sum_{p,q} a[p][q] * b[(i-p) mod N, (j-q) mod N], quantized
-    with quantize_byte.
+    a and b are exact convolutions, integers below 2**53 and hence exact
+    doubles; scaling by a power of two is exact too, so each cell is one
+    correctly rounded IEEE-754 product and the same on every platform.
+    The products must stay below 2**63, where flooring them by an int64
+    cast is defined; DegenerateKeystreamError otherwise.
     """
-    fa = np.asarray(fa)
-    fb = np.asarray(fb)
-    n = fa.shape[0] if fa.ndim == 2 else 0
-    # A real 1x1 or 2x2 plane has the spectrum's shape; only dtype tells them apart.
-    spectra = np.iscomplexobj(fa) and np.iscomplexobj(fb)
-    if not spectra or fa.shape != fb.shape or fa.shape != (n, n // 2 + 1):
-        raise ValueError("operands must be rfft2 spectra of equal square planes")
-    return quantize_byte(np.fft.irfft2(fa * fb, s=(n, n)))
+    rows = np.abs(np.asarray(a, dtype=np.float64))
+    cols = np.abs(np.asarray(b, dtype=np.float64)) * 2.0 ** (-4 * S)
+    if np.max(rows) * np.max(cols) >= 2.0**63:
+        raise DegenerateKeystreamError("keystream products exceed the int64 range")
+    return np.multiply.outer(rows, cols).astype(np.int64).astype(np.uint8)
 
 
 def _line_argsort(lines) -> np.ndarray:
@@ -207,17 +214,16 @@ def build_round_keystream(key: SecretKey, n: int) -> RoundKeystream:
     Pure in both arguments, so results are memoized: the last three rounds
     (one key triple) are kept, and decryption regenerating the same rounds
     reuses them.  The trajectory vectors come from the per-key cache, so a
-    new n only redoes the resize and the convolutions.  The convolution
-    pairing is the fixed cycle XY*XZ, XZ*YZ, YZ*XY.
+    new n only redoes the resize and the convolutions.  The planes are the
+    fixed cycle XY*XZ, XZ*YZ, YZ*XY in the factored form of the module
+    docstring.
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")
-    vx, vy, vz = _key_vectors(key)
-    fxy, fxz, fyz = (
-        np.fft.rfft2(resize_bilinear(m, n)) for m in outer_products(vx, vy, vz)
-    )
+    x, y, z = (np.rint(resize_linear(v, n) * 2.0**S).astype(np.int64) for v in _key_vectors(key))
+    xx, xy, yz, zz = (circular_conv(a, b) for a, b in ((x, x), (x, y), (y, z), (z, z)))
     return RoundKeystream(
-        xy=plane_from_bytes(circular_conv2_mod(fxy, fxz)),
-        xz=plane_from_bytes(circular_conv2_mod(fxz, fyz)),
-        yz=plane_from_bytes(circular_conv2_mod(fyz, fxy)),
+        xy=plane_from_bytes(plane_bytes(xx, yz)),
+        xz=plane_from_bytes(plane_bytes(xy, zz)),
+        yz=plane_from_bytes(plane_bytes(xy, yz)),
     )

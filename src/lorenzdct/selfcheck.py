@@ -24,7 +24,7 @@ from .cipher import (
 )
 from .container import read_bundle, write_bundle
 from .dct import dct1, dct2, energy_select, idct2
-from .keystream import circular_conv2_mod, plane_from_bytes, quantize_byte, resize_bilinear
+from .keystream import S, circular_conv, plane_bytes, plane_from_bytes, resize_linear
 from .lorenz import (
     LorenzParams,
     SecretKey,
@@ -53,16 +53,9 @@ def _dct2_direct(f):
 
 
 def _conv_direct(a, b):
-    n = a.shape[0]
-    c = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            s = 0.0
-            for p in range(n):
-                for q in range(n):
-                    s += a[p, q] * b[(i - p) % n, (j - q) % n]
-            c[i, j] = s
-    return c
+    # Python integers, which cannot overflow
+    n = len(a)
+    return [sum(int(a[p]) * int(b[(k - p) % n]) for p in range(n)) for k in range(n)]
 
 
 def _check_key_derivation():
@@ -98,14 +91,17 @@ def _check_dct():
 
 def _check_conv_and_resize():
     rng = np.random.default_rng(12)
-    a = rng.uniform(-50.0, 50.0, (6, 6))
-    b = rng.uniform(-50.0, 50.0, (6, 6))
-    fa, fb = np.fft.rfft2(a), np.fft.rfft2(b)
-    assert np.array_equal(circular_conv2_mod(fa, fb), quantize_byte(_conv_direct(a, b)))
-    m = rng.uniform(0.0, 9.0, (5, 5))
-    assert np.array_equal(resize_bilinear(m, 5), m)
-    got = resize_bilinear(np.array([[0.0, 2.0], [4.0, 6.0]]), 3)
-    assert np.max(np.abs(got - [[0, 1, 2], [2, 3, 4], [4, 5, 6]])) < 1e-12
+    a = rng.integers(-(2**20), 2**20, 17)
+    b = rng.integers(-(2**20), 2**20, 17)
+    c = circular_conv(a, b)
+    assert c.tolist() == _conv_direct(a, b)
+    assert plane_bytes(c, a).tolist() == [
+        [int(abs(float(ci)) * (abs(float(aj)) * 2.0 ** (-4 * S))) % 256 for aj in a] for ci in c
+    ]
+    v = rng.uniform(0.0, 9.0, 5)
+    assert np.array_equal(resize_linear(v, 5), v)
+    assert resize_linear([0.0, 2.0], 3).tolist() == [0.0, 1.0, 2.0]
+    assert resize_linear([1.0, 3.0, 9.0], 5).tolist() == [1.0, 2.0, 3.0, 6.0, 9.0]
 
 
 def _check_shuffle():

@@ -6,7 +6,6 @@ from lorenzdct.cipher import (
     CipherBundle,
     ImageRGB,
     _carried_coeffs,
-    _roll_rows,
     _twin_sum,
     decrypt_image,
     encrypt_image,
@@ -203,11 +202,22 @@ class TestLogEmbedding:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
     @pytest.mark.parametrize("sign", [-1, +1])
     def test_roll_rows_matches_per_row_roll(self, sign, n, rng):
-        m = rng.standard_normal((n, n))
-        expected = np.stack([np.roll(m[i], sign * i) for i in range(n)])
-        got = _roll_rows(m, sign)
-        assert np.array_equal(got, expected)
-        assert not np.shares_memory(got, m)
+        """log_forward rolls row i of the scattered logs left by i (sign -1);
+        log_inverse rolls it right again (+1) and keeps the selection order."""
+        mat = rng.choice([-300.0, -7.0, 0.0, 0.0, 7.0, 41.5, 300.0], (n, n))
+        sel = energy_select(mat, 1.0)
+        scattered = np.zeros((n, n))
+        scattered[sel.rows, sel.cols] = np.sign(sel.values) * np.log10(np.abs(sel.values))
+        rolled = np.stack([np.roll(scattered[i], -i) for i in range(n)])
+        if sign < 0:
+            assert np.array_equal(log_forward(sel, n), rolled)
+            return
+        back = log_inverse(rolled)
+        unrolled = np.stack([np.roll(rolled[i], sign * i) for i in range(n)])
+        logs = unrolled[sel.rows, sel.cols]
+        assert np.array_equal(back.rows, sel.rows)
+        assert np.array_equal(back.cols, sel.cols)
+        assert np.array_equal(back.values, np.sign(logs) * np.power(10.0, np.abs(logs)))
 
 
 class TestCarrier:

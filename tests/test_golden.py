@@ -10,11 +10,12 @@ GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 2 (u16 carrier cells plus exact
-float64 exceptions), re-recorded when version 1's raw float64 carriers were
-replaced; BUNDLE_GOLDEN held unchanged across that switch.  The keystream
-comes from a float FFT convolution, so a different FFT backend can move both
-tables too.
+values below are for container version 3, re-recorded with BUNDLE_GOLDEN
+when the keystream became the exact 1-D integer path (version 2's u16
+carrier cells and float64 exceptions are unchanged).  The keystream is now
+the same on every IEEE-754 platform; the image side (scipy's DCT, the
+energy selection, the sign-log carriers) is still floating point, so a
+different DCT build could still move both tables.
 """
 
 import hashlib
@@ -27,17 +28,17 @@ from lorenzdct.cipher import encrypt_image
 from lorenzdct.container import write_bundle
 
 BUNDLE_GOLDEN = {
-    ("natural", 64): "5e872157f421b8f3c5d5e2b297f8a05cb0a9e77e8a7f3ffd24276ee245030888",
-    ("natural", 256): "eec4f88894e61a25fe44a466a7204c496e276a42ec4ff30e00cdc0f965215eab",
-    ("two_level", 64): "4a75750c733a2982bb1f8379c86a87101ec038964d7caa790ffafe72bf8fe616",
-    ("two_level", 256): "5b53ea3c627dd94777eb90a1384ea0fbf1b83e540553dcd3e8720a374ff30527",
+    ("natural", 64): "789fc428faaeaf9d4f104526f3928a8af7e6593e8e8c312f6acbc7642e446830",
+    ("natural", 256): "11f949f246030706947af357653e9b1ce8799824e2c39b7d2f2b8fb4ddadbc08",
+    ("two_level", 64): "62787ac04f5bcfc1aca652cfd02013539fe51865ddef02936f230fa09bd287f8",
+    ("two_level", 256): "6a26357a96e33c6a9c79a608dd2fd9bc6b028e709a5a908794bd50cae5925e38",
 }
 
 GOLDEN = {
-    ("natural", 64): "bccbc664ee58c312935dd9afa83ffcb2711ebc36535403f45c137b005fe879e3",
-    ("natural", 256): "e465c47fef8b496c8f8b1b43b1732a24c6a05ad97b9bfaf7c862775084a3a5c5",
-    ("two_level", 64): "7cd2bc2377a3c1b9ccfe99e01a10aef05b97ad602305adfdd3e8e1408191fa39",
-    ("two_level", 256): "9ef76f2fd571167eb3038b1e37d8ed3217fce288cc99103d557fe83b84152548",
+    ("natural", 64): "e95b42677c9089d84080739391239138ee9336040ffebd54eafa9db9cbf7c577",
+    ("natural", 256): "ab5dcf448875e3535fb984a4cc937f30734ea7ebc17d81b80b3843149605401c",
+    ("two_level", 64): "7e0a79f5a46e0d240110a751ff89a6a5c11f63e52dd984d21a764477e492526b",
+    ("two_level", 256): "1f9feeea0fe76f778e378e956855750b0a5bde512d7968842ee509e916ef973d",
 }
 
 MAKERS = {"natural": make_image, "two_level": make_two_level_image}

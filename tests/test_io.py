@@ -251,13 +251,17 @@ class TestHostileContainer:
         with pytest.raises(FormatError, match="size"):
             self._read(tmp_path, body + struct.pack("<d", 1.5))
 
-    def test_v1_container_rejected(self, rng, tmp_path):
-        # the old layout: raw float64 carriers and no exception counts
+    def test_v1_container_rejected(self, body, rng, tmp_path):
+        # the v1 layout: raw float64 carriers and no exception counts
         bundle = random_bundle(rng, 4)
         blob = struct.pack("<4sHIIBB", b"LDCT", 1, 4, 4, 3, 0)
         blob += struct.pack("<3H", *bundle.shifts)
         blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
         blob += b"".join(p.tobytes() for p in bundle.dic)
         blob += b"".join(p.astype("<f8").tobytes() for p in bundle.carriers)
-        with pytest.raises(FormatError, match="version 1"):
+        with pytest.raises(FormatError, match="unsupported container version 1"):
             self._read(tmp_path, blob)
+        # v2 has v3's layout over the old keystream: it would decrypt to garbage
+        struct.pack_into("<H", body, 4, 2)
+        with pytest.raises(FormatError, match="unsupported container version 2"):
+            self._read(tmp_path, body)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ from lorenzdct.dct import idct1
 from lorenzdct.errors import DegenerateKeystreamError
 import lorenzdct.keystream as keystream
 from lorenzdct.keystream import (
+    S,
     _key_vectors,
     build_round_keystream,
-    circular_conv2_mod,
+    circular_conv,
     col_permutations,
-    outer_products,
+    plane_bytes,
     plane_from_bytes,
-    quantize_byte,
     real_twin,
-    resize_bilinear,
+    resize_linear,
     row_permutations,
     truncated_vectors,
 )
@@ -23,7 +24,13 @@ from lorenzdct.lorenz import LorenzParams, SecretKey, State3, Trajectory, integr
 
 # sha256 over (bytes, row_perm, col_perm) of the three planes for
 # SecretKey("key(A)") at N=64; regression-pins the whole derivation chain
-GOLDEN_KEY_A_64 = "575675a816aa17f9abbfa575ef2fa0a67fab570e8bd287d50525b02831918964"
+GOLDEN_KEY_A_64 = "1d3d5e4923149ddf21e04889e0f81a84fa523f99a9111ca8b3d250f42364901b"
+
+# the same digest at sizes that are prime (331) and large (1024)
+GOLDEN_KEY_A = {
+    331: "838b5b8ba738af0fccb3bc6a8ff86fae6e2a8835b3fbe3773777f9b8abf9970b",
+    1024: "0aa527bdc244f1757e941e82fc5e057d92cead527797e494dc334b54754be3f1",
+}
 
 # retained 99.9%-energy DCT counts for the reference initial conditions
 # under this exact pipeline (uniform fixed-step RK4, dt=0.001); see
@@ -31,22 +38,55 @@ GOLDEN_KEY_A_64 = "575675a816aa17f9abbfa575ef2fa0a67fab570e8bd287d50525b02831918
 FROZEN_REFERENCE_COUNTS = (297, 395, 252)
 
 
+def conv_direct(a, b):
+    """Wrap-around 1-D convolution in Python integers, straight from the definition."""
+    n = len(a)
+    a, b = [int(v) for v in a], [int(v) for v in b]
+    return [sum(a[p] * b[(k - p) % n] for p in range(n)) for k in range(n)]
+
+
 def conv2_direct(a, b):
-    """O(N^4) wrap-around convolution straight from the definition."""
-    n = a.shape[0]
-    c = np.zeros((n, n))
+    """Wrap-around 2-D convolution in Python integers, O(N^4), from the definition."""
+    n = len(a)
+    return [
+        [
+            sum(
+                int(a[p][q]) * int(b[(i - p) % n][(j - q) % n])
+                for p in range(n)
+                for q in range(n)
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def reference_vector(v, n):
+    """One trajectory vector resized and taken to fixed point, in Python floats."""
+    src = len(v) - 1
+    out = []
     for i in range(n):
-        for j in range(n):
-            s = 0.0
-            for p in range(n):
-                for q in range(n):
-                    s += a[p, q] * b[(i - p) % n, (j - q) % n]
-            c[i, j] = s
-    return c
+        pos = (float(i) * src) / max(n - 1, 1)
+        lo = min(math.floor(pos), src)
+        hi = min(lo + 1, src)
+        frac = pos - lo
+        out.append(round((float(v[lo]) * (1.0 - frac) + float(v[hi]) * frac) * 2.0**S))
+    return out
 
 
-def conv_spectra(a, b):
-    return circular_conv2_mod(np.fft.rfft2(a), np.fft.rfft2(b))
+def reference_byte(a, b):
+    """floor(|a| * (|b| * 2**-4S)) mod 256 with Python floats."""
+    return math.floor(float(abs(a)) * (float(abs(b)) * 2.0 ** (-4 * S))) % 256
+
+
+def keystream_digest(ks):
+    h = hashlib.sha256()
+    for name in ("xy", "xz", "yz"):
+        p = getattr(ks, name)
+        h.update(p.bytes.tobytes())
+        h.update(p.row_perm.astype(np.int64).tobytes())
+        h.update(p.col_perm.astype(np.int64).tobytes())
+    return h.hexdigest()
 
 
 def _traj(x, y, z):
@@ -76,92 +116,97 @@ class TestTruncatedVectors:
 
 
 class TestOuterProducts:
+    """Each plane is the byte image of an outer product of two 1-D convolutions."""
+
     def test_single_elements(self):
-        xy, xz, yz = outer_products([2.0], [3.0], [4.0])
-        assert xy == [[6.0]] and xz == [[8.0]] and yz == [[12.0]]
+        assert plane_bytes([2 << 12], [3 << 12]).tolist() == [[6]]
 
     def test_shapes(self):
-        xy, xz, yz = outer_products(np.ones(4), np.ones(5), np.ones(6))
-        assert xy.shape == (4, 5) and xz.shape == (4, 6) and yz.shape == (5, 6)
+        out = plane_bytes(np.ones(4, np.int64), np.ones(5, np.int64))
+        assert out.shape == (4, 5) and out.dtype == np.uint8
 
     def test_rank_one(self, rng):
-        xy, _, _ = outer_products(rng.uniform(1, 5, 6), rng.uniform(1, 5, 7), [1.0])
-        assert np.linalg.matrix_rank(xy) == 1
+        """(a (x) b) * (c (x) d) == (a * c) (x) (b * d), exactly, for 2-D
+        circular convolution of two outer products."""
+        for n in range(1, 9):
+            a, b, c, d = (rng.integers(-(2**20), 2**20, n) for _ in range(4))
+            plane = conv2_direct(np.outer(a, b).tolist(), np.outer(c, d).tolist())
+            rows, cols = conv_direct(a, c), conv_direct(b, d)
+            assert plane == [[r * q for q in cols] for r in rows]
+            assert circular_conv(a, c).tolist() == rows
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateKeystreamError):
-            outer_products([], [1.0], [1.0])
+            resize_linear([], 4)
 
 
 class TestResizeBilinear:
+    """The bilinear plane resize, done per axis: resize(u (x) v) == u^ (x) v^."""
+
     def test_identity_at_same_size(self, rng):
-        m = rng.uniform(-9, 9, (7, 7))
-        assert np.array_equal(resize_bilinear(m, 7), m)
+        v = rng.uniform(-9, 9, 7)
+        assert np.array_equal(resize_linear(v, 7), v)
 
     def test_constant_stays_constant(self):
-        assert np.all(resize_bilinear(np.full((3, 5), 2.5), 11) == 2.5)
+        assert np.all(resize_linear(np.full(5, 2.5), 11) == 2.5)
 
     def test_2x2_to_3x3_hand_value(self):
-        got = resize_bilinear(np.array([[0.0, 2.0], [4.0, 6.0]]), 3)
-        assert np.max(np.abs(got - [[0, 1, 2], [2, 3, 4], [4, 5, 6]])) < 1e-12
+        # [[1, 3], [2, 6]] = [1, 2] (x) [1, 3], resized bilinearly to 3 x 3 by hand
+        got = np.outer(resize_linear([1.0, 2.0], 3), resize_linear([1.0, 3.0], 3))
+        assert np.array_equal(got, [[1, 2, 3], [1.5, 3, 4.5], [2, 4, 6]])
 
     def test_single_cell_target(self):
-        m = np.array([[7.0, 1.0], [2.0, 3.0]])
-        assert resize_bilinear(m, 1) == [[7.0]]
+        assert resize_linear([7.0, 1.0], 1).tolist() == [7.0]
 
     def test_single_row_source(self):
-        out = resize_bilinear(np.array([[1.0, 3.0]]), 3)
-        assert np.allclose(out, [[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+        out = np.outer(resize_linear([1.0], 3), resize_linear([1.0, 3.0], 3))
+        assert np.array_equal(out, [[1, 2, 3], [1, 2, 3], [1, 2, 3]])
 
 
 class TestCircularConv:
     def test_delta_identity(self, rng):
-        a = rng.uniform(-300, 300, (5, 5))
-        delta = np.zeros((5, 5))
-        delta[0, 0] = 1.0
-        assert np.array_equal(conv_spectra(a, delta), quantize_byte(a))
+        a = rng.integers(-(2**30), 2**30, 5)
+        assert np.array_equal(circular_conv(a, [1, 0, 0, 0, 0]), a)
 
     def test_delta_identity_integer_values(self, rng):
-        a = rng.integers(-1000, 1000, (8, 8)).astype(float)
-        delta = np.zeros((8, 8))
-        delta[0, 0] = 1.0
-        assert np.array_equal(
-            conv_spectra(a, delta), (np.abs(a).astype(np.int64) % 256).astype(np.uint8)
-        )
+        # a unit at full fixed-point scale turns |a| into its bytes
+        a = rng.integers(-1000, 1000, 8)
+        delta = np.zeros(8, np.int64)
+        delta[0] = 1
+        got = plane_bytes(circular_conv(a, delta), [1 << (4 * S)])
+        assert np.array_equal(got[:, 0], np.abs(a) % 256)
 
     def test_zero_input(self):
-        assert np.all(conv_spectra(np.zeros((4, 4)), np.ones((4, 4))) == 0)
+        assert np.all(circular_conv(np.zeros(4, np.int64), np.ones(4, np.int64)) == 0)
 
     def test_2x2_hand_value(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(conv_spectra(a, b), np.full((2, 2), 5, np.uint8))
+        # ([1, 2] (x) [1, 3]) * ([3, 4] (x) [1, 1]) worked as a 2-D sum by hand
+        plane = np.outer(circular_conv([1, 2], [3, 4]), circular_conv([1, 3], [1, 1]))
+        assert np.array_equal(plane, [[44, 44], [40, 40]])
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_matches_direct_sum(self, n, rng):
         for _ in range(3):
-            a = rng.uniform(-500, 500, (n, n))
-            b = rng.uniform(-500, 500, (n, n))
-            assert np.array_equal(
-                conv_spectra(a, b), quantize_byte(conv2_direct(a, b))
-            )
+            a = rng.integers(-(2**24), 2**24, n)
+            b = rng.integers(-(2**24), 2**24, n)
+            got = circular_conv(a, b)
+            assert got.dtype == np.int64
+            assert got.tolist() == conv_direct(a, b)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            conv_spectra(np.zeros((2, 2)), np.zeros((3, 3)))
+            circular_conv(np.zeros(2, np.int64), np.zeros(3, np.int64))
 
-    def test_rejects_non_spectrum_shape(self):
-        with pytest.raises(ValueError):
-            circular_conv2_mod(np.zeros((4, 4)), np.zeros((4, 4)))
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_rejects_real_planes_shaped_like_spectra(self, n):
-        # (n, n//2 + 1) == (n, n) here, so only the dtype check catches them
-        a = np.ones((n, n))
-        with pytest.raises(ValueError):
-            circular_conv2_mod(a, a)
-        with pytest.raises(ValueError):
-            circular_conv2_mod(np.fft.rfft2(a), a)
+    def test_exactness_bounds_enforced(self):
+        # n * max|a| * max|b| must stay below 2**53 ...
+        big = np.full(4, 1 << 25)
+        assert circular_conv(big, big * 2 - 1).tolist() == [4 * (2**25) * (2**26 - 1)] * 4
+        with pytest.raises(DegenerateKeystreamError):
+            circular_conv(big, big * 2)
+        # ... and each scaled product below 2**63, where the int64 cast is defined
+        assert plane_bytes([2**52 - 1], [2**35]).tolist() == [[0]]
+        with pytest.raises(DegenerateKeystreamError):
+            plane_bytes([2**52], [2**35])
 
 
 class TestPermutations:
@@ -251,14 +296,33 @@ class TestBuildRoundKeystream:
             assert np.array_equal(getattr(a, name).row_perm, getattr(b, name).row_perm)
 
     def test_golden_hash(self):
-        ks = build_round_keystream(SecretKey("key(A)"), 64)
-        h = hashlib.sha256()
-        for name in ("xy", "xz", "yz"):
-            p = getattr(ks, name)
-            h.update(p.bytes.tobytes())
-            h.update(p.row_perm.astype(np.int64).tobytes())
-            h.update(p.col_perm.astype(np.int64).tobytes())
-        assert h.hexdigest() == GOLDEN_KEY_A_64
+        assert keystream_digest(build_round_keystream(SecretKey("key(A)"), 64)) == GOLDEN_KEY_A_64
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_KEY_A))
+    def test_golden_hash_large(self, n):
+        assert keystream_digest(build_round_keystream(SecretKey("key(A)"), n)) == GOLDEN_KEY_A[n]
+
+    @pytest.mark.parametrize(
+        "n, cells", [(2, None), (3, None), (17, None), (64, None), (331, 2000), (1024, 2000)]
+    )
+    def test_matches_pure_python_reference(self, n, cells, keys):
+        """Byte for byte against Python-int convolutions and Python-float
+        products: every cell for the test keys, or seeded cells of key(A)."""
+        for key in keys[:1] if cells else keys:
+            x, y, z = (reference_vector(v, n) for v in _key_vectors(key))
+            xy = conv_direct(x, y)
+            yz = conv_direct(y, z)
+            pairs = {"xy": (conv_direct(x, x), yz), "xz": (xy, conv_direct(z, z)), "yz": (xy, yz)}
+            if cells:
+                ij = np.random.default_rng(n).integers(0, n, (cells, 2)).tolist()
+            else:
+                ij = [(i, j) for i in range(n) for j in range(n)]
+            ks = build_round_keystream(key, n)
+            for name, (rows, cols) in pairs.items():
+                got = getattr(ks, name).bytes
+                assert [int(got[i, j]) for i, j in ij] == [
+                    reference_byte(rows[i], cols[j]) for i, j in ij
+                ]
 
     def test_one_bit_key_difference_decorrelates_planes(self):
         rng = np.random.default_rng(99)
@@ -329,19 +393,14 @@ class TestBuildRoundKeystream:
         with pytest.raises(ValueError):
             build_round_keystream(SecretKey("key(A)"), 1)
 
-    def test_conv_magnitude_headroom(self):
-        """Pre-quantization convolution values stay far below 2**52.
-
-        Above that, float64 spacing exceeds 1 and floor-mod-256 would lose
-        byte granularity; measured maxima sit near 2e13.
-        """
-        from lorenzdct.keystream import outer_products as op, resize_bilinear as rb
-        from lorenzdct.lorenz import derive_initial_conditions
-
-        key = SecretKey("key(A)")
-        traj = integrate(LorenzParams(), derive_initial_conditions(key))
-        vx, vy, vz = truncated_vectors(traj)
-        planes = [rb(m, 256) for m in op(vx, vy, vz)]
-        for a, b in ((planes[0], planes[1]), (planes[1], planes[2]), (planes[2], planes[0])):
-            c = np.fft.irfft2(np.fft.rfft2(a) * np.fft.rfft2(b), s=a.shape)
-            assert np.max(np.abs(c)) < 2.0**52
+    def test_conv_magnitude_headroom(self, keys):
+        """n * max|a| * max|b| stays below 2**49 at n=4096 for every pair,
+        a factor of 16 below the 2**53 that circular_conv refuses."""
+        n = 4096
+        for key in keys + (SecretKey("q7#Lm2"),):
+            peaks = [
+                int(np.max(np.abs(np.rint(resize_linear(v, n) * 2.0**S))))
+                for v in _key_vectors(key)
+            ]
+            for i, j in ((0, 0), (0, 1), (1, 2), (2, 2)):
+                assert n * peaks[i] * peaks[j] < 2**49
