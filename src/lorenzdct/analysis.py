@@ -21,7 +21,53 @@ DIRECTIONS = ("horizontal", "vertical", "diagonal")
 _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_M = 1 << 32
+_LCG_BLOCK = 4096  # states drawn per vectorized step
 DEFAULT_SCATTER_SEED = 0x5EED
+
+
+def _lcg_jumps(steps: int):
+    """(A, C) with state_{t+k} = (A[k-1] * state_t + C[k-1]) mod 2**32, k = 1..steps.
+
+    Built by doubling: k + m steps are k steps after m, A_k * A_m and
+    A_k * C_m + C_k.  Every operand is below 2**32, so each product plus
+    addend stays below 2**64 and the uint64 arithmetic is exact.
+    """
+    mask = np.uint64(_LCG_M - 1)
+    a = np.array([_LCG_A], dtype=np.uint64)
+    c = np.array([_LCG_C], dtype=np.uint64)
+    while a.size < steps:
+        a, c = (
+            np.concatenate([a, (a * a[-1]) & mask]),
+            np.concatenate([c, (a * c[-1] + c) & mask]),
+        )
+    return a[:steps], c[:steps]
+
+
+_JUMP_A, _JUMP_C = _lcg_jumps(_LCG_BLOCK)
+
+
+def _lcg_distinct(seed: int, total: int, count: int) -> np.ndarray:
+    """The first `count` distinct draws state % total of the LCG, in draw order.
+
+    Equal to drawing one state at a time and rejecting repeats, but a block
+    of states at a time: a draw is kept at its first occurrence in the
+    block unless an earlier block already kept it.
+    """
+    mask = np.uint64(_LCG_M - 1)
+    state = np.uint64(seed % _LCG_M)
+    seen = np.zeros(total, dtype=bool)
+    chosen = [np.empty(0, dtype=np.intp)]
+    need = count
+    while need > 0:
+        states = (_JUMP_A * state + _JUMP_C) & mask
+        state = states[-1]
+        draws = (states % np.uint64(total)).astype(np.intp)
+        values, first = np.unique(draws, return_index=True)
+        new = draws[np.sort(first[~seen[values]])[:need]]
+        seen[new] = True
+        chosen.append(new)
+        need -= new.size
+    return np.concatenate(chosen)
 
 
 def histogram(plane) -> np.ndarray:
@@ -148,21 +194,12 @@ def scatter_sample(
     c, d = _adjacent_views(plane, direction)
     cf, df = c.ravel(), d.ravel()
     total = cf.size
-    if count > total:
-        raise ValueError(f"count {count} exceeds available pairs {total}")
+    if not 0 <= count <= total:
+        raise ValueError(f"count {count} outside 0..{total} available pairs")
     if count == total:
         idx = np.arange(total)
     else:
-        state = seed % _LCG_M
-        chosen: list[int] = []
-        seen = set()
-        while len(chosen) < count:
-            state = (_LCG_A * state + _LCG_C) % _LCG_M
-            i = state % total
-            if i not in seen:
-                seen.add(i)
-                chosen.append(i)
-        idx = np.asarray(chosen)
+        idx = _lcg_distinct(seed, total, count)
     pairs = np.stack([cf[idx], df[idx]], axis=1)
     return ScatterSample(direction, seed, pairs)
 

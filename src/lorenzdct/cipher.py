@@ -8,10 +8,18 @@ base-10 logs are row-rotated and added on top of the summed integer-valued
 keystream planes, from which the receiver can subtract them back out exactly.
 The difference plane is taken against the coefficients read back out of the
 carrier, so encrypt and decrypt round one and the same reconstruction.
+
+Every pass of a round moves each byte to a fixed cell and XORs it with a
+fixed keystream byte, so a component's three rounds compose into one
+XOR-affine map, E(d) = d[perm] ^ mask over the flattened plane.  The cipher
+runs on that form: a `Schedule` holds (perm, mask) with the carrier's twin
+sum, and the schedules of the last (keys, shifts, n) are memoized, so a
+warm encrypt or decrypt is one gather or one scatter per component.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +27,7 @@ import numpy as np
 
 from .dct import SparseCoeffs, _stable_descending, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError, EmbeddingDomainError
-from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream, real_twin
+from .keystream import KeystreamPlane, build_round_keystream, real_twin
 from .lorenz import SecretKey
 
 COMPONENT_NAMES = ("R", "G", "B")
@@ -99,18 +107,68 @@ def make_difference(component, sparse: SparseCoeffs):
     return dic.astype(np.uint8), recon_u8
 
 
-def _pass_encrypt(plane, ks_bytes, perms, n_shift):
-    x1 = plane ^ ks_bytes
-    b = np.take_along_axis(x1, perms, axis=1)
-    return np.roll(b, -n_shift, axis=1) ^ np.roll(ks_bytes, -n_shift, axis=1)
+def _identity(size: int):
+    # The map d -> d: no move, no mask.
+    return np.arange(size, dtype=np.uint32), np.zeros(size, dtype=np.uint8)
 
 
-def _pass_decrypt(out, ks_bytes, perms, n_shift):
-    b = np.roll(out ^ np.roll(ks_bytes, -n_shift, axis=1), n_shift, axis=1)
-    # undo the gather b = x1[perm] by scattering back: x1[perm] = b
-    x1 = np.empty_like(b)
-    np.put_along_axis(x1, perms, b, axis=1)
-    return x1 ^ ks_bytes
+def _push_round(perm, mask, ks: KeystreamPlane, shift: int):
+    """Compose one round onto the map d -> d.ravel()[perm] ^ mask.
+
+    A round is a horizontal then a vertical pass.  A pass XORs the data
+    with the keystream bytes k, gathers each line through its sort
+    permutation, rotates data and keystream left by the shift and XORs the
+    two: y[f] = x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation alone
+    and g the permutation read through it.  After (perm, mask) that gives
+    (perm[g], (mask ^ k)[g] ^ k[r]).  perm is uint32, which holds h*w - 1
+    for lines of up to keystream.MAX_LINE cells and halves the traffic of
+    the gathers against intp; mask is uint8.  Returns new arrays.
+    """
+    k = ks.bytes
+    h, w = k.shape
+    g = np.empty((h, w), dtype=np.intp)
+    for vertical in (False, True):
+        if vertical:
+            # g[i, j] = col_perm[j, (i + s) % h] * w + j
+            s = shift % h
+            cp = ks.col_perm.T
+            np.multiply(cp[s:], w, out=g[: h - s], dtype=np.intp)
+            np.multiply(cp[:s], w, out=g[h - s :], dtype=np.intp)
+            g += np.arange(w, dtype=np.intp)
+        else:
+            # g[i, j] = i * w + row_perm[i, (j + s) % w]
+            s = shift % w
+            row_starts = np.arange(0, h * w, w, dtype=np.intp)[:, None]
+            np.add(ks.row_perm[:, s:], row_starts, out=g[:, : w - s])
+            np.add(ks.row_perm[:, :s], row_starts, out=g[:, w - s :])
+        flat = g.ravel()
+        perm = perm[flat]
+        mask = (mask ^ k.ravel())[flat]
+        m = mask.reshape(h, w)
+        if vertical:
+            m[: h - s] ^= k[s:]
+            m[h - s :] ^= k[:s]
+        else:
+            m[:, : w - s] ^= k[:, s:]
+            m[:, w - s :] ^= k[:, :s]
+    return perm, mask
+
+
+def _gather(plane, perm, mask) -> np.ndarray:
+    return (plane.ravel()[perm] ^ mask).reshape(plane.shape)
+
+
+def _scatter(plane, perm, mask) -> np.ndarray:
+    out = np.empty(plane.size, dtype=np.uint8)
+    out[perm] = plane.ravel() ^ mask
+    return out.reshape(plane.shape)
+
+
+def _check_plane(plane, ks: KeystreamPlane) -> np.ndarray:
+    plane = np.asarray(plane, dtype=np.uint8)
+    if plane.shape != ks.bytes.shape:
+        raise DimensionMismatchError("plane and keystream dims differ")
+    return plane
 
 
 def shuffle_encrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
@@ -118,22 +176,17 @@ def shuffle_encrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
 
     Each pass XORs with the keystream bytes, gathers each line through its
     ascending-sort permutation, rotates both the data and the keystream left
-    by n_shift, and XORs the two.  The vertical pass runs on the transpose.
+    by n_shift, and XORs the two.  The vertical pass runs on the columns.
+    This is one round of the pipeline's composed map.
     """
-    plane = np.asarray(plane, dtype=np.uint8)
-    if plane.shape != ks.bytes.shape:
-        raise DimensionMismatchError("plane and keystream dims differ")
-    h = _pass_encrypt(plane, ks.bytes, ks.row_perm, n_shift)
-    return _pass_encrypt(h.T, ks.bytes.T, ks.col_perm, n_shift).T
+    plane = _check_plane(plane, ks)
+    return _gather(plane, *_push_round(*_identity(plane.size), ks, n_shift))
 
 
 def shuffle_decrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
-    """Exact inverse of shuffle_encrypt (vertical pass undone first)."""
-    plane = np.asarray(plane, dtype=np.uint8)
-    if plane.shape != ks.bytes.shape:
-        raise DimensionMismatchError("plane and keystream dims differ")
-    h = _pass_decrypt(plane.T, ks.bytes.T, ks.col_perm, n_shift).T
-    return _pass_decrypt(h, ks.bytes, ks.row_perm, n_shift)
+    """Exact inverse of shuffle_encrypt: scatter back through the same map."""
+    plane = _check_plane(plane, ks)
+    return _scatter(plane, *_push_round(*_identity(plane.size), ks, n_shift))
 
 
 def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
@@ -175,15 +228,53 @@ def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
     return tuple(int(s) for s in shifts)
 
 
-def _twin_sum(rounds: list[RoundKeystream], component: int) -> np.ndarray:
-    return real_twin(*(r.plane_for(component) for r in rounds))
+@dataclass(frozen=True)
+class Schedule:
+    """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
+
+    perm (intp) and mask (uint8) are flat over the n x n plane; twin is the
+    exact uint16 sum of the three rounds' keystream bytes under the carrier.
+    A schedule holds 11 bytes per pixel.
+    """
+
+    perm: np.ndarray
+    mask: np.ndarray
+    twin: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.perm, self.mask, self.twin):
+            a.setflags(write=False)
 
 
-def _carried_coeffs(carrier, rounds: list[RoundKeystream], component: int) -> SparseCoeffs:
+@functools.lru_cache(maxsize=1)
+def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
+    """The R, G and B schedules of one key triple, shift schedule and size.
+
+    Memoized for the last (keys, shifts, n), 33 bytes per pixel (35 MB at
+    n=1024): a decrypt after an encrypt, or a run of operations with one key
+    triple at one size, builds no keystream.  The rounds are composed one
+    at a time and dropped, so a miss never holds all three rounds (15 bytes
+    per pixel each) nor an earlier schedule.
+    """
+    _schedules.cache_clear()  # free the previous schedules before building
+    maps = [_identity(n * n) for _ in range(3)]
+    twins = [np.zeros((n, n), dtype=np.uint16) for _ in range(3)]
+    for key, shift in zip(keys, shifts):
+        rnd = build_round_keystream(key, n)
+        for comp in range(3):
+            ks = rnd.plane_for(comp)
+            maps[comp] = _push_round(*maps[comp], ks, shift)
+            twins[comp] += real_twin(ks)
+    return tuple(
+        Schedule(perm.astype(np.intp), mask, twin) for (perm, mask), twin in zip(maps, twins)
+    )
+
+
+def _carried_coeffs(carrier, twin) -> SparseCoeffs:
     # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
     # takes its difference plane against these rather than the exact ones,
     # so both sides round one and the same reconstruction.
-    return log_inverse(carrier - _twin_sum(rounds, component))
+    return log_inverse(carrier - twin)
 
 
 def encrypt_image(
@@ -200,16 +291,13 @@ def encrypt_image(
     if n < 2:
         raise ValueError("image must be at least 2x2")
     shifts = _check_schedule(keys, shifts)
-    rounds = [build_round_keystream(k, n) for k in keys]
 
     dics, carriers = [], []
-    for comp, plane in enumerate(img.planes):
+    for plane, sched in zip(img.planes, _schedules(tuple(keys), shifts, n)):
         sparse = energy_select(dct2(plane.astype(np.float64)))
-        carrier = _twin_sum(rounds, comp) + log_forward(sparse, n)
-        dic, _ = make_difference(plane, _carried_coeffs(carrier, rounds, comp))
-        for k in range(3):
-            dic = shuffle_encrypt(dic, rounds[k].plane_for(comp), shifts[k])
-        dics.append(dic)
+        carrier = sched.twin + log_forward(sparse, n)
+        dic, _ = make_difference(plane, _carried_coeffs(carrier, sched.twin))
+        dics.append(_gather(dic, sched.perm, sched.mask))
         carriers.append(carrier)
 
     return CipherBundle(
@@ -233,14 +321,11 @@ def decrypt_image(
     reconstruction and always returns a valid image.
     """
     shifts = _check_schedule(keys, bundle.shifts if shifts is None else shifts)
-    rounds = [build_round_keystream(k, bundle.n) for k in keys]
 
+    schedules = _schedules(tuple(keys), shifts, bundle.n)
     planes = []
-    for comp in range(3):
-        dic = bundle.dic[comp]
-        for k in (2, 1, 0):
-            dic = shuffle_decrypt(dic, rounds[k].plane_for(comp), shifts[k])
-        recon_u8 = _reconstruct_u8(_carried_coeffs(bundle.carriers[comp], rounds, comp))
-        planes.append(recon_u8 + dic)  # uint8 wraps mod 256
+    for dic, carrier, sched in zip(bundle.dic, bundle.carriers, schedules):
+        recon_u8 = _reconstruct_u8(_carried_coeffs(carrier, sched.twin))
+        planes.append(recon_u8 + _scatter(dic, sched.perm, sched.mask))  # uint8 wraps mod 256
 
     return ImageRGB(tuple(planes))

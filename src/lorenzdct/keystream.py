@@ -27,12 +27,13 @@ The Lorenz parameters, the integration window and step, and the energy
 fraction are the paper's fixed values (the defaults of `LorenzParams`,
 `integrate` and `truncated_vectors`); the key is the only input.
 
-Two caches keep repeated work away.  `_key_vectors` holds the truncated
-trajectory vectors per (key): a few KB each, 32 entries, independent of the
-image size, so a key seen at a new size skips the RK4 integration and the
-trajectory DCT.  `build_round_keystream` holds finished rounds per (key, n),
-3 entries (one key triple): a round costs 15 * n**2 bytes, 15 MB at n=1024,
-so the plane cache is bounded by 45 MB at that size.
+Trajectory vectors are cached here; finished rounds are not.
+`_key_vectors` holds the truncated trajectory vectors per key: a few KB
+each, 32 entries, independent of the image size, so a key seen at a new size
+skips the RK4 integration and the trajectory DCT.  `build_round_keystream`
+recomputes its planes on every call (15 * n**2 bytes per round); the cipher
+composes each component's three rounds into one schedule and keeps that
+instead, 33 bytes per pixel for the last (keys, shifts, n).
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class KeystreamPlane:
 
     row_perm[i] is the stable ascending argsort of byte row i; col_perm[j]
     the same for column j.  Both are uint16 (lines of at most 65536 cells),
-    so a plane holds 5 bytes per pixel.  The carrier stage's real-valued
-    view of the bytes is computed on demand by `real_twin`.
+    so a plane holds 5 bytes per pixel.  The carrier stage's twin sum of
+    the bytes is computed on demand by `real_twin`.
     """
 
     bytes: np.ndarray
@@ -91,15 +92,16 @@ class RoundKeystream:
 
 
 def real_twin(*planes: KeystreamPlane) -> np.ndarray:
-    """Sum of the planes' bytes as float64: one exact integer sum, cast once.
+    """Sum of the planes' bytes as one exact uint16 integer sum.
 
-    Every cell is a small integer double, so (twin + s) - twin returns
+    Three planes sum to at most 765, and a float64 operand promotes every
+    cell to an exact small integer double, so (twin + s) - twin returns
     exactly 0.0 wherever s == 0; carrier extraction depends on that.
     """
     total = planes[0].bytes.astype(np.uint16)
     for p in planes[1:]:
         total += p.bytes
-    return total.astype(np.float64)
+    return total
 
 
 def truncated_vectors(traj: Trajectory, fraction: float = 0.999):
@@ -207,16 +209,12 @@ def _key_vectors(key: SecretKey):
     return vectors
 
 
-@functools.lru_cache(maxsize=3)
 def build_round_keystream(key: SecretKey, n: int) -> RoundKeystream:
     """Derive one round's three keystream planes from a secret key.
 
-    Pure in both arguments, so results are memoized: the last three rounds
-    (one key triple) are kept, and decryption regenerating the same rounds
-    reuses them.  The trajectory vectors come from the per-key cache, so a
-    new n only redoes the resize and the convolutions.  The planes are the
-    fixed cycle XY*XZ, XZ*YZ, YZ*XY in the factored form of the module
-    docstring.
+    The trajectory vectors come from the per-key cache, so this only does
+    the resize, the convolutions and the sorts.  The planes are the fixed
+    cycle XY*XZ, XZ*YZ, YZ*XY in the factored form of the module docstring.
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")

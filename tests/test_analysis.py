@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from lorenzdct.analysis import (
+    DEFAULT_SCATTER_SEED,
+    DIRECTIONS,
     _adjacent_views,
+    _lcg_distinct,
     adjacent_correlation,
     correlation,
     entropy,
@@ -21,6 +25,23 @@ from lorenzdct.cipher import ImageRGB
 from lorenzdct.errors import DimensionMismatchError, UndefinedCorrelationError
 
 PSNR_OFF_BY_ONE = 48.1308036086791  # 20*log10(255), hand-evaluated
+
+# sha256 of ref_scatter_indices(1024 * 1023, 1024 * 1023 - 1) as little-endian
+# int64, recorded from the reference loop (about 12 s of pure Python)
+GOLDEN_ALL_BUT_ONE_1024 = "050ff84091112375d0a450044aef8a683e99599baa167b95795017b86a6d9605"
+
+
+def ref_scatter_indices(total, count, seed=DEFAULT_SCATTER_SEED):
+    """The sequential sampler: one LCG draw at a time, repeats rejected."""
+    state = seed % 2**32
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        state = (1664525 * state + 1013904223) % 2**32
+        i = state % total
+        if i not in seen:
+            seen.add(i)
+            chosen.append(i)
+    return np.asarray(chosen, dtype=np.intp)
 
 
 class TestHistogram:
@@ -194,6 +215,27 @@ class TestScatterSample:
     def test_count_limit(self, rng):
         with pytest.raises(ValueError):
             scatter_sample(rng.integers(0, 256, (4, 4)), "horizontal", 13)
+        with pytest.raises(ValueError):
+            scatter_sample(rng.integers(0, 256, (4, 4)), "horizontal", -1)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1024])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_matches_sequential_sampler(self, direction, n, rng):
+        plane = rng.integers(0, 256, (n, n), dtype=np.uint8)
+        c, d = (v.ravel() for v in _adjacent_views(plane, direction))
+        total = c.size
+        for count in sorted({1, 4096, total - 1, total}):
+            if count > total or (n == 1024 and count == total - 1):
+                continue  # too many, or the golden case below
+            idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
+            s = scatter_sample(plane, direction, count)
+            assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
+
+    def test_all_but_one_pair_at_1024(self):
+        total = 1024 * 1023
+        idx = _lcg_distinct(DEFAULT_SCATTER_SEED, total, total - 1)
+        assert np.unique(idx).size == total - 1
+        assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == GOLDEN_ALL_BUT_ONE_1024
 
 
 class TestFullReport:

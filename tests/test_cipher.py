@@ -1,12 +1,23 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lorenzdct.cipher as cipher
 from lorenzdct.analysis import adjacent_correlation, correlation
 from lorenzdct.cipher import (
+    DEFAULT_SHIFTS,
     CipherBundle,
     ImageRGB,
     _carried_coeffs,
-    _twin_sum,
+    _gather,
+    _identity,
+    _push_round,
+    _scatter,
+    _schedules,
     decrypt_image,
     encrypt_image,
     log_forward,
@@ -38,6 +49,64 @@ def random_keystream(rng, n):
 
 def random_rounds(rng, n):
     return [RoundKeystream(*(random_keystream(rng, n) for _ in range(3))) for _ in range(3)]
+
+
+def twin_of(rounds, component):
+    return real_twin(*(r.plane_for(component) for r in rounds))
+
+
+# Reference shuffle: the paper's passes run literally, one line gather and
+# one rotation of data and keystream at a time.
+def ref_pass_encrypt(plane, ks_bytes, perms, n_shift):
+    x1 = plane ^ ks_bytes
+    b = np.take_along_axis(x1, perms, axis=1)
+    return np.roll(b, -n_shift, axis=1) ^ np.roll(ks_bytes, -n_shift, axis=1)
+
+
+def ref_pass_decrypt(out, ks_bytes, perms, n_shift):
+    b = np.roll(out ^ np.roll(ks_bytes, -n_shift, axis=1), n_shift, axis=1)
+    x1 = np.empty_like(b)
+    np.put_along_axis(x1, perms, b, axis=1)
+    return x1 ^ ks_bytes
+
+
+def ref_encrypt(plane, planes, shifts):
+    for ks, shift in zip(planes, shifts):
+        h = ref_pass_encrypt(plane, ks.bytes, ks.row_perm, shift)
+        plane = ref_pass_encrypt(h.T, ks.bytes.T, ks.col_perm, shift).T
+    return plane
+
+
+def ref_decrypt(plane, planes, shifts):
+    for ks, shift in reversed(list(zip(planes, shifts))):
+        h = ref_pass_decrypt(plane.T, ks.bytes.T, ks.col_perm, shift).T
+        plane = ref_pass_decrypt(h, ks.bytes, ks.row_perm, shift)
+    return plane
+
+
+def composed(planes, shifts):
+    perm, mask = _identity(planes[0].bytes.size)
+    for ks, shift in zip(planes, shifts):
+        perm, mask = _push_round(perm, mask, ks, shift)
+    return perm, mask
+
+
+@st.composite
+def shuffle_cases(draw):
+    """(n, keystream planes, shifts, seed) for one or three rounds."""
+    n = draw(st.integers(2, 64) | st.sampled_from([2, 3, 5, 7, 31, 61]))
+    rounds = draw(st.sampled_from([1, 3]))
+    shifts = [draw(st.sampled_from([0, 1, n - 1, n, n + 5, 65535])) for _ in range(rounds)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(rounds):
+        if draw(st.booleans()):
+            plane = random_plane(rng, n)
+        else:  # tie-heavy: a few byte values, so sorts keep long runs in order
+            plane = rng.choice(np.array([0, 91, 255], dtype=np.uint8), (n, n))
+        planes.append(plane_from_bytes(plane))
+    return n, planes, shifts, seed
 
 
 class TestMakeDifference:
@@ -142,6 +211,89 @@ class TestShuffle:
             assert np.array_equal(shuffle_decrypt(enc, ks, shift), plane)
 
 
+class TestComposedShuffle:
+    """The composed map E(d) = d[perm] ^ mask against the literal passes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=shuffle_cases())
+    def test_matches_reference_passes(self, case):
+        n, planes, shifts, seed = case
+        rng = np.random.default_rng(seed + 1)
+        d, c = random_plane(rng, n), random_plane(rng, n)
+        perm, mask = composed(planes, shifts)
+        enc = _gather(d, perm, mask)
+        assert np.array_equal(enc, ref_encrypt(d, planes, shifts))
+        assert np.array_equal(_scatter(c, perm, mask), ref_decrypt(c, planes, shifts))
+        assert np.array_equal(_scatter(enc, perm, mask), d)
+        for ks, shift in zip(planes, shifts):
+            assert np.array_equal(shuffle_encrypt(d, ks, shift), ref_encrypt(d, [ks], [shift]))
+            assert np.array_equal(shuffle_decrypt(c, ks, shift), ref_decrypt(c, [ks], [shift]))
+
+    def test_real_keystreams_at_1024(self, keys, rng):
+        n = 1024
+        _schedules.cache_clear()
+        schedules = _schedules(keys, DEFAULT_SHIFTS, n)
+        rounds = [build_round_keystream(k, n) for k in keys]
+        for comp, sched in enumerate(schedules):
+            planes = [r.plane_for(comp) for r in rounds]
+            d = random_plane(rng, n)
+            enc = _gather(d, sched.perm, sched.mask)
+            assert np.array_equal(enc, ref_encrypt(d, planes, DEFAULT_SHIFTS))
+            assert np.array_equal(_scatter(enc, sched.perm, sched.mask), d)
+            assert np.array_equal(sched.twin, twin_of(rounds, comp))
+
+
+class TestScheduleCache:
+    """The schedule cache is keyed by the keys (chars and rotations), shifts and n."""
+
+    def test_other_shifts_at_same_size_decrypt_exactly(self, image_a, keys):
+        bundle = encrypt_image(image_a, keys, shifts=(5, 11, 2))
+        encrypt_image(image_a, keys)  # the default shifts are now cached
+        out = decrypt_image(bundle, keys)
+        assert all(np.array_equal(a, b) for a, b in zip(image_a.planes, out.planes))
+
+    def test_keys_differing_only_in_rotations(self, image_a, keys):
+        rotated = tuple(SecretKey(k.chars, (1, 2, 3)) for k in keys)
+        bundle = encrypt_image(image_a, rotated)
+        encrypt_image(image_a, keys)
+        out = decrypt_image(bundle, rotated)
+        assert all(np.array_equal(a, b) for a, b in zip(image_a.planes, out.planes))
+        wrong = decrypt_image(bundle, keys)
+        assert not all(np.array_equal(a, b) for a, b in zip(image_a.planes, wrong.planes))
+
+    def test_second_encrypt_builds_no_keystream(self, image_a, keys, monkeypatch):
+        calls = []
+
+        def spy(key, n):
+            calls.append((key, n))
+            return build_round_keystream(key, n)
+
+        monkeypatch.setattr(cipher, "build_round_keystream", spy)
+        _schedules.cache_clear()
+        bundle = encrypt_image(image_a, keys)
+        assert len(calls) == 3
+        encrypt_image(image_a, keys)
+        decrypt_image(bundle, keys)
+        assert len(calls) == 3
+
+    def test_held_schedules_within_33_bytes_per_pixel(self, keys):
+        n = 256
+        for k in keys:
+            _key_vectors(k)  # their few KB are cached apart from the schedules
+        _schedules.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = _schedules(keys, DEFAULT_SHIFTS, n)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for s in held for a in (s.perm, s.mask, s.twin)) == 33 * n * n
+        assert after - before <= 33 * n * n + 64 * 1024
+
+
 class TestLogEmbedding:
     def test_positive_value_row_zero(self):
         s = energy_select(np.array([[100.0, 0.0], [0.0, 0.0]]), 1.0)
@@ -221,19 +373,19 @@ class TestLogEmbedding:
 
 
 class TestCarrier:
-    """The carrier as the pipeline builds it: _twin_sum plus log_forward."""
+    """The carrier as the pipeline builds it: the uint16 twin sum plus log_forward."""
 
     def test_zero_log_gives_twin_exactly(self, rng):
         rounds = random_rounds(rng, 16)
-        twin = _twin_sum(rounds, 1)
+        twin = twin_of(rounds, 1)
         carrier = twin + log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
+        assert carrier.dtype == np.float64
         assert np.array_equal(carrier, twin)
-        assert np.array_equal(twin, real_twin(*(r.xz for r in rounds)))
         assert np.array_equal(twin, sum(r.xz.bytes.astype(np.float64) for r in rounds))
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
         rounds = random_rounds(rng, 32)
-        twin = _twin_sum(rounds, 0)
+        twin = twin_of(rounds, 0)
         mat = np.zeros((32, 32))
         cells = (rng.integers(0, 32, 50), rng.integers(0, 32, 50))
         mat[cells] = 10.0 ** rng.uniform(0.01, 4.8, 50) * rng.choice([-1.0, 1.0], 50)
@@ -243,7 +395,7 @@ class TestCarrier:
         back = carrier - twin
         assert np.all(back[logm == 0.0] == 0.0)
         assert np.max(np.abs(back - logm)) < 1e-10
-        carried = _carried_coeffs(carrier, rounds, 0)
+        carried = _carried_coeffs(carrier, twin)
         assert np.array_equal(carried.rows, sel.rows) and np.array_equal(carried.cols, sel.cols)
 
     def test_carrier_range_for_8bit_source(self, rng):
@@ -252,7 +404,7 @@ class TestCarrier:
         # largest possible 8-bit dct2 magnitude is 255*64 here
         mat[0, 0] = 255.0 * 64
         mat[1, 1] = -255.0 * 64
-        carrier = _twin_sum(rounds, 2) + log_forward(energy_select(mat, 1.0), 64)
+        carrier = twin_of(rounds, 2) + log_forward(energy_select(mat, 1.0), 64)
         bound = np.log10(255.0 * 64)
         assert np.all(carrier >= -bound) and np.all(carrier <= 3 * 255 + bound)
 
@@ -280,7 +432,7 @@ class TestPipeline:
             assert np.array_equal(a, b)
 
     def test_deterministic_bundles(self, image_a, bundle_a, keys):
-        build_round_keystream.cache_clear()
+        _schedules.cache_clear()
         _key_vectors.cache_clear()
         again = encrypt_image(image_a, keys)
         for a, b in zip(bundle_a.dic + bundle_a.carriers, again.dic + again.carriers):

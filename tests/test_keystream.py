@@ -260,7 +260,7 @@ class TestRealTwin:
         ]
         assert np.array_equal(real_twin(planes[0]), planes[0].bytes.astype(np.float64))
         twin = real_twin(*planes)
-        assert twin.dtype == np.float64
+        assert twin.dtype == np.uint16
         assert np.array_equal(
             twin, sum(p.bytes.astype(np.int64) for p in planes).astype(np.float64)
         )
@@ -288,7 +288,6 @@ class TestBuildRoundKeystream:
     def test_deterministic(self):
         key = SecretKey("zz99!!")
         a = build_round_keystream(key, 16)
-        build_round_keystream.cache_clear()
         _key_vectors.cache_clear()
         b = build_round_keystream(key, 16)
         for name in ("xy", "xz", "yz"):
@@ -365,7 +364,6 @@ class TestBuildRoundKeystream:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(keystream, "integrate", spy)
-        build_round_keystream.cache_clear()
         _key_vectors.cache_clear()
         key = SecretKey("sz9!ab")
         a = build_round_keystream(key, 24)
@@ -374,10 +372,15 @@ class TestBuildRoundKeystream:
         assert a.xy.n == 24 and b.xy.n == 37
 
     def test_plane_cache_holds_one_key_triple(self):
-        build_round_keystream.cache_clear()
-        for chars, n in (("key(A)", 16), ("key(B)", 16), ("key(C)", 16), ("key(A)", 20)):
-            build_round_keystream(SecretKey(chars), n)
-        assert build_round_keystream.cache_info().currsize <= 3
+        """Rounds are not memoized; the cipher keeps the schedules of one triple."""
+        from lorenzdct.cipher import _schedules
+
+        assert not hasattr(build_round_keystream, "cache_info")
+        _schedules.cache_clear()
+        triple = tuple(SecretKey(c) for c in ("key(A)", "key(B)", "key(C)"))
+        for keys, n in ((triple, 16), (triple[::-1], 16), (triple, 20)):
+            _schedules(keys, (3, 7, 13), n)
+        assert _schedules.cache_info().currsize == 1
 
     def test_key_vectors_match_uncached_derivation(self):
         from lorenzdct.lorenz import derive_initial_conditions
