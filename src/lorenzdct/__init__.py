@@ -24,12 +24,10 @@ from .cipher import (
     decrypt_image,
     encrypt_image,
     make_difference,
-    shuffle_decrypt,
-    shuffle_encrypt,
 )
 from .container import read_bundle, write_bundle
-from .dct import SparseCoeffs, dct1, dct2, energy_select, idct1, idct2, reconstruct_sparse
-from .keystream import KeystreamPlane, RoundKeystream, build_round_keystream
+from .dct import SparseCoeffs, dct1, dct2, energy_select, idct2, reconstruct_sparse
+from .keystream import KeystreamPlane, build_round_keystream
 from .lorenz import (
     LorenzParams,
     SecretKey,
@@ -50,7 +48,6 @@ __all__ = [
     "ImageRGB",
     "KeystreamPlane",
     "LorenzParams",
-    "RoundKeystream",
     "SecretKey",
     "SparseCoeffs",
     "State3",
@@ -67,7 +64,6 @@ __all__ = [
     "equilibria",
     "full_report",
     "histogram",
-    "idct1",
     "idct2",
     "integrate",
     "is_chaotic_regime",
@@ -82,8 +78,6 @@ __all__ = [
     "reconstruct_sparse",
     "save_ppm",
     "scatter_sample",
-    "shuffle_decrypt",
-    "shuffle_encrypt",
     "uaci",
     "write_bundle",
 ]

@@ -12,9 +12,10 @@ carrier, so encrypt and decrypt round one and the same reconstruction.
 Every pass of a round moves each byte to a fixed cell and XORs it with a
 fixed keystream byte, so a component's three rounds compose into one
 XOR-affine map, E(d) = d[perm] ^ mask over the flattened plane.  The cipher
-runs on that form: a `Schedule` holds (perm, mask) with the carrier's twin
-sum, and the schedules of the last (keys, shifts, n) are memoized, so a
-warm encrypt or decrypt is one gather or one scatter per component.
+runs only on that form: `_push_round` composes one round onto a map, a
+`Schedule` holds a component's (perm, mask) with the carrier's twin sum,
+and the schedules of the last (keys, shifts, n) are memoized, so a warm
+encrypt or decrypt is one gather or one scatter per component.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dct import SparseCoeffs, _stable_descending, dct2, energy_select, reconstruct_sparse
-from .errors import DimensionMismatchError, EmbeddingDomainError
-from .keystream import KeystreamPlane, build_round_keystream, real_twin
+from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
+from .errors import DimensionMismatchError
+from .keystream import KeystreamPlane, build_round_keystream
 from .lorenz import SecretKey
 
 COMPONENT_NAMES = ("R", "G", "B")
@@ -164,37 +165,10 @@ def _scatter(plane, perm, mask) -> np.ndarray:
     return out.reshape(plane.shape)
 
 
-def _check_plane(plane, ks: KeystreamPlane) -> np.ndarray:
-    plane = np.asarray(plane, dtype=np.uint8)
-    if plane.shape != ks.bytes.shape:
-        raise DimensionMismatchError("plane and keystream dims differ")
-    return plane
-
-
-def shuffle_encrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
-    """XOR / permute / rotate a difference plane, horizontally then vertically.
-
-    Each pass XORs with the keystream bytes, gathers each line through its
-    ascending-sort permutation, rotates both the data and the keystream left
-    by n_shift, and XORs the two.  The vertical pass runs on the columns.
-    This is one round of the pipeline's composed map.
-    """
-    plane = _check_plane(plane, ks)
-    return _gather(plane, *_push_round(*_identity(plane.size), ks, n_shift))
-
-
-def shuffle_decrypt(plane, ks: KeystreamPlane, n_shift: int) -> np.ndarray:
-    """Exact inverse of shuffle_encrypt: scatter back through the same map."""
-    plane = _check_plane(plane, ks)
-    return _scatter(plane, *_push_round(*_identity(plane.size), ks, n_shift))
-
-
 def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
     """Signed log10 of each coefficient, scattered, rows rolled left by i."""
     if s.dims != (n, n):
         raise DimensionMismatchError(f"sparse dims {s.dims} do not match ({n}, {n})")
-    if len(s) and np.min(np.abs(s.values)) < 1.0:
-        raise EmbeddingDomainError("sign-log embedding needs |value| >= 1")
     m = np.zeros((n, n), dtype=np.float64)
     m[s.rows, (s.cols - s.rows) % n] = np.sign(s.values) * np.log10(np.abs(s.values))
     return m
@@ -203,21 +177,19 @@ def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
 def log_inverse(m) -> SparseCoeffs:
     """Undo log_forward: roll rows right, then sign(v) * 10**|v| per cell.
 
-    Exactly-zero cells carry no coefficient.  Values are returned sorted by
-    descending magnitude with row-major tie order, like any selection.
+    Exactly-zero cells carry no coefficient.  Coefficients come back in
+    carrier order (row-major over the rolled cells), not sorted: the
+    reconstruction scatters them into zeros, where order does not matter.
     """
     m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
-    # un-roll only the non-zero cells, then restore row-major order
+    n = m.shape[0]
     i, j = np.nonzero(m)
-    rows, cols = np.divmod(np.sort(i * n + (i + j) % n), n)
-    logs = m[rows, (cols - rows) % n]
+    logs = m[i, j]
     with np.errstate(over="ignore"):
         values = np.sign(logs) * np.power(10.0, np.abs(logs))
-    order = _stable_descending(np.abs(values))
-    return SparseCoeffs((n, n), rows[order], cols[order], values[order], 1.0)
+    return SparseCoeffs((n, n), i, (i + j) % n, values, 1.0)
 
 
 def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
@@ -233,8 +205,11 @@ class Schedule:
     """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
 
     perm (intp) and mask (uint8) are flat over the n x n plane; twin is the
-    exact uint16 sum of the three rounds' keystream bytes under the carrier.
-    A schedule holds 11 bytes per pixel.
+    uint16 sum of the three rounds' keystream bytes under the carrier.  The
+    sum is at most 765 and a float64 operand promotes each cell to an exact
+    small integer double, so (twin + s) - twin is exactly 0.0 wherever
+    s == 0; carrier extraction depends on that.  A schedule holds 11 bytes
+    per pixel.
     """
 
     perm: np.ndarray
@@ -260,11 +235,9 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     maps = [_identity(n * n) for _ in range(3)]
     twins = [np.zeros((n, n), dtype=np.uint16) for _ in range(3)]
     for key, shift in zip(keys, shifts):
-        rnd = build_round_keystream(key, n)
-        for comp in range(3):
-            ks = rnd.plane_for(comp)
+        for comp, ks in enumerate(build_round_keystream(key, n)):
             maps[comp] = _push_round(*maps[comp], ks, shift)
-            twins[comp] += real_twin(ks)
+            twins[comp] += ks.bytes
     return tuple(
         Schedule(perm.astype(np.intp), mask, twin) for (perm, mask), twin in zip(maps, twins)
     )

@@ -204,10 +204,8 @@ def _cmd_lorenz(args) -> int:
 def _cmd_keystream(args) -> int:
     rotations = _rotation_schedule(args.rotations)[0]
     key = SecretKey(args.key, rotations)
-    round_ks = build_round_keystream(key, args.size)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in ("xy", "xz", "yz"):
-        plane = getattr(round_ks, name)
+    for name, plane in zip(("xy", "xz", "yz"), build_round_keystream(key, args.size)):
         save_pgm(os.path.join(args.out_dir, f"{name}.pgm"), plane.bytes)
         _write_csv(
             os.path.join(args.out_dir, f"{name}_row_perm.csv"),

@@ -38,6 +38,7 @@ import numpy as np
 
 from .cipher import CipherBundle
 from .errors import FormatError
+from .lorenz import _KEY_BITS
 
 MAGIC = b"LDCT"
 VERSION = 3
@@ -96,8 +97,8 @@ def read_bundle(path) -> CipherBundle:
     """Parse and validate a bundle file; exact inverse of write_bundle.
 
     The size is checked against the header and the exception counts, then
-    the CRC, then each plane's sentinel count against its exception count,
-    before any plane is decoded.
+    the CRC, then the key rotations, then each plane's sentinel count
+    against its exception count, before any plane is decoded.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -141,6 +142,9 @@ def read_bundle(path) -> CipherBundle:
     for _ in range(ROUNDS):
         rotations.append(struct.unpack_from("<3B", blob, off))
         off += 3
+    top = max(r for rot in rotations for r in rot)
+    if top >= _KEY_BITS:
+        raise FormatError(f"key rotation {top} outside [0, {_KEY_BITS - 1}]")
     off += _COUNTS.size
 
     dic = []

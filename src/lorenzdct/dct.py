@@ -35,14 +35,6 @@ def dct1(x):
     return _fft.dct(x, type=2, norm="ortho")
 
 
-def idct1(X):
-    """Inverse of dct1."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 1:
-        raise ValueError("idct1 expects a 1-D sequence")
-    return _fft.idct(X, type=2, norm="ortho")
-
-
 def dct2(f):
     """Orthonormal 2-D type-II DCT (1-D transform over rows, then columns)."""
     f = np.asarray(f, dtype=np.float64)
@@ -63,9 +55,10 @@ def idct2(F):
 class SparseCoeffs:
     """Retained high-energy coefficients of one transform.
 
-    rows/cols/values are parallel arrays sorted by descending |value| (ties
-    broken by row-major position); every |value| >= 1.  energy_fraction is
-    the fraction of the source signal energy the entries actually carry.
+    rows/cols/values are parallel arrays; every |value| >= 1.  Only
+    energy_select output is sorted, by descending |value| with ties in
+    row-major order.  energy_fraction is the fraction of the source signal
+    energy the entries actually carry.
     """
 
     dims: tuple[int, int]

@@ -21,10 +21,6 @@ class DegenerateKeystreamError(LorenzDctError, ValueError):
     """Keystream construction hit an empty coefficient vector."""
 
 
-class EmbeddingDomainError(LorenzDctError, ValueError):
-    """A coefficient with |value| < 1 cannot be sign-log embedded."""
-
-
 class UndefinedCorrelationError(LorenzDctError, ArithmeticError):
     """Correlation requested on data with zero variance."""
 

@@ -31,9 +31,9 @@ Trajectory vectors are cached here; finished rounds are not.
 `_key_vectors` holds the truncated trajectory vectors per key: a few KB
 each, 32 entries, independent of the image size, so a key seen at a new size
 skips the RK4 integration and the trajectory DCT.  `build_round_keystream`
-recomputes its planes on every call (15 * n**2 bytes per round); the cipher
-composes each component's three rounds into one schedule and keeps that
-instead, 33 bytes per pixel for the last (keys, shifts, n).
+recomputes its (R, G, B) planes on every call (15 * n**2 bytes per round);
+the cipher composes each component's three rounds into one schedule and
+keeps that instead, 33 bytes per pixel for the last (keys, shifts, n).
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class KeystreamPlane:
 
     row_perm[i] is the stable ascending argsort of byte row i; col_perm[j]
     the same for column j.  Both are uint16 (lines of at most 65536 cells),
-    so a plane holds 5 bytes per pixel.  The carrier stage's twin sum of
-    the bytes is computed on demand by `real_twin`.
+    so a plane holds 5 bytes per pixel.
     """
 
     bytes: np.ndarray
@@ -73,35 +72,6 @@ class KeystreamPlane:
     def __post_init__(self):
         for a in (self.bytes, self.row_perm, self.col_perm):
             a.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.bytes.shape[0]
-
-
-@dataclass(frozen=True)
-class RoundKeystream:
-    """The three planes of one round, assigned R<-XY, G<-XZ, B<-YZ."""
-
-    xy: KeystreamPlane
-    xz: KeystreamPlane
-    yz: KeystreamPlane
-
-    def plane_for(self, component: int) -> KeystreamPlane:
-        return (self.xy, self.xz, self.yz)[component]
-
-
-def real_twin(*planes: KeystreamPlane) -> np.ndarray:
-    """Sum of the planes' bytes as one exact uint16 integer sum.
-
-    Three planes sum to at most 765, and a float64 operand promotes every
-    cell to an exact small integer double, so (twin + s) - twin returns
-    exactly 0.0 wherever s == 0; carrier extraction depends on that.
-    """
-    total = planes[0].bytes.astype(np.uint16)
-    for p in planes[1:]:
-        total += p.bytes
-    return total
 
 
 def truncated_vectors(traj: Trajectory, fraction: float = 0.999):
@@ -170,33 +140,19 @@ def plane_bytes(a, b) -> np.ndarray:
     return np.multiply.outer(rows, cols).astype(np.int64).astype(np.uint8)
 
 
-def _line_argsort(lines) -> np.ndarray:
-    # stable ascending argsort of each row, as uint16
-    if lines.shape[1] > MAX_LINE:
-        raise ValueError(f"lines longer than {MAX_LINE} cells do not fit uint16 permutations")
-    return np.argsort(lines, axis=1, kind="stable").astype(np.uint16)
-
-
-def row_permutations(plane_bytes) -> np.ndarray:
-    """Stable ascending argsort of each row (ties keep column order), uint16."""
-    return _line_argsort(np.asarray(plane_bytes))
-
-
-def col_permutations(plane_bytes) -> np.ndarray:
-    """Stable ascending argsort of each column; row j holds column j's order."""
-    return _line_argsort(np.asarray(plane_bytes).T)
-
-
 def plane_from_bytes(byte_matrix) -> KeystreamPlane:
-    """Wrap a byte matrix with its uint16 row and column sort permutations.
+    """Wrap a byte matrix with the stable ascending argsort of each row and
+    of each column (ties keep their order), as uint16.
 
     Raises ValueError if a row or column is longer than 65536 cells.
     """
     byte_matrix = np.ascontiguousarray(byte_matrix, dtype=np.uint8)
+    if max(byte_matrix.shape) > MAX_LINE:
+        raise ValueError(f"lines longer than {MAX_LINE} cells do not fit uint16 permutations")
     return KeystreamPlane(
         bytes=byte_matrix,
-        row_perm=row_permutations(byte_matrix),
-        col_perm=col_permutations(byte_matrix),
+        row_perm=np.argsort(byte_matrix, axis=1, kind="stable").astype(np.uint16),
+        col_perm=np.argsort(byte_matrix.T, axis=1, kind="stable").astype(np.uint16),
     )
 
 
@@ -209,19 +165,20 @@ def _key_vectors(key: SecretKey):
     return vectors
 
 
-def build_round_keystream(key: SecretKey, n: int) -> RoundKeystream:
+def build_round_keystream(key: SecretKey, n: int) -> tuple[KeystreamPlane, ...]:
     """Derive one round's three keystream planes from a secret key.
 
-    The trajectory vectors come from the per-key cache, so this only does
-    the resize, the convolutions and the sorts.  The planes are the fixed
-    cycle XY*XZ, XZ*YZ, YZ*XY in the factored form of the module docstring.
+    Returns the R, G and B planes as a tuple: the fixed cycle XY*XZ,
+    XZ*YZ, YZ*XY in the factored form of the module docstring.  The
+    trajectory vectors come from the per-key cache, so this only does the
+    resize, the convolutions and the sorts.
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")
     x, y, z = (np.rint(resize_linear(v, n) * 2.0**S).astype(np.int64) for v in _key_vectors(key))
     xx, xy, yz, zz = (circular_conv(a, b) for a, b in ((x, x), (x, y), (y, z), (z, z)))
-    return RoundKeystream(
-        xy=plane_from_bytes(plane_bytes(xx, yz)),
-        xz=plane_from_bytes(plane_bytes(xy, zz)),
-        yz=plane_from_bytes(plane_bytes(xy, yz)),
+    return (
+        plane_from_bytes(plane_bytes(xx, yz)),
+        plane_from_bytes(plane_bytes(xy, zz)),
+        plane_from_bytes(plane_bytes(xy, yz)),
     )

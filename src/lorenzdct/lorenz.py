@@ -109,8 +109,6 @@ class Trajectory:
         t, x, y, z = (np.asarray(a, dtype=np.float64) for a in (t, x, y, z))
         if not (t.shape == x.shape == y.shape == z.shape) or t.ndim != 1:
             raise ValueError("t, x, y, z must be 1-D arrays of equal length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("sample times must be strictly increasing")
         for a in (t, x, y, z):
             a.setflags(write=False)
         self.t, self.x, self.y, self.z = t, x, y, z

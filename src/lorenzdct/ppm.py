@@ -6,6 +6,8 @@ Only maxval 255 is supported.  Header comments are tolerated; ASCII variants
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .cipher import ImageRGB
@@ -55,12 +57,14 @@ def load_ppm(path) -> ImageRGB:
             raise FormatError(f"bad PPM dimensions {width}x{height}")
         if maxval != 255:
             raise FormatError(f"only maxval 255 is supported, got {maxval}")
-        payload = f.read(width * height * 3)
-        if len(payload) < width * height * 3:
+        # checked before reading, so a huge header allocates nothing
+        size = width * height * 3
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if size > held:
             raise FormatError(
-                f"truncated PPM payload: expected {width * height * 3} bytes, "
-                f"got {len(payload)}"
+                f"truncated PPM payload: header asks for {size} bytes, file holds {held}"
             )
+        payload = f.read(size)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return ImageRGB(tuple(np.ascontiguousarray(pixels[:, :, c]) for c in range(3)))
 

@@ -14,13 +14,15 @@ import numpy as np
 
 from .cipher import (
     CipherBundle,
+    _gather,
+    _identity,
+    _push_round,
+    _scatter,
     decrypt_image,
     encrypt_image,
     ImageRGB,
     log_forward,
     log_inverse,
-    shuffle_decrypt,
-    shuffle_encrypt,
 )
 from .container import read_bundle, write_bundle
 from .dct import dct1, dct2, energy_select, idct2
@@ -109,9 +111,8 @@ def _check_shuffle():
     ks = plane_from_bytes(rng.integers(0, 256, (16, 16), dtype=np.uint8))
     for shift in (0, 1, 5, 16, 21):
         plane = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        assert np.array_equal(
-            shuffle_decrypt(shuffle_encrypt(plane, ks, shift), ks, shift), plane
-        )
+        perm, mask = _push_round(*_identity(16 * 16), ks, shift)
+        assert np.array_equal(_scatter(_gather(plane, perm, mask), perm, mask), plane)
 
 
 def _check_log_embedding():

@@ -22,7 +22,12 @@ from test_dct import dct2_direct
 
 from lorenzdct.analysis import adjacent_correlation, entropy, mae, npcr, psnr, uaci
 from lorenzdct.cipher import (
+    DEFAULT_SHIFTS,
     ImageRGB,
+    _gather,
+    _identity,
+    _push_round,
+    _scatter,
     _schedules,
     decrypt_image,
     encrypt_image,
@@ -31,7 +36,7 @@ from lorenzdct.cipher import (
 )
 from lorenzdct.container import read_bundle, write_bundle
 from lorenzdct.dct import dct1, dct2, energy_select, idct2
-from lorenzdct.keystream import _key_vectors, build_round_keystream, plane_from_bytes, real_twin
+from lorenzdct.keystream import _key_vectors, build_round_keystream, plane_from_bytes
 from lorenzdct.lorenz import (
     LorenzParams,
     SecretKey,
@@ -41,7 +46,6 @@ from lorenzdct.lorenz import (
     is_chaotic_regime,
     lorenz_derivative,
 )
-from lorenzdct.cipher import shuffle_decrypt, shuffle_encrypt
 
 KEYS = (SecretKey("key(A)"), SecretKey("key(B)"), SecretKey("key(C)"))
 
@@ -162,21 +166,23 @@ def test_criterion_7_retained_count_band():
     assert ok
 
 
+def _round_trip(plane, ks, shift):
+    # one round alone, as the cipher composes it
+    n = plane.shape[0]
+    perm, mask = _push_round(*_identity(n * n), ks, shift)
+    return _scatter(_gather(plane, perm, mask), perm, mask)
+
+
 def test_criterion_8_invertibility_properties(rng):
-    ks256 = build_round_keystream(KEYS[0], 256)
+    ks256 = build_round_keystream(KEYS[0], 256)[0]
     ok = True
     for _ in range(100):
         plane = rng.integers(0, 256, (256, 256), dtype=np.uint8)
-        shift = int(rng.integers(0, 300))
-        enc = shuffle_encrypt(plane, ks256.xy, shift)
-        ok &= np.array_equal(shuffle_decrypt(enc, ks256.xy, shift), plane)
+        ok &= np.array_equal(_round_trip(plane, ks256, int(rng.integers(0, 300))), plane)
     for _ in range(200):
         ks = plane_from_bytes(rng.integers(0, 256, (8, 8), dtype=np.uint8))
         plane = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        shift = int(rng.integers(0, 16))
-        ok &= np.array_equal(
-            shuffle_decrypt(shuffle_encrypt(plane, ks, shift), ks, shift), plane
-        )
+        ok &= np.array_equal(_round_trip(plane, ks, int(rng.integers(0, 16))), plane)
 
     mat = np.zeros((32, 32))
     k = 80
@@ -191,7 +197,7 @@ def test_criterion_8_invertibility_properties(rng):
         ok &= (r, c) in got and abs(got[(r, c)] - v) <= 1e-12 * abs(v)
 
     logm = log_forward(sel, 32)
-    twin = real_twin(ks256.xy, ks256.xz, ks256.yz)[:32, :32]
+    twin = _schedules(KEYS, DEFAULT_SHIFTS, 256)[0].twin[:32, :32]
     extracted = (twin + logm) - twin
     ok &= bool(np.all(extracted[logm == 0.0] == 0.0))
     assert _line(8, ok, "shuffle and log round trips exact; carrier extraction zero at empty cells")

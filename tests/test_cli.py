@@ -1,11 +1,14 @@
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from synthimg import make_image
 
+import lorenzdct
 from lorenzdct.cli import cli_main
 from lorenzdct.ppm import load_ppm, save_ppm
 
@@ -131,6 +134,31 @@ def test_corrupt_bundle_is_data_error(small_ppm, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _one_data_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("data error: ")
+
+
+def test_rotation_beyond_key_bits_is_data_error(small_ppm, tmp_path, capsys):
+    bundle = tmp_path / "img.ldct"
+    assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(bundle)] + KEY_ARGS) == 0
+    blob = bytearray(bundle.read_bytes()[:-4])
+    blob[22] = 200  # first key's first rotation, behind a valid CRC
+    bundle.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    capsys.readouterr()
+    rc = cli_main(["decrypt", "--in", str(bundle), "--out", str(tmp_path / "y.ppm")] + KEY_ARGS)
+    assert rc == 2
+    assert _one_data_error(capsys)
+
+
+def test_oversized_ppm_header_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.ppm"
+    path.write_bytes(b"P6 3000000000 3000000000 255\n" + bytes(12))
+    rc = cli_main(["encrypt", "--in", str(path), "--out", str(tmp_path / "x.ldct")] + KEY_ARGS)
+    assert rc == 2
+    assert _one_data_error(capsys)
+
+
 def test_rotations_roundtrip_through_bundle(small_ppm, tmp_path):
     bundle = tmp_path / "img.ldct"
     dec = tmp_path / "dec.ppm"
@@ -176,3 +204,9 @@ def test_selftest_passes(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
+
+
+def test_public_names_resolve_once():
+    names = lorenzdct.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(lorenzdct, n)] == []

@@ -109,6 +109,19 @@ class TestPpm:
         with pytest.raises(FormatError, match="truncated"):
             load_ppm(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # 2.7e19 payload bytes: more than a read can even be asked for
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6 3000000000 3000000000 255\n" + bytes(12))
+        with pytest.raises(FormatError, match="truncated"):
+            load_ppm(path)
+
+    def test_trailing_bytes_after_payload_ignored(self, tmp_path):
+        path = tmp_path / "trail.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03trailing")
+        img = load_ppm(path)
+        assert [p[0, 0] for p in img.planes] == [1, 2, 3]
+
     def test_pgm_dump(self, rng, tmp_path):
         plane = rng.integers(0, 256, (4, 6), dtype=np.uint8)
         path = tmp_path / "p.pgm"
@@ -205,7 +218,9 @@ class TestContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# Offsets in a v2 container: the 31-byte header, then three u32 exception counts.
+# Offsets in a v2 container: the 31-byte header, whose last nine bytes are
+# the key rotations, then three u32 exception counts.
+ROTATIONS_AT = 22
 COUNTS_AT = 31
 
 
@@ -230,6 +245,12 @@ class TestHostileContainer:
 
     def test_intact_body_reads(self, body, tmp_path):
         assert self._read(tmp_path, body).n == 4
+
+    @pytest.mark.parametrize("rotation", [48, 200, 255])
+    def test_rotation_outside_key_bits(self, body, tmp_path, rotation):
+        body[ROTATIONS_AT + 4] = rotation
+        with pytest.raises(FormatError, match=f"rotation {rotation} outside"):
+            self._read(tmp_path, body)
 
     def test_count_beyond_plane(self, body, tmp_path):
         struct.pack_into("<I", body, COUNTS_AT + 4, 4 * 4 + 1)

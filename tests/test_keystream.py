@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
-from lorenzdct.dct import idct1
+import lorenzdct.cipher as cipher
+from lorenzdct.cipher import DEFAULT_SHIFTS, _schedules
 from lorenzdct.errors import DegenerateKeystreamError
 import lorenzdct.keystream as keystream
 from lorenzdct.keystream import (
@@ -12,12 +14,9 @@ from lorenzdct.keystream import (
     _key_vectors,
     build_round_keystream,
     circular_conv,
-    col_permutations,
     plane_bytes,
     plane_from_bytes,
-    real_twin,
     resize_linear,
-    row_permutations,
     truncated_vectors,
 )
 from lorenzdct.lorenz import LorenzParams, SecretKey, State3, Trajectory, integrate
@@ -81,8 +80,7 @@ def reference_byte(a, b):
 
 def keystream_digest(ks):
     h = hashlib.sha256()
-    for name in ("xy", "xz", "yz"):
-        p = getattr(ks, name)
+    for p in ks:
         h.update(p.bytes.tobytes())
         h.update(p.row_perm.astype(np.int64).tobytes())
         h.update(p.col_perm.astype(np.int64).tobytes())
@@ -109,7 +107,7 @@ class TestTruncatedVectors:
         # larger coefficient sits at the higher index
         spectrum = np.zeros(64)
         spectrum[3], spectrum[10] = 50.0, -100.0
-        sig = idct1(spectrum)
+        sig = fft.idct(spectrum, type=2, norm="ortho")
         v, _, _ = truncated_vectors(_traj(sig, sig, sig))
         assert len(v) == 2
         assert abs(v[0] - 50.0) < 1e-9 and abs(v[1] + 100.0) < 1e-9
@@ -209,26 +207,30 @@ class TestCircularConv:
             plane_bytes([2**52], [2**35])
 
 
+def row_perm(m):
+    return plane_from_bytes(m).row_perm
+
+
 class TestPermutations:
     def test_sorted_row_identity(self):
-        perm = row_permutations(np.array([[1, 2, 3], [0, 5, 9]], dtype=np.uint8))
+        perm = row_perm(np.array([[1, 2, 3], [0, 5, 9]], dtype=np.uint8))
         assert np.array_equal(perm, [[0, 1, 2], [0, 1, 2]])
 
     def test_hand_example(self):
-        perm = row_permutations(np.array([[3, 1, 2]], dtype=np.uint8))
+        perm = row_perm(np.array([[3, 1, 2]], dtype=np.uint8))
         assert list(perm[0]) == [1, 2, 0]
 
     def test_all_equal_stable_identity(self):
-        perm = row_permutations(np.full((2, 4), 7, dtype=np.uint8))
+        perm = row_perm(np.full((2, 4), 7, dtype=np.uint8))
         assert np.array_equal(perm, [[0, 1, 2, 3], [0, 1, 2, 3]])
 
     def test_columns_are_transposed_rows(self, rng):
         m = rng.integers(0, 256, (6, 6), dtype=np.uint8)
-        assert np.array_equal(col_permutations(m), row_permutations(m.T))
+        assert np.array_equal(plane_from_bytes(m).col_perm, row_perm(m.T))
 
     def test_invertible(self, rng):
         m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
-        perm = row_permutations(m)
+        perm = row_perm(m)
         inv = np.argsort(perm, axis=1)
         shuffled = np.take_along_axis(m, perm, axis=1)
         assert np.array_equal(np.take_along_axis(shuffled, inv, axis=1), m)
@@ -253,34 +255,36 @@ class TestPermutations:
 
 
 class TestRealTwin:
-    def test_twin_equals_bytes_exactly(self, rng):
-        planes = [
-            plane_from_bytes(rng.integers(0, 256, (16, 16), dtype=np.uint8))
-            for _ in range(3)
-        ]
-        assert np.array_equal(real_twin(planes[0]), planes[0].bytes.astype(np.float64))
-        twin = real_twin(*planes)
-        assert twin.dtype == np.uint16
-        assert np.array_equal(
-            twin, sum(p.bytes.astype(np.int64) for p in planes).astype(np.float64)
-        )
-        full = plane_from_bytes(np.full((4, 4), 255, dtype=np.uint8))
-        assert np.all(real_twin(full, full, full) == 765.0)
+    """The carrier's twin, `Schedule.twin`: the exact uint16 sum of one
+    component's keystream bytes over the three rounds."""
 
-    def test_add_subtract_exact_zero(self, rng):
+    def test_twin_equals_bytes_exactly(self, keys, monkeypatch):
+        n = 16
+        _schedules.cache_clear()
+        rounds = [build_round_keystream(k, n) for k in keys]
+        for comp, sched in enumerate(_schedules(keys, DEFAULT_SHIFTS, n)):
+            assert sched.twin.dtype == np.uint16
+            want = sum(r[comp].bytes.astype(np.int64) for r in rounds).astype(np.float64)
+            assert np.array_equal(sched.twin, want)
+
+        full = plane_from_bytes(np.full((4, 4), 255, dtype=np.uint8))
+        monkeypatch.setattr(cipher, "build_round_keystream", lambda key, size: (full,) * 3)
+        _schedules.cache_clear()
+        try:
+            assert all(np.all(s.twin == 765.0) for s in _schedules(keys, DEFAULT_SHIFTS, 4))
+        finally:
+            _schedules.cache_clear()
+
+    def test_add_subtract_exact_zero(self, keys, rng):
         """(twin + s) - twin == 0 exactly where s == 0.
 
         Load-bearing for carrier extraction: empty cells must come back as
         exact zeros, not tiny residues.
         """
-        planes = [
-            plane_from_bytes(rng.integers(0, 256, (32, 32), dtype=np.uint8))
-            for _ in range(3)
-        ]
         s = np.zeros((32, 32))
         s[rng.integers(0, 32, 40), rng.integers(0, 32, 40)] = rng.uniform(-5, 5, 40)
-        for twin in (real_twin(planes[0]), real_twin(*planes)):
-            back = (twin + s) - twin
+        for sched in _schedules(keys, DEFAULT_SHIFTS, 32):
+            back = (sched.twin + s) - sched.twin
             assert np.all(back[s == 0.0] == 0.0)
 
 
@@ -290,9 +294,9 @@ class TestBuildRoundKeystream:
         a = build_round_keystream(key, 16)
         _key_vectors.cache_clear()
         b = build_round_keystream(key, 16)
-        for name in ("xy", "xz", "yz"):
-            assert np.array_equal(getattr(a, name).bytes, getattr(b, name).bytes)
-            assert np.array_equal(getattr(a, name).row_perm, getattr(b, name).row_perm)
+        for pa, pb in zip(a, b):
+            assert np.array_equal(pa.bytes, pb.bytes)
+            assert np.array_equal(pa.row_perm, pb.row_perm)
 
     def test_golden_hash(self):
         assert keystream_digest(build_round_keystream(SecretKey("key(A)"), 64)) == GOLDEN_KEY_A_64
@@ -311,14 +315,14 @@ class TestBuildRoundKeystream:
             x, y, z = (reference_vector(v, n) for v in _key_vectors(key))
             xy = conv_direct(x, y)
             yz = conv_direct(y, z)
-            pairs = {"xy": (conv_direct(x, x), yz), "xz": (xy, conv_direct(z, z)), "yz": (xy, yz)}
+            pairs = ((conv_direct(x, x), yz), (xy, conv_direct(z, z)), (xy, yz))
             if cells:
                 ij = np.random.default_rng(n).integers(0, n, (cells, 2)).tolist()
             else:
                 ij = [(i, j) for i in range(n) for j in range(n)]
             ks = build_round_keystream(key, n)
-            for name, (rows, cols) in pairs.items():
-                got = getattr(ks, name).bytes
+            for plane, (rows, cols) in zip(ks, pairs):
+                got = plane.bytes
                 assert [int(got[i, j]) for i, j in ij] == [
                     reference_byte(rows[i], cols[j]) for i, j in ij
                 ]
@@ -336,8 +340,8 @@ class TestBuildRoundKeystream:
             raw[5 - byte_i] = flipped
             r1 = build_round_keystream(SecretKey(chars), 64)
             r2 = build_round_keystream(SecretKey(raw.decode()), 64)
-            for name in ("xy", "xz", "yz"):
-                a, b = getattr(r1, name).bytes, getattr(r2, name).bytes
+            for p1, p2 in zip(r1, r2):
+                a, b = p1.bytes, p2.bytes
                 assert np.count_nonzero(a != b) / a.size >= 0.99
 
     def test_reference_retained_counts_frozen(self):
@@ -351,8 +355,8 @@ class TestBuildRoundKeystream:
 
     def test_plane_sizes_and_range(self):
         ks = build_round_keystream(SecretKey("key(B)"), 32)
-        for name in ("xy", "xz", "yz"):
-            p = getattr(ks, name)
+        assert len(ks) == 3
+        for p in ks:
             assert p.bytes.shape == (32, 32)
             assert p.bytes.dtype == np.uint8
 
@@ -369,12 +373,10 @@ class TestBuildRoundKeystream:
         a = build_round_keystream(key, 24)
         b = build_round_keystream(key, 37)
         assert len(calls) == 1
-        assert a.xy.n == 24 and b.xy.n == 37
+        assert a[0].bytes.shape == (24, 24) and b[0].bytes.shape == (37, 37)
 
     def test_plane_cache_holds_one_key_triple(self):
         """Rounds are not memoized; the cipher keeps the schedules of one triple."""
-        from lorenzdct.cipher import _schedules
-
         assert not hasattr(build_round_keystream, "cache_info")
         _schedules.cache_clear()
         triple = tuple(SecretKey(c) for c in ("key(A)", "key(B)", "key(C)"))
