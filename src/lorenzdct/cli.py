@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import selfcheck
-from .analysis import DIRECTIONS, full_report, histogram, scatter_sample
+from .analysis import DIRECTIONS, full_report, scatter_sample
 from .cipher import DEFAULT_SHIFTS, ImageRGB, decrypt_image, encrypt_image
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
@@ -152,15 +152,13 @@ def _cmd_analyze(args) -> int:
     images = [("original", original), ("encrypted", encrypted), ("decrypted", decrypted)]
     if args.hist_dir:
         os.makedirs(args.hist_dir, exist_ok=True)
-        for name, img in images:
-            if img is None:
-                continue
-            for comp, plane in zip("RGB", img.planes):
-                _write_csv(
-                    os.path.join(args.hist_dir, f"{name}_{comp}_hist.csv"),
-                    "bin,count",
-                    enumerate(histogram(plane).tolist()),
-                )
+        for entry in report.components:
+            name, comp = entry["name"].split("/")
+            _write_csv(
+                os.path.join(args.hist_dir, f"{name}_{comp}_hist.csv"),
+                "bin,count",
+                enumerate(entry["histogram"]),
+            )
     if args.scatter_dir:
         os.makedirs(args.scatter_dir, exist_ok=True)
         for name, img in images:

@@ -1,13 +1,19 @@
 import hashlib
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lorenzdct.analysis import (
     DEFAULT_SCATTER_SEED,
     DIRECTIONS,
     _adjacent_views,
+    _component_entry,
     _lcg_distinct,
     adjacent_correlation,
     correlation,
@@ -44,6 +50,39 @@ def ref_scatter_indices(total, count, seed=DEFAULT_SCATTER_SEED):
     return np.asarray(chosen, dtype=np.intp)
 
 
+def exact_correlation(c, d):
+    """Pearson correlation of two views from centred Fractions, as a Decimal
+    to 50 digits; None when either view has zero variance."""
+    c, d = [int(v) for v in np.ravel(c)], [int(v) for v in np.ravel(d)]
+    mc, md = Fraction(sum(c), len(c)), Fraction(sum(d), len(d))
+    cov = sum((x - mc) * (y - md) for x, y in zip(c, d))
+    var_c = sum((x - mc) ** 2 for x in c)
+    var_d = sum((y - md) ** 2 for y in d)
+    if var_c == 0 or var_d == 0:
+        return None
+    r2 = cov * cov / (var_c * var_d)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = (Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt()
+        return r if cov >= 0 else -r
+
+
+@st.composite
+def small_planes(draw):
+    """Small uint8 planes, square or not: random, constant rows or columns,
+    or two-level."""
+    h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["random", "rows", "columns", "two-level"]))
+    if kind == "random":
+        return draw(arrays(np.uint8, (h, w)))
+    if kind == "rows":
+        return np.repeat(draw(arrays(np.uint8, (h, 1))), w, axis=1)
+    if kind == "columns":
+        return np.repeat(draw(arrays(np.uint8, (1, w))), h, axis=0)
+    lo, hi = draw(st.integers(0, 255)), draw(st.integers(0, 255))
+    return np.where(draw(arrays(bool, (h, w))), np.uint8(hi), np.uint8(lo))
+
+
 class TestHistogram:
     def test_constant_plane(self):
         h = histogram(np.full((4, 4), 7, dtype=np.uint8))
@@ -56,6 +95,20 @@ class TestHistogram:
     def test_counts_sum_to_pixels(self, rng):
         plane = rng.integers(0, 256, (13, 9), dtype=np.uint8)
         assert histogram(plane).sum() == 13 * 9
+
+    def test_integer_dtypes_count_like_bytes(self, rng):
+        plane = rng.integers(0, 256, (13, 9), dtype=np.uint8)
+        for dtype in (np.int64, np.uint16, np.float64):
+            assert np.array_equal(histogram(plane.astype(dtype)), histogram(plane))
+
+    @pytest.mark.parametrize(
+        "plane", [[[300, 1], [2, 3]], [[-1, 0], [0, 0]], [[3.5, 0], [0, 0]], [[np.nan, 0], [0, 0]]]
+    )
+    def test_rejects_values_outside_bytes(self, plane):
+        with pytest.raises(ValueError):
+            histogram(plane)
+        with pytest.raises(ValueError):
+            entropy(plane)
 
 
 class TestCorrelation:
@@ -84,6 +137,50 @@ class TestCorrelation:
     def test_unknown_direction(self, rng):
         with pytest.raises(ValueError):
             adjacent_correlation(rng.integers(0, 256, (4, 4)), "antidiagonal")
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_planes())
+    @example(np.array([[0, 255], [255, 0]], dtype=np.uint8))
+    @example(np.array([[0, 0], [0, 255]], dtype=np.uint8))
+    def test_within_one_ulp_of_exact(self, plane):
+        entry = _component_entry("p", plane)["correlation"]
+        for short, direction in zip("hvd", DIRECTIONS):
+            want = exact_correlation(*_adjacent_views(plane, direction))
+            if want is None:
+                assert entry[short] is None
+                with pytest.raises(UndefinedCorrelationError):
+                    adjacent_correlation(plane, direction)
+                continue
+            got = adjacent_correlation(plane, direction)
+            assert entry[short] == got
+            assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want)))
+            assert -1.0 <= got <= 1.0
+
+    def test_dtype_does_not_change_bits(self, rng):
+        plane = rng.integers(0, 256, (31, 17), dtype=np.uint8)
+        other = rng.integers(0, 256, (31, 17), dtype=np.uint8)
+        for direction in DIRECTIONS:
+            want = adjacent_correlation(plane, direction)
+            for dtype in (np.int64, np.float64):
+                assert adjacent_correlation(plane.astype(dtype), direction) == want
+        want = correlation(plane, other)
+        for dtype in (np.int64, np.float64):
+            assert correlation(plane.astype(dtype), other.astype(dtype)) == want
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            np.array([[0.5, 1.0], [2.0, 3.0]]),
+            np.array([[np.nan, 1.0], [2.0, 3.0]]),
+            np.array([[np.inf, 1.0], [2.0, 3.0]]),
+            np.array([[0, 1], [2, 1 << 26]]),  # 4 * (2**26)**2 > 2**53: no exact sum
+        ],
+    )
+    def test_outside_exact_domain_raises(self, c):
+        with pytest.raises(ValueError):
+            correlation(c, np.ones(c.shape))
+        with pytest.raises(ValueError):
+            adjacent_correlation(c, "horizontal")
 
 
 class TestAgainstPlaneSizedReference:
@@ -179,6 +276,11 @@ class TestMseAndPsnr:
         assert mse(f, g) == 1.0
         assert psnr(f, g) == pytest.approx(PSNR_OFF_BY_ONE, abs=1e-9)
 
+    def test_black_original_gives_minus_inf(self):
+        f = np.zeros((4, 4), dtype=np.uint8)
+        assert psnr(f, f + 1) == -math.inf
+        assert psnr(f, f) == math.inf
+
     def test_peak_from_first_argument(self):
         f = np.full((4, 4), 100.0)
         g = f + 1.0
@@ -231,6 +333,14 @@ class TestScatterSample:
             s = scatter_sample(plane, direction, count)
             assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
 
+    def test_memoized_indices_are_read_only(self):
+        idx = _lcg_distinct(DEFAULT_SCATTER_SEED, 1000, 50)
+        assert _lcg_distinct(DEFAULT_SCATTER_SEED, 1000, 50) is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        assert np.array_equal(idx, ref_scatter_indices(1000, 50))
+
     def test_all_but_one_pair_at_1024(self):
         total = 1024 * 1023
         idx = _lcg_distinct(DEFAULT_SCATTER_SEED, total, total - 1)
@@ -271,3 +381,31 @@ class TestFullReport:
         b = ImageRGB(tuple(rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(3)))
         with pytest.raises(DimensionMismatchError):
             full_report(a, b)
+
+    def test_entries_equal_public_functions(self, rng):
+        planes = lambda: tuple(rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(3))
+        orig, enc = planes(), planes()
+        orig = (np.full((9, 7), 5, dtype=np.uint8),) + orig[1:]  # no correlation
+        report = full_report(ImageRGB(orig), ImageRGB(enc))
+        for entry, plane in zip(report.components, orig + enc):
+            for short, direction in zip("hvd", DIRECTIONS):
+                try:
+                    want = adjacent_correlation(plane, direction)
+                except UndefinedCorrelationError:
+                    want = None
+                assert entry["correlation"][short] == want
+            assert entry["entropy"] == entropy(plane)
+            assert entry["histogram"] == histogram(plane).tolist()
+        assert report.components[0]["correlation"] == {"h": None, "v": None, "d": None}
+        for p, a, b in zip(report.pairs, orig, enc):
+            assert p["npcr"] == npcr(a, b) and p["uaci"] == uaci(a, b)
+            assert p["mae"] == mae(a, b) and p["mse"] == mse(a, b)
+            assert p["psnr"] == psnr(a, b)
+
+    def test_black_component(self, rng):
+        red = ImageRGB(
+            (np.full((8, 8), 255, dtype=np.uint8),) + (np.zeros((8, 8), dtype=np.uint8),) * 2
+        )
+        noise = ImageRGB(tuple(rng.integers(1, 256, (8, 8), dtype=np.uint8) for _ in range(3)))
+        psnrs = [p["psnr"] for p in full_report(red, noise).pairs]
+        assert math.isfinite(psnrs[0]) and psnrs[1:] == [-math.inf, -math.inf]

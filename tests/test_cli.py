@@ -65,6 +65,24 @@ def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
     assert len(scatter) == 2 + 100
 
 
+def test_analyze_black_component(tmp_path):
+    red, bundle, report = tmp_path / "red.ppm", tmp_path / "red.ldct", tmp_path / "r.json"
+    red.write_bytes(b"P6\n16 16\n255\n" + b"\xff\x00\x00" * 256)
+    assert cli_main(["encrypt", "--in", str(red), "--out", str(bundle)] + KEY_ARGS) == 0
+    argv = ["analyze", "--original", str(red), "--bundle", str(bundle), "--json", str(report)]
+    assert cli_main(argv + ["--hist-csv", str(tmp_path / "hist")]) == 0
+    text = report.read_text()
+    data = json.loads(text)
+    assert "-Infinity" in text
+    assert [p["psnr"] for p in data["pairs"][1:]] == [-math.inf, -math.inf]
+    assert data["components"][0]["correlation"] == {"h": None, "v": None, "d": None}
+    for entry in data["components"]:
+        name, comp = entry["name"].split("/")
+        rows = (tmp_path / "hist" / f"{name}_{comp}_hist.csv").read_text().splitlines()
+        assert rows[0] == "bin,count"
+        assert [int(r.split(",")[1]) for r in rows[1:]] == entry["histogram"]
+
+
 def test_encrypt_deterministic_bytes(small_ppm, tmp_path):
     b1, b2 = tmp_path / "a.ldct", tmp_path / "b.ldct"
     assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(b1)] + KEY_ARGS) == 0
