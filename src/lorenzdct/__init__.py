@@ -27,7 +27,7 @@ from .cipher import (
 )
 from .container import read_bundle, write_bundle
 from .dct import SparseCoeffs, dct1, dct2, energy_select, idct2, reconstruct_sparse
-from .keystream import KeystreamPlane, build_round_keystream
+from .keystream import build_round_keystream
 from .lorenz import (
     LorenzParams,
     SecretKey,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CipherBundle",
     "ImageRGB",
-    "KeystreamPlane",
     "LorenzParams",
     "SecretKey",
     "SparseCoeffs",

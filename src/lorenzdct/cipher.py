@@ -28,7 +28,7 @@ import numpy as np
 
 from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError
-from .keystream import KeystreamPlane, build_round_keystream
+from .keystream import build_round_keystream
 from .lorenz import SecretKey
 
 COMPONENT_NAMES = ("R", "G", "B")
@@ -97,15 +97,15 @@ def _reconstruct_u8(sparse: SparseCoeffs) -> np.ndarray:
 def make_difference(component, sparse: SparseCoeffs):
     """Difference plane between a component and its sparse reconstruction.
 
-    Returns (dic, recon_u8) with dic = (component - recon_u8) mod 256, so
-    (recon_u8 + dic) mod 256 recovers the component exactly.
+    Returns (dic, recon_u8) with dic = component - recon_u8 in uint8, which
+    wraps mod 256, so recon_u8 + dic (in uint8 too) recovers the component
+    exactly.
     """
-    component = np.asarray(component)
+    component = np.asarray(component, dtype=np.uint8)
     recon_u8 = _reconstruct_u8(sparse)
     if recon_u8.shape != component.shape:
         raise DimensionMismatchError("sparse dims disagree with component shape")
-    dic = (component.astype(np.int16) - recon_u8.astype(np.int16)) % 256
-    return dic.astype(np.uint8), recon_u8
+    return component - recon_u8, recon_u8
 
 
 def _identity(size: int):
@@ -113,35 +113,53 @@ def _identity(size: int):
     return np.arange(size, dtype=np.uint32), np.zeros(size, dtype=np.uint8)
 
 
-def _push_round(perm, mask, ks: KeystreamPlane, shift: int):
-    """Compose one round onto the map d -> d.ravel()[perm] ^ mask.
+def line_orders(k):
+    """The shuffle's sort orders of a keystream byte plane.
+
+    Returns (row_orders, col_orders): row_orders[i] is the stable ascending
+    argsort of row i, col_orders[j] that of column j (ties keep their
+    order).  Both are uint16, which holds lines of up to 65536 cells; that
+    bound also keeps a plane's flat indices below 2**32, the range of the
+    uint32 perm that `_identity` starts and `_push_round` composes.  Raises
+    ValueError for longer lines.
+    """
+    if max(k.shape) > 1 << 16:
+        raise ValueError("lines longer than 65536 cells do not fit uint16 sort orders")
+    return (
+        np.argsort(k, axis=1, kind="stable").astype(np.uint16),
+        np.argsort(k.T, axis=1, kind="stable").astype(np.uint16),
+    )
+
+
+def _push_round(perm, mask, k, shift: int):
+    """Compose one round, keystream plane k, onto d -> d.ravel()[perm] ^ mask.
 
     A round is a horizontal then a vertical pass.  A pass XORs the data
-    with the keystream bytes k, gathers each line through its sort
-    permutation, rotates data and keystream left by the shift and XORs the
-    two: y[f] = x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation alone
-    and g the permutation read through it.  After (perm, mask) that gives
-    (perm[g], (mask ^ k)[g] ^ k[r]).  perm is uint32, which holds h*w - 1
-    for lines of up to keystream.MAX_LINE cells and halves the traffic of
-    the gathers against intp; mask is uint8.  Returns new arrays.
+    with the keystream bytes k, gathers each line through its sort order
+    (`line_orders`), rotates data and keystream left by the shift and XORs
+    the two: y[f] = x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation
+    alone and g the sort order read through it.  After (perm, mask) that
+    gives (perm[g], (mask ^ k)[g] ^ k[r]).  perm is uint32, which halves
+    the traffic of the gathers against intp; mask is uint8.  Returns new
+    arrays.
     """
-    k = ks.bytes
     h, w = k.shape
+    row_orders, col_orders = line_orders(k)
     g = np.empty((h, w), dtype=np.intp)
     for vertical in (False, True):
         if vertical:
-            # g[i, j] = col_perm[j, (i + s) % h] * w + j
+            # g[i, j] = col_orders[j, (i + s) % h] * w + j
             s = shift % h
-            cp = ks.col_perm.T
-            np.multiply(cp[s:], w, out=g[: h - s], dtype=np.intp)
-            np.multiply(cp[:s], w, out=g[h - s :], dtype=np.intp)
+            co = col_orders.T
+            np.multiply(co[s:], w, out=g[: h - s], dtype=np.intp)
+            np.multiply(co[:s], w, out=g[h - s :], dtype=np.intp)
             g += np.arange(w, dtype=np.intp)
         else:
-            # g[i, j] = i * w + row_perm[i, (j + s) % w]
+            # g[i, j] = i * w + row_orders[i, (j + s) % w]
             s = shift % w
             row_starts = np.arange(0, h * w, w, dtype=np.intp)[:, None]
-            np.add(ks.row_perm[:, s:], row_starts, out=g[:, : w - s])
-            np.add(ks.row_perm[:, :s], row_starts, out=g[:, w - s :])
+            np.add(row_orders[:, s:], row_starts, out=g[:, : w - s])
+            np.add(row_orders[:, :s], row_starts, out=g[:, w - s :])
         flat = g.ravel()
         perm = perm[flat]
         mask = (mask ^ k.ravel())[flat]
@@ -204,8 +222,9 @@ def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
 class Schedule:
     """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
 
-    perm (intp) and mask (uint8) are flat over the n x n plane; twin is the
-    uint16 sum of the three rounds' keystream bytes under the carrier.  The
+    perm (intp) and mask (uint8) are flat over the n x n plane, composed by
+    `_push_round` from the component's keystream byte plane of each round;
+    twin is the uint16 sum of those three planes, under the carrier.  The
     sum is at most 765 and a float64 operand promotes each cell to an exact
     small integer double, so (twin + s) - twin is exactly 0.0 wherever
     s == 0; carrier extraction depends on that.  A schedule holds 11 bytes
@@ -228,16 +247,16 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     Memoized for the last (keys, shifts, n), 33 bytes per pixel (35 MB at
     n=1024): a decrypt after an encrypt, or a run of operations with one key
     triple at one size, builds no keystream.  The rounds are composed one
-    at a time and dropped, so a miss never holds all three rounds (15 bytes
+    at a time and dropped, so a miss never holds all three rounds (3 bytes
     per pixel each) nor an earlier schedule.
     """
     _schedules.cache_clear()  # free the previous schedules before building
     maps = [_identity(n * n) for _ in range(3)]
     twins = [np.zeros((n, n), dtype=np.uint16) for _ in range(3)]
     for key, shift in zip(keys, shifts):
-        for comp, ks in enumerate(build_round_keystream(key, n)):
-            maps[comp] = _push_round(*maps[comp], ks, shift)
-            twins[comp] += ks.bytes
+        for comp, k in enumerate(build_round_keystream(key, n)):
+            maps[comp] = _push_round(*maps[comp], k, shift)
+            twins[comp] += k
     return tuple(
         Schedule(perm.astype(np.intp), mask, twin) for (perm, mask), twin in zip(maps, twins)
     )

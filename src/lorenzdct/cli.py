@@ -13,7 +13,7 @@ import sys
 
 from . import selfcheck
 from .analysis import DIRECTIONS, full_report, scatter_sample
-from .cipher import DEFAULT_SHIFTS, ImageRGB, decrypt_image, encrypt_image
+from .cipher import DEFAULT_SHIFTS, ImageRGB, decrypt_image, encrypt_image, line_orders
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
 from .keystream import build_round_keystream
@@ -185,9 +185,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_lorenz(args) -> int:
     rotations = _rotation_schedule(args.rotations)[0]
     key = SecretKey(args.key, rotations)
-    traj = integrate(
-        LorenzParams(), derive_initial_conditions(key), 0.0, args.t_end, args.dt
-    )
+    traj = integrate(LorenzParams(), derive_initial_conditions(key), args.t_end, args.dt)
     _write_csv(
         args.dump,
         "t,x,y,z",
@@ -203,17 +201,18 @@ def _cmd_keystream(args) -> int:
     rotations = _rotation_schedule(args.rotations)[0]
     key = SecretKey(args.key, rotations)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, plane in zip(("xy", "xz", "yz"), build_round_keystream(key, args.size)):
-        save_pgm(os.path.join(args.out_dir, f"{name}.pgm"), plane.bytes)
+    for name, k in zip(("xy", "xz", "yz"), build_round_keystream(key, args.size)):
+        row_orders, col_orders = line_orders(k)
+        save_pgm(os.path.join(args.out_dir, f"{name}.pgm"), k)
         _write_csv(
             os.path.join(args.out_dir, f"{name}_row_perm.csv"),
             ",".join(f"c{i}" for i in range(args.size)),
-            plane.row_perm.tolist(),
+            row_orders.tolist(),
         )
         _write_csv(
             os.path.join(args.out_dir, f"{name}_col_perm.csv"),
             ",".join(f"r{i}" for i in range(args.size)),
-            plane.col_perm.tolist(),
+            col_orders.tolist(),
         )
     return 0
 

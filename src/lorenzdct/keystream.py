@@ -20,26 +20,24 @@ correctly rounded float64 product.  No step depends on an FFT backend, a
 summation order or a thread count, so given the same truncated vectors the
 bytes are the same on every IEEE-754 platform.  Only the RK4 integration and
 the trajectory DCT with its energy selection are floating point upstream.
-Each byte plane also carries the row and column argsort permutations used by
-the shuffle cipher, as uint16.
 
 The Lorenz parameters, the integration window and step, and the energy
 fraction are the paper's fixed values (the defaults of `LorenzParams`,
-`integrate` and `truncated_vectors`); the key is the only input.
+`integrate` and `energy_select`); the key is the only input.
 
 Trajectory vectors are cached here; finished rounds are not.
 `_key_vectors` holds the truncated trajectory vectors per key: a few KB
 each, 32 entries, independent of the image size, so a key seen at a new size
 skips the RK4 integration and the trajectory DCT.  `build_round_keystream`
-recomputes its (R, G, B) planes on every call (15 * n**2 bytes per round);
-the cipher composes each component's three rounds into one schedule and
-keeps that instead, 33 bytes per pixel for the last (keys, shifts, n).
+recomputes its (R, G, B) byte planes on every call (a round is 3 * n**2
+bytes); the cipher sorts their lines, composes each component's three rounds
+into one schedule and keeps that instead, 33 bytes per pixel for the last
+(keys, shifts, n).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,35 +50,14 @@ from .lorenz import LorenzParams, SecretKey, Trajectory, derive_initial_conditio
 # convolution, z*z at n=4096, stays below 2**49.
 S = 6
 
-# Longest line whose sort permutation fits in uint16.
-MAX_LINE = 1 << 16
 
-
-@dataclass(frozen=True)
-class KeystreamPlane:
-    """One N x N byte plane with its sort permutations.
-
-    row_perm[i] is the stable ascending argsort of byte row i; col_perm[j]
-    the same for column j.  Both are uint16 (lines of at most 65536 cells),
-    so a plane holds 5 bytes per pixel.
-    """
-
-    bytes: np.ndarray
-    row_perm: np.ndarray
-    col_perm: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.bytes, self.row_perm, self.col_perm):
-            a.setflags(write=False)
-
-
-def truncated_vectors(traj: Trajectory, fraction: float = 0.999):
+def truncated_vectors(traj: Trajectory):
     """99.9%-energy DCT coefficients of x, y, z, in original index order."""
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     out = []
     for arr in (traj.x, traj.y, traj.z):
-        sel = energy_select(dct1(arr), fraction)
+        sel = energy_select(dct1(arr))
         order = np.argsort(sel.cols, kind="stable")
         out.append(np.ascontiguousarray(sel.values[order]))
     return tuple(out)
@@ -140,22 +117,6 @@ def plane_bytes(a, b) -> np.ndarray:
     return np.multiply.outer(rows, cols).astype(np.int64).astype(np.uint8)
 
 
-def plane_from_bytes(byte_matrix) -> KeystreamPlane:
-    """Wrap a byte matrix with the stable ascending argsort of each row and
-    of each column (ties keep their order), as uint16.
-
-    Raises ValueError if a row or column is longer than 65536 cells.
-    """
-    byte_matrix = np.ascontiguousarray(byte_matrix, dtype=np.uint8)
-    if max(byte_matrix.shape) > MAX_LINE:
-        raise ValueError(f"lines longer than {MAX_LINE} cells do not fit uint16 permutations")
-    return KeystreamPlane(
-        bytes=byte_matrix,
-        row_perm=np.argsort(byte_matrix, axis=1, kind="stable").astype(np.uint16),
-        col_perm=np.argsort(byte_matrix.T, axis=1, kind="stable").astype(np.uint16),
-    )
-
-
 @functools.lru_cache(maxsize=32)
 def _key_vectors(key: SecretKey):
     # Truncated trajectory vectors of one key; they do not depend on n.
@@ -165,20 +126,16 @@ def _key_vectors(key: SecretKey):
     return vectors
 
 
-def build_round_keystream(key: SecretKey, n: int) -> tuple[KeystreamPlane, ...]:
+def build_round_keystream(key: SecretKey, n: int) -> tuple[np.ndarray, ...]:
     """Derive one round's three keystream planes from a secret key.
 
-    Returns the R, G and B planes as a tuple: the fixed cycle XY*XZ,
-    XZ*YZ, YZ*XY in the factored form of the module docstring.  The
-    trajectory vectors come from the per-key cache, so this only does the
-    resize, the convolutions and the sorts.
+    Returns the R, G and B planes as a tuple of n x n uint8 arrays: the
+    fixed cycle XY*XZ, XZ*YZ, YZ*XY in the factored form of the module
+    docstring.  The trajectory vectors come from the per-key cache, so this
+    only does the resize and the convolutions.
     """
     if n < 2:
         raise ValueError("keystream size must be >= 2")
     x, y, z = (np.rint(resize_linear(v, n) * 2.0**S).astype(np.int64) for v in _key_vectors(key))
     xx, xy, yz, zz = (circular_conv(a, b) for a, b in ((x, x), (x, y), (y, z), (z, z)))
-    return (
-        plane_from_bytes(plane_bytes(xx, yz)),
-        plane_from_bytes(plane_bytes(xy, zz)),
-        plane_from_bytes(plane_bytes(xy, yz)),
-    )
+    return plane_bytes(xx, yz), plane_bytes(xy, zz), plane_bytes(xy, yz)

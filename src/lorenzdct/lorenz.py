@@ -171,23 +171,22 @@ def is_chaotic_regime(p: LorenzParams) -> bool:
 def integrate(
     p: LorenzParams,
     s0: State3,
-    t_start: float = 0.0,
     t_end: float = 50.0,
     dt: float = 0.001,
 ) -> Trajectory:
-    """Fixed-step classical RK4 integration, sampled at t_start + i*dt.
+    """Fixed-step classical RK4 integration from t = 0, sampled at i*dt.
 
     The update is evaluated in a fixed scalar order (no vectorized
     reductions), which pins the floating-point result across platforms.
     Raises IntegrationDivergedError if a state variable leaves the finite
     range.
     """
-    if not t_end > t_start:
-        raise ValueError("t_end must be greater than t_start")
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     if not dt > 0:
         raise ValueError("dt must be positive")
 
-    n_steps = int(math.floor((t_end - t_start) / dt))
+    n_steps = int(math.floor(t_end / dt))
     sigma, rho, beta = p.sigma, p.rho, p.beta
     x, y, z = s0.x, s0.y, s0.z
 
@@ -223,9 +222,9 @@ def integrate(
         z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise IntegrationDivergedError(
-                f"state became non-finite at step {i} (t={t_start + i * dt})"
+                f"state became non-finite at step {i} (t={i * dt})"
             )
         xs[i], ys[i], zs[i] = x, y, z
 
-    t = t_start + dt * np.arange(n_steps + 1, dtype=np.float64)
+    t = dt * np.arange(n_steps + 1, dtype=np.float64)
     return Trajectory(t, xs, ys, zs)

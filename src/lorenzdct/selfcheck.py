@@ -26,7 +26,7 @@ from .cipher import (
 )
 from .container import read_bundle, write_bundle
 from .dct import dct1, dct2, energy_select, idct2
-from .keystream import S, circular_conv, plane_bytes, plane_from_bytes, resize_linear
+from .keystream import S, circular_conv, plane_bytes, resize_linear
 from .lorenz import (
     LorenzParams,
     SecretKey,
@@ -78,7 +78,7 @@ def _check_lorenz():
     for eq in equilibria(p):
         d = lorenz_derivative(eq, p)
         assert max(abs(d.x), abs(d.y), abs(d.z)) < 1e-12
-    traj = integrate(p, State3(2.0, 1.0, 1.05), 0.0, 1.0, 0.001)
+    traj = integrate(p, State3(2.0, 1.0, 1.05), 1.0, 0.001)
     assert len(traj) == 1001 and np.all(np.isfinite(traj.x))
 
 
@@ -108,10 +108,10 @@ def _check_conv_and_resize():
 
 def _check_shuffle():
     rng = np.random.default_rng(13)
-    ks = plane_from_bytes(rng.integers(0, 256, (16, 16), dtype=np.uint8))
+    k = rng.integers(0, 256, (16, 16), dtype=np.uint8)
     for shift in (0, 1, 5, 16, 21):
         plane = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        perm, mask = _push_round(*_identity(16 * 16), ks, shift)
+        perm, mask = _push_round(*_identity(16 * 16), k, shift)
         assert np.array_equal(_scatter(_gather(plane, perm, mask), perm, mask), plane)
 
 

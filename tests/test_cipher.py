@@ -26,12 +26,7 @@ from lorenzdct.cipher import (
 )
 from lorenzdct.dct import SparseCoeffs, dct2, energy_select
 from lorenzdct.errors import DimensionMismatchError
-from lorenzdct.keystream import (
-    KeystreamPlane,
-    _key_vectors,
-    build_round_keystream,
-    plane_from_bytes,
-)
+from lorenzdct.keystream import _key_vectors, build_round_keystream
 from lorenzdct.lorenz import SecretKey
 
 
@@ -39,17 +34,13 @@ def random_plane(rng, n):
     return rng.integers(0, 256, (n, n), dtype=np.uint8)
 
 
-def random_keystream(rng, n):
-    return plane_from_bytes(random_plane(rng, n))
-
-
 def random_rounds(rng, n):
     """Three rounds of (R, G, B) planes, shaped like build_round_keystream's."""
-    return [tuple(random_keystream(rng, n) for _ in range(3)) for _ in range(3)]
+    return [tuple(random_plane(rng, n) for _ in range(3)) for _ in range(3)]
 
 
 def twin_of(rounds, component):
-    return np.sum([r[component].bytes for r in rounds], axis=0, dtype=np.uint16)
+    return np.sum([r[component] for r in rounds], axis=0, dtype=np.uint16)
 
 
 def encrypt_round(plane, ks, shift):
@@ -67,7 +58,12 @@ def coeff_map(s):
 
 
 # Reference shuffle: the paper's passes run literally, one line gather and
-# one rotation of data and keystream at a time.
+# one rotation of data and keystream at a time, with line orders taken
+# straight from numpy's stable argsort.
+def stable_orders(m):
+    return np.argsort(m, axis=1, kind="stable")
+
+
 def ref_pass_encrypt(plane, ks_bytes, perms, n_shift):
     x1 = plane ^ ks_bytes
     b = np.take_along_axis(x1, perms, axis=1)
@@ -82,21 +78,21 @@ def ref_pass_decrypt(out, ks_bytes, perms, n_shift):
 
 
 def ref_encrypt(plane, planes, shifts):
-    for ks, shift in zip(planes, shifts):
-        h = ref_pass_encrypt(plane, ks.bytes, ks.row_perm, shift)
-        plane = ref_pass_encrypt(h.T, ks.bytes.T, ks.col_perm, shift).T
+    for k, shift in zip(planes, shifts):
+        h = ref_pass_encrypt(plane, k, stable_orders(k), shift)
+        plane = ref_pass_encrypt(h.T, k.T, stable_orders(k.T), shift).T
     return plane
 
 
 def ref_decrypt(plane, planes, shifts):
-    for ks, shift in reversed(list(zip(planes, shifts))):
-        h = ref_pass_decrypt(plane.T, ks.bytes.T, ks.col_perm, shift).T
-        plane = ref_pass_decrypt(h, ks.bytes, ks.row_perm, shift)
+    for k, shift in reversed(list(zip(planes, shifts))):
+        h = ref_pass_decrypt(plane.T, k.T, stable_orders(k.T), shift).T
+        plane = ref_pass_decrypt(h, k, stable_orders(k), shift)
     return plane
 
 
 def composed(planes, shifts):
-    perm, mask = _identity(planes[0].bytes.size)
+    perm, mask = _identity(planes[0].size)
     for ks, shift in zip(planes, shifts):
         perm, mask = _push_round(perm, mask, ks, shift)
     return perm, mask
@@ -116,7 +112,7 @@ def shuffle_cases(draw):
             plane = random_plane(rng, n)
         else:  # tie-heavy: a few byte values, so sorts keep long runs in order
             plane = rng.choice(np.array([0, 91, 255], dtype=np.uint8), (n, n))
-        planes.append(plane_from_bytes(plane))
+        planes.append(plane)
     return n, planes, shifts, seed
 
 
@@ -158,24 +154,24 @@ class TestShuffle:
     """One round, built as the cipher builds it and applied by gather/scatter."""
 
     def test_degenerate_1x1(self):
-        ks = plane_from_bytes(np.array([[123]], dtype=np.uint8))
+        ks = np.array([[123]], dtype=np.uint8)
         plane = np.array([[45]], dtype=np.uint8)
         assert encrypt_round(plane, ks, 0)[0, 0] == 45
 
     def test_null_keystream_is_identity(self, rng):
         plane = random_plane(rng, 8)
-        ks = plane_from_bytes(np.zeros((8, 8), dtype=np.uint8))
+        ks = np.zeros((8, 8), dtype=np.uint8)
         assert np.array_equal(encrypt_round(plane, ks, 0), plane)
 
     @pytest.mark.parametrize("shift", [0, 1, 3, 8, 13])
     def test_roundtrip_8x8_many_keystreams(self, shift, rng):
         for _ in range(100):
-            ks = random_keystream(rng, 8)
+            ks = random_plane(rng, 8)
             plane = random_plane(rng, 8)
             assert np.array_equal(round_trip(plane, ks, shift), plane)
 
     def test_roundtrip_structured_planes(self, rng):
-        ks = random_keystream(rng, 8)
+        ks = random_plane(rng, 8)
         planes = [
             np.zeros((8, 8), dtype=np.uint8),
             np.full((8, 8), 255, dtype=np.uint8),
@@ -190,26 +186,29 @@ class TestShuffle:
                 assert np.array_equal(round_trip(plane, ks, shift), plane)
 
     def test_encrypt_changes_plane(self, rng):
-        ks = random_keystream(rng, 16)
+        ks = random_plane(rng, 16)
         plane = random_plane(rng, 16)
         assert not np.array_equal(encrypt_round(plane, ks, 3), plane)
 
     def test_bijective_on_distinct_inputs(self, rng):
-        ks = random_keystream(rng, 8)
+        ks = random_plane(rng, 8)
         a, b = random_plane(rng, 8), random_plane(rng, 8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(encrypt_round(a, ks, 5), encrypt_round(b, ks, 5))
 
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
     @pytest.mark.parametrize("kind", ["identity", "reversal", "random"])
-    def test_roundtrip_hand_built_permutations(self, kind, n, rng):
+    def test_roundtrip_hand_built_permutations(self, kind, n, rng, monkeypatch):
         ident = np.tile(np.arange(n), (n, 1))
         perms = {
             "identity": (ident, ident),
             "reversal": (ident[:, ::-1], ident[:, ::-1]),
             "random": (rng.permuted(ident, axis=1), rng.permuted(ident, axis=1)),
         }[kind]
-        ks = KeystreamPlane(random_plane(rng, n), *(p.astype(np.uint16) for p in perms))
+        # line orders that no byte plane sorts to, put where _push_round reads them
+        orders = tuple(p.astype(np.uint16) for p in perms)
+        monkeypatch.setattr(cipher, "line_orders", lambda k: orders)
+        ks = random_plane(rng, n)
         plane = random_plane(rng, n)
         for shift in (0, 1, n + 2):
             assert np.array_equal(round_trip(plane, ks, shift), plane)
@@ -379,7 +378,7 @@ class TestCarrier:
         carrier = twin + log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
         assert carrier.dtype == np.float64
         assert np.array_equal(carrier, twin)
-        assert np.array_equal(twin, sum(r[1].bytes.astype(np.float64) for r in rounds))
+        assert np.array_equal(twin, sum(r[1].astype(np.float64) for r in rounds))
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
         rounds = random_rounds(rng, 32)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -13,6 +14,36 @@ from lorenzdct.cli import cli_main
 from lorenzdct.ppm import load_ppm, save_ppm
 
 KEY_ARGS = ["--key1", "key(A)", "--key2", "key(B)", "--key3", "key(C)"]
+
+# sha256 of every file `lorenzdct keystream --key key(A)` writes, per --size:
+# the three PGM planes and their row and column sort orders as CSV
+KEYSTREAM_DUMP_GOLDEN = {
+    16: {
+        "xy.pgm": "87611c4f51a306c48f05a084f0f4d1640efd6cf65cec8e5714444764d7df2181",
+        "xy_row_perm.csv": "4ce1158c0373f6cc76129d36508c4812d2c47441be8128f2b850775e87fbbdcd",
+        "xy_col_perm.csv": "95c5c911ad86b3d6e964912c8badac3c4b9cdb0d18f5ec70edd013f278b51611",
+        "xz.pgm": "f99ca3100008216cf076edd0a02fd3939d7bc2b881f7dc28dd9e86b04238963e",
+        "xz_row_perm.csv": "22eaea06ac07561c6687e43586eecf5ce385f0ed393c3136234901e7c2a75391",
+        "xz_col_perm.csv": "bbf68c735e69a7a3d919ac5c55f02578d514a03e385d83a18e61092e65fc40ea",
+        "yz.pgm": "82db3963dd6ef5a287f7ac9e221ce4b74a78a9e8e051184f484299d5500123ff",
+        "yz_row_perm.csv": "2aa028b8c644bfe28f52a9774b1c757ae2e474505e4542cac5431c21c1bdeeda",
+        "yz_col_perm.csv": "0b89f562cdbd205f9875a5f4a4449731a2e1bf325d755a00ab1bf4d8364aefbd",
+    },
+    37: {
+        "xy.pgm": "25eb3f7652a1a24431e168a6e2e3ada62f6bce3a106f77f6abcae7f83e045747",
+        "xy_row_perm.csv": "3aa8a43b2c97cca58b3b2ae1b272afae2adeff78d9e1cf268da57c82c7a3b967",
+        "xy_col_perm.csv": "38a3562fe88746b637aff6cc6212a5324e9688cf9a8bdfa1d7d496a8558c5dfa",
+        "xz.pgm": "a645befea6dfb59204f2f1a5b470a0aa340a6919355b9efd52e71235129da749",
+        "xz_row_perm.csv": "512ed742f2b409d86319e895996cf77ec36e168e613d66a95fb77b530b697daf",
+        "xz_col_perm.csv": "c374911d2c6d152c4b01093520e64a3543b84ab2eccd49a78ec10a1e6125f08f",
+        "yz.pgm": "e84f9682d4bdf38441bb270acfe64ed57776089ccf64fab683185de96fbccf6b",
+        "yz_row_perm.csv": "b27b3f8ac38d731b68669ded0e0496a396d9115be5c173ee21d6771dfd6eaf16",
+        "yz_col_perm.csv": "b947893213b2f9cb9082fc397124131c05f6fa31541c484c3f8f649f249a1ebf",
+    },
+}
+
+# sha256 of `lorenzdct lorenz --key key(A) --t-end 1.0`
+LORENZ_DUMP_GOLDEN = "e879e747a83c2d059809dfa1990fbf42f7e8042d42569cf6805e078afc44fb5e"
 
 
 @pytest.fixture(scope="module")
@@ -199,19 +230,32 @@ def test_lorenz_dump(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,x,y,z"
     assert len(lines) == 1 + 1001
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == LORENZ_DUMP_GOLDEN
+
+
+def read_orders_csv(path):
+    lines = path.read_text().splitlines()
+    return np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
 
 
 def test_keystream_dump(tmp_path):
-    outdir = tmp_path / "ks"
-    rc = cli_main(
-        ["keystream", "--key", "key(A)", "--size", "16", "--out-dir", str(outdir)]
-    )
-    assert rc == 0
-    for name in ("xy", "xz", "yz"):
-        pgm = (outdir / f"{name}.pgm").read_bytes()
-        assert pgm.startswith(b"P5\n16 16\n255\n")
-        perm_rows = (outdir / f"{name}_row_perm.csv").read_text().splitlines()
-        assert len(perm_rows) == 1 + 16
+    for size, golden in KEYSTREAM_DUMP_GOLDEN.items():
+        outdir = tmp_path / f"ks{size}"
+        rc = cli_main(
+            ["keystream", "--key", "key(A)", "--size", str(size), "--out-dir", str(outdir)]
+        )
+        assert rc == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in outdir.iterdir()}
+        assert digests == golden
+        header = f"P5\n{size} {size}\n255\n".encode()
+        for name in ("xy", "xz", "yz"):
+            pgm = (outdir / f"{name}.pgm").read_bytes()
+            assert pgm.startswith(header)
+            plane = np.frombuffer(pgm[len(header) :], dtype=np.uint8).reshape(size, size)
+            rows = read_orders_csv(outdir / f"{name}_row_perm.csv")
+            cols = read_orders_csv(outdir / f"{name}_col_perm.csv")
+            assert np.array_equal(rows, np.argsort(plane, axis=1, kind="stable"))
+            assert np.array_equal(cols, np.argsort(plane.T, axis=1, kind="stable"))
 
 
 def test_selftest_passes(capsys):

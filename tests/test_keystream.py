@@ -6,7 +6,7 @@ import pytest
 from scipy import fft
 
 import lorenzdct.cipher as cipher
-from lorenzdct.cipher import DEFAULT_SHIFTS, _schedules
+from lorenzdct.cipher import DEFAULT_SHIFTS, _schedules, line_orders
 from lorenzdct.errors import DegenerateKeystreamError
 import lorenzdct.keystream as keystream
 from lorenzdct.keystream import (
@@ -15,13 +15,12 @@ from lorenzdct.keystream import (
     build_round_keystream,
     circular_conv,
     plane_bytes,
-    plane_from_bytes,
     resize_linear,
     truncated_vectors,
 )
 from lorenzdct.lorenz import LorenzParams, SecretKey, State3, Trajectory, integrate
 
-# sha256 over (bytes, row_perm, col_perm) of the three planes for
+# sha256 over (bytes, row orders, column orders) of the three planes for
 # SecretKey("key(A)") at N=64; regression-pins the whole derivation chain
 GOLDEN_KEY_A_64 = "1d3d5e4923149ddf21e04889e0f81a84fa523f99a9111ca8b3d250f42364901b"
 
@@ -80,10 +79,10 @@ def reference_byte(a, b):
 
 def keystream_digest(ks):
     h = hashlib.sha256()
-    for p in ks:
-        h.update(p.bytes.tobytes())
-        h.update(p.row_perm.astype(np.int64).tobytes())
-        h.update(p.col_perm.astype(np.int64).tobytes())
+    for k in ks:
+        h.update(k.tobytes())
+        for orders in line_orders(k):
+            h.update(orders.astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -207,51 +206,53 @@ class TestCircularConv:
             plane_bytes([2**52], [2**35])
 
 
-def row_perm(m):
-    return plane_from_bytes(m).row_perm
+def row_orders(m):
+    return line_orders(m)[0]
 
 
 class TestPermutations:
+    """The shuffle's line orders of a keystream plane (`cipher.line_orders`)."""
+
     def test_sorted_row_identity(self):
-        perm = row_perm(np.array([[1, 2, 3], [0, 5, 9]], dtype=np.uint8))
+        perm = row_orders(np.array([[1, 2, 3], [0, 5, 9]], dtype=np.uint8))
         assert np.array_equal(perm, [[0, 1, 2], [0, 1, 2]])
 
     def test_hand_example(self):
-        perm = row_perm(np.array([[3, 1, 2]], dtype=np.uint8))
+        perm = row_orders(np.array([[3, 1, 2]], dtype=np.uint8))
         assert list(perm[0]) == [1, 2, 0]
 
     def test_all_equal_stable_identity(self):
-        perm = row_perm(np.full((2, 4), 7, dtype=np.uint8))
+        perm = row_orders(np.full((2, 4), 7, dtype=np.uint8))
         assert np.array_equal(perm, [[0, 1, 2, 3], [0, 1, 2, 3]])
 
     def test_columns_are_transposed_rows(self, rng):
         m = rng.integers(0, 256, (6, 6), dtype=np.uint8)
-        assert np.array_equal(plane_from_bytes(m).col_perm, row_perm(m.T))
+        assert np.array_equal(line_orders(m)[1], row_orders(m.T))
 
     def test_invertible(self, rng):
         m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
-        perm = row_perm(m)
+        perm = row_orders(m)
         inv = np.argsort(perm, axis=1)
         shuffled = np.take_along_axis(m, perm, axis=1)
         assert np.array_equal(np.take_along_axis(shuffled, inv, axis=1), m)
 
     def test_plane_perms_are_uint16_stable_argsort(self, rng):
         m = rng.integers(0, 4, (40, 40), dtype=np.uint8)  # many ties
-        plane = plane_from_bytes(m)
-        assert plane.row_perm.dtype == plane.col_perm.dtype == np.uint16
-        assert np.array_equal(plane.row_perm, np.argsort(m, axis=1, kind="stable"))
-        assert np.array_equal(plane.col_perm, np.argsort(m.T, axis=1, kind="stable"))
+        rows, cols = line_orders(m)
+        assert rows.dtype == cols.dtype == np.uint16
+        assert np.array_equal(rows, np.argsort(m, axis=1, kind="stable"))
+        assert np.array_equal(cols, np.argsort(m.T, axis=1, kind="stable"))
 
     def test_longest_line_fits_uint16(self):
         line = (np.arange(65536)[::-1] % 251).astype(np.uint8)
-        plane = plane_from_bytes(line[None, :])
-        assert plane.row_perm.dtype == np.uint16
-        assert np.array_equal(plane.row_perm[0], np.argsort(line, kind="stable"))
+        rows = row_orders(line[None, :])
+        assert rows.dtype == np.uint16
+        assert np.array_equal(rows[0], np.argsort(line, kind="stable"))
 
     @pytest.mark.parametrize("shape", [(1, 65537), (65537, 1)])
     def test_lines_longer_than_uint16_rejected(self, shape):
         with pytest.raises(ValueError):
-            plane_from_bytes(np.zeros(shape, dtype=np.uint8))
+            line_orders(np.zeros(shape, dtype=np.uint8))
 
 
 class TestRealTwin:
@@ -264,10 +265,10 @@ class TestRealTwin:
         rounds = [build_round_keystream(k, n) for k in keys]
         for comp, sched in enumerate(_schedules(keys, DEFAULT_SHIFTS, n)):
             assert sched.twin.dtype == np.uint16
-            want = sum(r[comp].bytes.astype(np.int64) for r in rounds).astype(np.float64)
+            want = sum(r[comp].astype(np.int64) for r in rounds).astype(np.float64)
             assert np.array_equal(sched.twin, want)
 
-        full = plane_from_bytes(np.full((4, 4), 255, dtype=np.uint8))
+        full = np.full((4, 4), 255, dtype=np.uint8)
         monkeypatch.setattr(cipher, "build_round_keystream", lambda key, size: (full,) * 3)
         _schedules.cache_clear()
         try:
@@ -295,8 +296,7 @@ class TestBuildRoundKeystream:
         _key_vectors.cache_clear()
         b = build_round_keystream(key, 16)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.bytes, pb.bytes)
-            assert np.array_equal(pa.row_perm, pb.row_perm)
+            assert np.array_equal(pa, pb)
 
     def test_golden_hash(self):
         assert keystream_digest(build_round_keystream(SecretKey("key(A)"), 64)) == GOLDEN_KEY_A_64
@@ -321,8 +321,7 @@ class TestBuildRoundKeystream:
             else:
                 ij = [(i, j) for i in range(n) for j in range(n)]
             ks = build_round_keystream(key, n)
-            for plane, (rows, cols) in zip(ks, pairs):
-                got = plane.bytes
+            for got, (rows, cols) in zip(ks, pairs):
                 assert [int(got[i, j]) for i, j in ij] == [
                     reference_byte(rows[i], cols[j]) for i, j in ij
                 ]
@@ -341,8 +340,7 @@ class TestBuildRoundKeystream:
             r1 = build_round_keystream(SecretKey(chars), 64)
             r2 = build_round_keystream(SecretKey(raw.decode()), 64)
             for p1, p2 in zip(r1, r2):
-                a, b = p1.bytes, p2.bytes
-                assert np.count_nonzero(a != b) / a.size >= 0.99
+                assert np.count_nonzero(p1 != p2) / p1.size >= 0.99
 
     def test_reference_retained_counts_frozen(self):
         from lorenzdct.dct import dct1, energy_select
@@ -357,8 +355,8 @@ class TestBuildRoundKeystream:
         ks = build_round_keystream(SecretKey("key(B)"), 32)
         assert len(ks) == 3
         for p in ks:
-            assert p.bytes.shape == (32, 32)
-            assert p.bytes.dtype == np.uint8
+            assert p.shape == (32, 32)
+            assert p.dtype == np.uint8
 
     def test_new_size_reuses_key_vectors(self, monkeypatch):
         calls = []
@@ -373,7 +371,7 @@ class TestBuildRoundKeystream:
         a = build_round_keystream(key, 24)
         b = build_round_keystream(key, 37)
         assert len(calls) == 1
-        assert a[0].bytes.shape == (24, 24) and b[0].bytes.shape == (37, 37)
+        assert a[0].shape == (24, 24) and b[0].shape == (37, 37)
 
     def test_plane_cache_holds_one_key_triple(self):
         """Rounds are not memoized; the cipher keeps the schedules of one triple."""

@@ -137,23 +137,23 @@ class TestParams:
 
 class TestIntegrate:
     def test_sample_count(self):
-        traj = integrate(LorenzParams(), State3(1.0, 1.0, 1.0), 0.0, 1.0, 0.001)
+        traj = integrate(LorenzParams(), State3(1.0, 1.0, 1.0), 1.0, 0.001)
         assert len(traj) == 1001
         assert traj.t[0] == 0.0
         assert abs(traj.t[-1] - 1.0) < 1e-12
         assert np.all(np.diff(traj.t) > 0)
 
     def test_full_window_sample_count(self):
-        traj = integrate(LorenzParams(), State3(2.0, 1.0, 1.05), 0.0, 50.0, 0.001)
+        traj = integrate(LorenzParams(), State3(2.0, 1.0, 1.05), 50.0, 0.001)
         assert len(traj) == 50001
 
     def test_origin_stays_at_origin(self):
-        traj = integrate(LorenzParams(), State3(0.0, 0.0, 0.0), 0.0, 2.0, 0.01)
+        traj = integrate(LorenzParams(), State3(0.0, 0.0, 0.0), 2.0, 0.01)
         assert np.all(traj.x == 0.0) and np.all(traj.y == 0.0) and np.all(traj.z == 0.0)
 
     def test_attractor_bounds(self):
         # reference RK4 at dt=1e-4 gave max|x|=19.53, max|z|=47.75 on [0,50]
-        traj = integrate(LorenzParams(), State3(2.0, 1.0, 1.05), 0.0, 50.0, 0.001)
+        traj = integrate(LorenzParams(), State3(2.0, 1.0, 1.05), 50.0, 0.001)
         assert np.max(np.abs(traj.x)) <= 25.0
         assert np.max(np.abs(traj.z)) <= 55.0
         # never settles to a constant
@@ -162,7 +162,7 @@ class TestIntegrate:
     def test_stays_near_equilibrium(self):
         p = LorenzParams()
         for eq in equilibria(p):
-            traj = integrate(p, eq, 0.0, 1.0, 0.001)
+            traj = integrate(p, eq, 1.0, 0.001)
             drift = max(
                 np.max(np.abs(traj.x - eq.x)),
                 np.max(np.abs(traj.y - eq.y)),
@@ -172,22 +172,22 @@ class TestIntegrate:
 
     def test_bit_reproducible(self):
         s0 = State3(0.3, 0.5, 0.7)
-        a = integrate(LorenzParams(), s0, 0.0, 5.0, 0.001)
-        b = integrate(LorenzParams(), s0, 0.0, 5.0, 0.001)
+        a = integrate(LorenzParams(), s0, 5.0, 0.001)
+        b = integrate(LorenzParams(), s0, 5.0, 0.001)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
 
     def test_divergence_detected(self):
         with pytest.raises(IntegrationDivergedError):
-            integrate(LorenzParams(), State3(1e3, 1e3, 1e3), 0.0, 50.0, 0.5)
+            integrate(LorenzParams(), State3(1e3, 1e3, 1e3), 50.0, 0.5)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            integrate(LorenzParams(), State3(1, 1, 1), 1.0, 1.0, 0.001)
+            integrate(LorenzParams(), State3(1, 1, 1), 0.0, 0.001)
         with pytest.raises(ValueError):
-            integrate(LorenzParams(), State3(1, 1, 1), 0.0, 1.0, 0.0)
+            integrate(LorenzParams(), State3(1, 1, 1), 1.0, 0.0)
 
     def test_trajectory_immutable(self):
-        traj = integrate(LorenzParams(), State3(1, 1, 1), 0.0, 0.1, 0.01)
+        traj = integrate(LorenzParams(), State3(1, 1, 1), 0.1, 0.01)
         with pytest.raises(ValueError):
             traj.x[0] = 5.0
 
