@@ -3,11 +3,15 @@
 Two payloads are produced per image.  The difference planes (original
 component minus its truncated-DCT reconstruction, stored mod 256) run through
 three sequential XOR / permute / rotate rounds keyed by three independent
-keystreams.  The retained DCT coefficients travel separately: their signed
-base-10 logs are row-rotated and added on top of the summed integer-valued
-keystream planes, from which the receiver can subtract them back out exactly.
-The difference plane is taken against the coefficients read back out of the
-carrier, so encrypt and decrypt round one and the same reconstruction.
+keystreams.  The retained DCT coefficients travel separately, as a sparse
+carrier: each coefficient's cell, row-rotated, is a flat position in the
+n x n plane, and its signed base-10 log is added to the integer-valued sum
+of the three keystream planes at that cell (the twin), from which the
+receiver subtracts it back out exactly.  Cells without a coefficient would
+hold the bare twin, which the receiver recomputes from the keys, so they are
+not stored.  The difference plane is taken against the coefficients read
+back out of the carrier, so encrypt and decrypt round one and the same
+reconstruction.
 
 Every pass of a round moves each byte to a fixed cell and XORs it with a
 fixed keystream byte, so a component's three rounds compose into one
@@ -68,21 +72,42 @@ class ImageRGB:
 class CipherBundle:
     """Everything the receiver needs besides the keys.
 
-    dic holds the three encrypted difference planes (bytes); carriers the
-    three real-valued planes hiding the DCT coefficients.  The shift and
-    rotation schedules ride along so they do not have to be re-entered.
+    dic holds the three encrypted difference planes (bytes).  The DCT
+    coefficients of each component ride in a sparse carrier: positions, the
+    strictly ascending flat cells of the row-rotated n x n plane that hold a
+    coefficient, and carriers, the doubles twin + log10 at those cells.  The
+    shift and rotation schedules ride along so they do not have to be
+    re-entered.  Raises DimensionMismatchError when a plane or a carrier
+    disagrees in shape, and ValueError when positions are not strictly
+    ascending integers below n * n.
     """
 
     n: int
     shifts: tuple[int, int, int]
     rotations: tuple[tuple[int, int, int], ...]
     dic: tuple[np.ndarray, np.ndarray, np.ndarray]
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
     carriers: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for p in self.dic + self.carriers:
+        for p in self.dic:
             if p.shape != (self.n, self.n):
                 raise DimensionMismatchError("bundle plane shape disagrees with header")
+        for color, pos, carried in zip(COMPONENT_NAMES, self.positions, self.carriers):
+            if pos.ndim != 1 or pos.shape != carried.shape:
+                raise DimensionMismatchError(
+                    f"carrier {color} needs one value per position, as 1-D arrays"
+                )
+            if not np.issubdtype(pos.dtype, np.integer):
+                raise ValueError(f"carrier {color} positions must be integers")
+            if pos.size and not (
+                0 <= pos[0] and int(pos[-1]) < self.n * self.n and np.all(pos[1:] > pos[:-1])
+            ):
+                raise ValueError(
+                    f"carrier {color} positions are not strictly ascending in "
+                    f"[0, {self.n * self.n})"
+                )
+        for p in self.dic + self.positions + self.carriers:
             p.setflags(write=False)
 
 
@@ -183,28 +208,29 @@ def _scatter(plane, perm, mask) -> np.ndarray:
     return out.reshape(plane.shape)
 
 
-def log_forward(s: SparseCoeffs, n: int) -> np.ndarray:
-    """Signed log10 of each coefficient, scattered, rows rolled left by i."""
+def log_forward(s: SparseCoeffs, n: int):
+    """Carrier positions and signed log10 of each coefficient.
+
+    Row i of the n x n plane is rolled left by i, so coefficient (i, j)
+    sits at flat position i * n + (j - i) % n.  Returns (positions, logs):
+    positions uint32 and strictly ascending, logs in the same order.
+    """
     if s.dims != (n, n):
         raise DimensionMismatchError(f"sparse dims {s.dims} do not match ({n}, {n})")
-    m = np.zeros((n, n), dtype=np.float64)
-    m[s.rows, (s.cols - s.rows) % n] = np.sign(s.values) * np.log10(np.abs(s.values))
-    return m
+    pos = s.rows * n + (s.cols - s.rows) % n
+    order = np.argsort(pos)
+    logs = np.sign(s.values) * np.log10(np.abs(s.values))
+    return pos[order].astype(np.uint32), logs[order]
 
 
-def log_inverse(m) -> SparseCoeffs:
-    """Undo log_forward: roll rows right, then sign(v) * 10**|v| per cell.
+def log_inverse(positions, logs, n: int) -> SparseCoeffs:
+    """Undo log_forward: roll each row right, then sign(v) * 10**|v|.
 
-    Exactly-zero cells carry no coefficient.  Coefficients come back in
-    carrier order (row-major over the rolled cells), not sorted: the
-    reconstruction scatters them into zeros, where order does not matter.
+    Every log must be nonzero (a zero carries no coefficient).  Coefficients
+    come back in position order, not sorted by magnitude: the reconstruction
+    scatters them into zeros, where order does not matter.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError("expected a square matrix")
-    n = m.shape[0]
-    i, j = np.nonzero(m)
-    logs = m[i, j]
+    i, j = np.divmod(np.asarray(positions, dtype=np.intp), n)
     with np.errstate(over="ignore"):
         values = np.sign(logs) * np.power(10.0, np.abs(logs))
     return SparseCoeffs((n, n), i, (i + j) % n, values, 1.0)
@@ -262,11 +288,14 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     )
 
 
-def _carried_coeffs(carrier, twin) -> SparseCoeffs:
+def _carried_coeffs(positions, carried, twin) -> SparseCoeffs:
     # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
     # takes its difference plane against these rather than the exact ones,
-    # so both sides round one and the same reconstruction.
-    return log_inverse(carrier - twin)
+    # so both sides round one and the same reconstruction.  A cell whose
+    # value is its bare twin (an exact zero log) carries no coefficient.
+    logs = carried - twin.ravel()[positions]
+    keep = logs != 0.0
+    return log_inverse(positions[keep], logs[keep], twin.shape[0])
 
 
 def encrypt_image(
@@ -284,19 +313,22 @@ def encrypt_image(
         raise ValueError("image must be at least 2x2")
     shifts = _check_schedule(keys, shifts)
 
-    dics, carriers = [], []
+    dics, positions, carriers = [], [], []
     for plane, sched in zip(img.planes, _schedules(tuple(keys), shifts, n)):
         sparse = energy_select(dct2(plane.astype(np.float64)))
-        carrier = sched.twin + log_forward(sparse, n)
-        dic, _ = make_difference(plane, _carried_coeffs(carrier, sched.twin))
+        pos, logs = log_forward(sparse, n)
+        carried = sched.twin.ravel()[pos] + logs
+        dic, _ = make_difference(plane, _carried_coeffs(pos, carried, sched.twin))
         dics.append(_gather(dic, sched.perm, sched.mask))
-        carriers.append(carrier)
+        positions.append(pos)
+        carriers.append(carried)
 
     return CipherBundle(
         n=n,
         shifts=shifts,
         rotations=tuple(k.rotations for k in keys),
         dic=tuple(dics),
+        positions=tuple(positions),
         carriers=tuple(carriers),
     )
 
@@ -316,8 +348,9 @@ def decrypt_image(
 
     schedules = _schedules(tuple(keys), shifts, bundle.n)
     planes = []
-    for dic, carrier, sched in zip(bundle.dic, bundle.carriers, schedules):
-        recon_u8 = _reconstruct_u8(_carried_coeffs(carrier, sched.twin))
+    carriers = zip(bundle.positions, bundle.carriers)
+    for dic, (pos, carried), sched in zip(bundle.dic, carriers, schedules):
+        recon_u8 = _reconstruct_u8(_carried_coeffs(pos, carried, sched.twin))
         planes.append(recon_u8 + _scatter(dic, sched.perm, sched.mask))  # uint8 wraps mod 256
 
     return ImageRGB(tuple(planes))

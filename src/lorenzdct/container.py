@@ -2,31 +2,29 @@
 
 Layout (all little-endian):
 
-    magic    4 bytes  b"LDCT"
-    version  u16      3
-    width    u32
-    height   u32
-    rounds   u8       3
-    flags    u8       0 (reserved)
-    shifts   rounds x u16
-    rots     rounds x 3 x u8
-    counts   3 x u32  exception count k of each carrier plane, R G B
-    dic      3 planes of width*height raw bytes, row-major, R G B
-    cells    3 planes of width*height u16, row-major, R G B
-    values   k_R + k_G + k_B float64, each plane's exceptions in row-major order
-    crc      u32      CRC-32 (ISO-HDLC) over every preceding byte
+    magic      4 bytes  b"LDCT"
+    version    u16      4
+    width      u32
+    height     u32
+    rounds     u8       3
+    flags      u8       0 (reserved)
+    shifts     rounds x u16
+    rots       rounds x 3 x u8
+    counts     3 x u32  retained cell count k of each carrier, R G B
+    dic        3 planes of width*height raw bytes, row-major, R G B
+    positions  k_R + k_G + k_B u32, each carrier's flat cells, strictly ascending
+    values     k_R + k_G + k_B float64, each carrier's twin + log at those cells
+    crc        u32      CRC-32 (ISO-HDLC) over every preceding byte
 
-A carrier cell is stored as its u16 value when the double is bit-exactly an
-integer in [0, 65534] (sign bit clear, so -0.0 does not qualify); every
-other cell (non-integers, larger or negative values, -0.0, NaN, inf) holds
-the sentinel 0xFFFF and its raw double follows in `values`.  Cells without a
-retained coefficient carry the keystream twin sum, an integer in [0, 765],
-so a 1024 x 1024 plane of a natural image has a few hundred exceptions.  The
-decoded planes are bit-identical to the encoded ones.
+A carrier stores only the cells that hold a DCT coefficient; every other
+cell is the keystream twin sum, which the receiver recomputes from the keys.
+A 1024 x 1024 natural image keeps a few hundred cells per carrier, so the
+file is about the size of the image; a two-level document keeps over 100k.
+Positions stay below 2**32 because the cipher's sizes stop at n = 65536.
+The values are raw doubles, so the decoded bundle is bit-identical to the
+encoded one.
 
-Version 3 has version 2's layout; only the keystream under it changed (the
-exact 1-D keystream).  A version 2 file would decrypt to garbage without an
-error, so it is refused like any other version.
+Every other version is refused: versions 1 to 3 stored each carrier cell.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ from .errors import FormatError
 from .lorenz import _KEY_BITS
 
 MAGIC = b"LDCT"
-VERSION = 3
+VERSION = 4
 ROUNDS = 3
-SENTINEL = 0xFFFF
 
 _FIXED = struct.Struct("<4sHIIBB")
 _COUNTS = struct.Struct("<3I")
@@ -58,32 +55,14 @@ def header_bytes(bundle: CipherBundle) -> bytes:
     return head
 
 
-def _encode_carrier(plane):
-    """Split a float64 plane into (u16 cells, float64 exceptions)."""
-    plane = np.ascontiguousarray(plane, dtype=np.float64)
-    # NaN fails every comparison, so it never counts as a cell
-    exact = (plane >= 0.0) & (plane < SENTINEL) & (np.floor(plane) == plane)
-    exact &= ~np.signbit(plane)
-    cells = np.where(exact, plane, SENTINEL).astype("<u2")
-    return cells, plane[~exact].astype("<f8")
-
-
-def _decode_carrier(cells, values):
-    """Inverse of _encode_carrier; values must match the sentinel cells."""
-    plane = cells.astype(np.float64)
-    plane[cells == SENTINEL] = values
-    return plane
-
-
 def write_bundle(path, bundle: CipherBundle):
     """Serialize a bundle; identical bundles produce identical files."""
-    encoded = [_encode_carrier(plane) for plane in bundle.carriers]
     parts = [
         header_bytes(bundle),
-        _COUNTS.pack(*(values.size for _, values in encoded)),
+        _COUNTS.pack(*(pos.size for pos in bundle.positions)),
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
-        *(cells for cells, _ in encoded),
-        *(values for _, values in encoded),
+        *(np.ascontiguousarray(pos, dtype="<u4") for pos in bundle.positions),
+        *(np.ascontiguousarray(values, dtype="<f8") for values in bundle.carriers),
     ]
     crc = 0
     with open(path, "wb") as f:
@@ -96,9 +75,11 @@ def write_bundle(path, bundle: CipherBundle):
 def read_bundle(path) -> CipherBundle:
     """Parse and validate a bundle file; exact inverse of write_bundle.
 
-    The size is checked against the header and the exception counts, then
-    the CRC, then the key rotations, then each plane's sentinel count
-    against its exception count, before any plane is decoded.
+    The header is checked first (magic, version, rounds, flags, a square
+    size of at least 2), then the size against the header and the counts,
+    then the CRC, then the key rotations, then each carrier's positions
+    (strictly ascending, below width * height).  Every failure raises
+    FormatError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -116,13 +97,15 @@ def read_bundle(path) -> CipherBundle:
         raise FormatError(f"reserved flags byte is nonzero ({flags})")
     if width != height:
         raise FormatError(f"container image must be square, got {width}x{height}")
+    if width < 2:
+        raise FormatError(f"container image must be at least 2x2, got {width}x{height}")
 
     n_px = width * height
     counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
     for k in counts:
         if k > n_px:
-            raise FormatError(f"exception count {k} exceeds the {n_px} cells of a plane")
-    expected = _HEAD_LEN + 3 * n_px + 3 * 2 * n_px + 8 * sum(counts) + 4
+            raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
+    expected = _HEAD_LEN + 3 * n_px + 12 * sum(counts) + 4
     if len(blob) != expected:
         raise FormatError(
             f"container size {len(blob)} does not match header (expected {expected})"
@@ -147,31 +130,23 @@ def read_bundle(path) -> CipherBundle:
         raise FormatError(f"key rotation {top} outside [0, {_KEY_BITS - 1}]")
     off += _COUNTS.size
 
-    dic = []
-    for _ in range(3):
-        plane = np.frombuffer(blob, dtype=np.uint8, count=n_px, offset=off)
-        dic.append(plane.reshape(height, width).copy())
-        off += n_px
-    cells = []
-    for color, k in zip("RGB", counts):
-        plane = np.frombuffer(blob, dtype="<u2", count=n_px, offset=off)
-        sentinels = int(np.count_nonzero(plane == SENTINEL))
-        if sentinels != k:
-            raise FormatError(
-                f"carrier plane {color} has {sentinels} exception cells, header says {k}"
-            )
-        cells.append(plane)
-        off += 2 * n_px
-    carriers = []
-    for plane, k in zip(cells, counts):
-        values = np.frombuffer(blob, dtype="<f8", count=k, offset=off)
-        carriers.append(_decode_carrier(plane, values).reshape(height, width))
-        off += 8 * k
+    def take(dtype, count):
+        nonlocal off
+        a = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
+        off += a.nbytes
+        return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
 
-    return CipherBundle(
-        n=width,
-        shifts=shifts,
-        rotations=tuple(rotations),
-        dic=tuple(dic),
-        carriers=tuple(carriers),
-    )
+    dic = tuple(take("<u1", n_px).reshape(height, width) for _ in range(3))
+    positions = tuple(take("<u4", k) for k in counts)
+    carriers = tuple(take("<f8", k) for k in counts)
+    try:
+        return CipherBundle(
+            n=width,
+            shifts=shifts,
+            rotations=tuple(rotations),
+            dic=dic,
+            positions=positions,
+            carriers=carriers,
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None

@@ -121,7 +121,7 @@ def _check_log_embedding():
     mat[rng.integers(0, 8, 10), rng.integers(0, 8, 10)] = rng.uniform(1.5, 9e4, 10)
     mat[0, 3] = -1234.5
     sel = energy_select(mat, 1.0)
-    back = log_inverse(log_forward(sel, 8))
+    back = log_inverse(*log_forward(sel, 8), 8)
     lut = {(r, c): v for r, c, v in zip(back.rows, back.cols, back.values)}
     for r, c, v in zip(sel.rows, sel.cols, sel.values):
         assert abs(lut[(r, c)] - v) <= 1e-12 * abs(v)
@@ -129,15 +129,18 @@ def _check_log_embedding():
 
 def _check_container():
     rng = np.random.default_rng(15)
-    # twin sums (integers, stored as u16 cells) with logs on half the cells
-    # (non-integers, stored as float64 exceptions)
-    logs = np.where(np.arange(16).reshape(4, 4) % 2, 0.0, rng.uniform(-4.9, 4.9, (4, 4)))
+    # twin sums plus logs at every other cell, the last carrier empty
+    half = np.arange(0, 16, 2, dtype=np.uint32)
+    positions = (half, half, half[:0])
     bundle = CipherBundle(
         n=4,
         shifts=(3, 7, 13),
         rotations=((5, 11, 17),) * 3,
         dic=tuple(rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)),
-        carriers=tuple(rng.integers(0, 766, (4, 4)) + logs for _ in range(3)),
+        positions=positions,
+        carriers=tuple(
+            rng.integers(0, 766, p.size) + rng.uniform(-4.9, 4.9, p.size) for p in positions
+        ),
     )
     fd, path = tempfile.mkstemp(suffix=".ldct")
     os.close(fd)
@@ -145,8 +148,9 @@ def _check_container():
         write_bundle(path, bundle)
         back = read_bundle(path)
         assert back.shifts == bundle.shifts and back.rotations == bundle.rotations
-        for a, b in zip(bundle.dic + bundle.carriers, back.dic + back.carriers):
-            assert a.tobytes() == b.tobytes()
+        arrays = bundle.dic + bundle.positions + bundle.carriers
+        for a, b in zip(arrays, back.dic + back.positions + back.carriers):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     finally:
         os.unlink(path)
 

@@ -190,13 +190,16 @@ def test_criterion_8_invertibility_properties(rng):
         1.5, 1e4, k
     ) * rng.choice([-1.0, 1.0], k)
     sel = energy_select(mat, 1.0)
-    back = log_inverse(log_forward(sel, 32))
+    pos, logs = log_forward(sel, 32)
+    back = log_inverse(pos, logs, 32)
     got = {(r, c): v for r, c, v in zip(back.rows, back.cols, back.values)}
     ok &= len(back) == len(sel)
     for r, c, v in zip(sel.rows, sel.cols, sel.values):
         ok &= (r, c) in got and abs(got[(r, c)] - v) <= 1e-12 * abs(v)
 
-    logm = log_forward(sel, 32)
+    logm = np.zeros(32 * 32)
+    logm[pos] = logs
+    logm = logm.reshape(32, 32)
     twin = _schedules(KEYS, DEFAULT_SHIFTS, 256)[0].twin[:32, :32]
     extracted = (twin + logm) - twin
     ok &= bool(np.all(extracted[logm == 0.0] == 0.0))
@@ -229,8 +232,8 @@ def test_criterion_10_determinism(pipeline_runs, tmp_path):
     back = read_bundle(p1)
     for a, b in zip(bundle.dic, back.dic):
         ok &= np.array_equal(a, b)
-    for a, b in zip(bundle.carriers, back.carriers):
-        ok &= a.tobytes() == b.tobytes()
+    for a, b in zip(bundle.positions + bundle.carriers, back.positions + back.carriers):
+        ok &= a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert _line(10, ok, "byte-identical re-encryption; bit-exact container round trip")
 
 

@@ -298,33 +298,39 @@ class TestScheduleCache:
         assert after - before <= 33 * n * n + 64 * 1024
 
 
+def dense(pos, values, n):
+    """Scatter carrier values at flat positions into an n x n zero plane."""
+    m = np.zeros(n * n)
+    m[pos] = values
+    return m.reshape(n, n)
+
+
 class TestLogEmbedding:
     def test_positive_value_row_zero(self):
         s = energy_select(np.array([[100.0, 0.0], [0.0, 0.0]]), 1.0)
-        m = log_forward(s, 2)
-        assert m[0, 0] == 2.0 and np.count_nonzero(m) == 1
+        pos, logs = log_forward(s, 2)
+        assert pos.dtype == np.uint32
+        assert pos.tolist() == [0] and logs.tolist() == [2.0]
 
     def test_negative_value_shifted_row(self):
         n = 5
         mat = np.zeros((n, n))
         mat[1, 0] = -1000.0
         s = energy_select(mat, 1.0)
-        m = log_forward(s, n)
+        pos, logs = log_forward(s, n)
         # row 1 rotates left by 1: column 0 lands at column n-1
-        assert m[1, n - 1] == -3.0
-        assert np.count_nonzero(m) == 1
+        assert pos.tolist() == [1 * n + n - 1] and logs.tolist() == [-3.0]
 
     def test_empty_gives_zero_matrix(self):
         s = energy_select(np.zeros((4, 4)), 0.999)
-        assert np.max(np.abs(log_forward(s, 4))) == 0.0
+        pos, logs = log_forward(s, 4)
+        assert pos.size == logs.size == 0
 
     def test_log_inverse_of_zero_matrix(self):
-        assert len(log_inverse(np.zeros((6, 6)))) == 0
+        assert len(log_inverse(np.empty(0, np.uint32), np.empty(0), 6)) == 0
 
     def test_log_inverse_single_cell(self):
-        m = np.zeros((3, 3))
-        m[0, 0] = 2.0
-        s = log_inverse(m)
+        s = log_inverse(np.array([0], np.uint32), np.array([2.0]), 3)
         assert len(s) == 1
         assert (s.rows[0], s.cols[0]) == (0, 0)
         assert abs(s.values[0] - 100.0) < 1e-9
@@ -336,7 +342,7 @@ class TestLogEmbedding:
             1.5, 1e5, k
         ) * rng.choice([-1.0, 1.0], k)
         s = energy_select(mat, 1.0)
-        back = log_inverse(log_forward(s, 16))
+        back = log_inverse(*log_forward(s, 16), 16)
         assert len(back) == len(s)
         got = {(r, c): v for r, c, v in zip(back.rows, back.cols, back.values)}
         for r, c, v in zip(s.rows, s.cols, s.values):
@@ -351,17 +357,21 @@ class TestLogEmbedding:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
     @pytest.mark.parametrize("sign", [-1, +1])
     def test_roll_rows_matches_per_row_roll(self, sign, n, rng):
-        """log_forward rolls row i of the scattered logs left by i (sign -1);
-        log_inverse rolls it right again (+1), in carrier order."""
+        """log_forward rolls row i of the scattered logs left by i (sign -1)
+        and lists the nonzero cells in ascending flat order; log_inverse
+        rolls them right again (+1), in that order."""
         mat = rng.choice([-300.0, -7.0, 0.0, 0.0, 7.0, 41.5, 300.0], (n, n))
         sel = energy_select(mat, 1.0)
         scattered = np.zeros((n, n))
         scattered[sel.rows, sel.cols] = np.sign(sel.values) * np.log10(np.abs(sel.values))
         rolled = np.stack([np.roll(scattered[i], -i) for i in range(n)])
+        nonzero = np.flatnonzero(rolled)
         if sign < 0:
-            assert np.array_equal(log_forward(sel, n), rolled)
+            pos, logs = log_forward(sel, n)
+            assert np.array_equal(pos, nonzero)
+            assert np.array_equal(dense(pos, logs, n), rolled)
             return
-        back = log_inverse(rolled)
+        back = log_inverse(nonzero.astype(np.uint32), rolled.ravel()[nonzero], n)
         unrolled = np.stack([np.roll(rolled[i], sign * i) for i in range(n)])
         logs = unrolled[sel.rows, sel.cols]
         values = np.sign(logs) * np.power(10.0, np.abs(logs))
@@ -370,15 +380,20 @@ class TestLogEmbedding:
 
 
 class TestCarrier:
-    """The carrier as the pipeline builds it: the uint16 twin sum plus log_forward."""
+    """The carrier as the pipeline builds it: at each position, the uint16
+    twin sum plus the log from log_forward."""
 
     def test_zero_log_gives_twin_exactly(self, rng):
         rounds = random_rounds(rng, 16)
         twin = twin_of(rounds, 1)
-        carrier = twin + log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
-        assert carrier.dtype == np.float64
-        assert np.array_equal(carrier, twin)
         assert np.array_equal(twin, sum(r[1].astype(np.float64) for r in rounds))
+        pos, logs = log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
+        carried = twin.ravel()[pos] + logs
+        assert carried.dtype == np.float64 and carried.size == 0
+        # a stored value equal to its twin (a zero log) carries no coefficient
+        cells = np.array([0, 3, 255], np.uint32)
+        for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
+            assert len(_carried_coeffs(cells, bare, twin)) == 0
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
         rounds = random_rounds(rng, 32)
@@ -387,12 +402,15 @@ class TestCarrier:
         cells = (rng.integers(0, 32, 50), rng.integers(0, 32, 50))
         mat[cells] = 10.0 ** rng.uniform(0.01, 4.8, 50) * rng.choice([-1.0, 1.0], 50)
         sel = energy_select(mat, 1.0)
-        logm = log_forward(sel, 32)
-        carrier = twin + logm
-        back = carrier - twin
+        pos, logs = log_forward(sel, 32)
+        logm = dense(pos, logs, 32)
+        back = (twin + logm) - twin
         assert np.all(back[logm == 0.0] == 0.0)
+        assert np.all(back[logm != 0.0] != 0.0)
         assert np.max(np.abs(back - logm)) < 1e-10
-        got, want = coeff_map(_carried_coeffs(carrier, twin)), coeff_map(sel)
+        carried = twin.ravel()[pos] + logs
+        assert np.array_equal(carried, (twin + logm).ravel()[pos])
+        got, want = coeff_map(_carried_coeffs(pos, carried, twin)), coeff_map(sel)
         assert got.keys() == want.keys()
         assert all(abs(got[rc] - v) <= 1e-9 * abs(v) for rc, v in want.items())
 
@@ -402,9 +420,11 @@ class TestCarrier:
         # largest possible 8-bit dct2 magnitude is 255*64 here
         mat[0, 0] = 255.0 * 64
         mat[1, 1] = -255.0 * 64
-        carrier = twin_of(rounds, 2) + log_forward(energy_select(mat, 1.0), 64)
+        pos, logs = log_forward(energy_select(mat, 1.0), 64)
+        carried = twin_of(rounds, 2).ravel()[pos] + logs
         bound = np.log10(255.0 * 64)
-        assert np.all(carrier >= -bound) and np.all(carrier <= 3 * 255 + bound)
+        assert carried.size == 2
+        assert np.all(carried >= -bound) and np.all(carried <= 3 * 255 + bound)
 
 
 class TestPipeline:
@@ -433,7 +453,10 @@ class TestPipeline:
         _schedules.cache_clear()
         _key_vectors.cache_clear()
         again = encrypt_image(image_a, keys)
-        for a, b in zip(bundle_a.dic + bundle_a.carriers, again.dic + again.carriers):
+        for a, b in zip(
+            bundle_a.dic + bundle_a.positions + bundle_a.carriers,
+            again.dic + again.positions + again.carriers,
+        ):
             assert np.array_equal(a, b)
         assert bundle_a.shifts == again.shifts
 
@@ -467,12 +490,31 @@ class TestPipeline:
         assert bundle_a.shifts == (3, 7, 13)
         assert bundle_a.rotations == tuple(k.rotations for k in keys)
 
+    @staticmethod
+    def _bundle(rng, n=4, dic_n=4, positions=None, carriers=None):
+        positions = positions or (np.array([0, 5, 15], np.uint32),) * 3
+        return CipherBundle(
+            n=n,
+            shifts=(1, 2, 3),
+            rotations=((5, 11, 17),) * 3,
+            dic=tuple(rng.integers(0, 256, (dic_n, dic_n), np.uint8) for _ in range(3)),
+            positions=positions,
+            carriers=carriers or tuple(np.full(p.size, 2.5) for p in positions),
+        )
+
     def test_bundle_shape_validation(self, rng):
+        self._bundle(rng)
         with pytest.raises(DimensionMismatchError):
-            CipherBundle(
-                n=4,
-                shifts=(1, 2, 3),
-                rotations=((5, 11, 17),) * 3,
-                dic=tuple(rng.integers(0, 256, (3, 3), np.uint8) for _ in range(3)),
-                carriers=tuple(np.zeros((4, 4)) for _ in range(3)),
-            )
+            self._bundle(rng, dic_n=3)
+        with pytest.raises(DimensionMismatchError, match="one value per position"):
+            self._bundle(rng, carriers=(np.zeros(3), np.zeros(2), np.zeros(3)))
+
+    @pytest.mark.parametrize(
+        "pos",
+        [[0, 5, 5], [5, 0, 15], [0, 5, 16], [-1, 5], [0.0, 5.0]],
+        ids=["duplicate", "descending", "past_plane", "negative", "float"],
+    )
+    def test_bundle_position_validation(self, rng, pos):
+        bad = np.array(pos)
+        with pytest.raises(ValueError, match="positions"):
+            self._bundle(rng, positions=(np.array([0], np.uint32), bad, bad[:0]))

@@ -1,21 +1,24 @@
 """Golden cipher and container hashes.
 
 BUNDLE_GOLDEN pins what encrypt_image computes: the sha256 of the three
-difference planes (uint8) followed by the three carrier planes ("<f8"), for
-fixed seeded images and fixed keys.  It does not depend on the container
-format, so a new format leaves it alone; only a change to the cipher or the
-keystream definition moves it.
+difference planes (uint8) followed by the three dense carrier planes
+("<f8"), for fixed seeded images and fixed keys.  A dense carrier plane is
+rebuilt from the keys: the component's twin sum as float64, with the
+bundle's carrier doubles written back at its positions.  It does not depend
+on the container format, so a new format leaves it alone; only a change to
+the cipher or the keystream definition moves it.
 
 GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 3, re-recorded with BUNDLE_GOLDEN
-when the keystream became the exact 1-D integer path (version 2's u16
-carrier cells and float64 exceptions are unchanged).  The keystream is now
-the same on every IEEE-754 platform; the image side (scipy's DCT, the
-energy selection, the sign-log carriers) is still floating point, so a
-different DCT build could still move both tables.
+values below are for container version 4, re-recorded when the container
+stopped storing the carrier cells that hold no coefficient (the twin sum,
+which the keys give); BUNDLE_GOLDEN was left as version 3 recorded it, which
+shows that the cipher's values did not move.  The keystream is the same on
+every IEEE-754 platform; the image side (scipy's DCT, the energy selection,
+the sign-log carriers) is still floating point, so a different DCT build
+could still move both tables.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 from synthimg import make_image, make_two_level_image
 
-from lorenzdct.cipher import encrypt_image
+from lorenzdct.cipher import _schedules, encrypt_image
 from lorenzdct.container import write_bundle
 
 BUNDLE_GOLDEN = {
@@ -35,10 +38,10 @@ BUNDLE_GOLDEN = {
 }
 
 GOLDEN = {
-    ("natural", 64): "e95b42677c9089d84080739391239138ee9336040ffebd54eafa9db9cbf7c577",
-    ("natural", 256): "ab5dcf448875e3535fb984a4cc937f30734ea7ebc17d81b80b3843149605401c",
-    ("two_level", 64): "7e0a79f5a46e0d240110a751ff89a6a5c11f63e52dd984d21a764477e492526b",
-    ("two_level", 256): "1f9feeea0fe76f778e378e956855750b0a5bde512d7968842ee509e916ef973d",
+    ("natural", 64): "4b7466708a1304607cb2bf3107ad0aba6e5557d66676972c36da0d8f61818e8f",
+    ("natural", 256): "bfe27acc151ec02ebd63ee248203f760726f6b983c2137436033bcb8e28d0962",
+    ("two_level", 64): "5454b253780e78a984ebf8355450ea53515ecd9dab5050980944d07a6e4d2dce",
+    ("two_level", 256): "519d2597db3013d547746e181c52aad9e497bc2a2cee1a99761dd3adfb5481fc",
 }
 
 MAKERS = {"natural": make_image, "two_level": make_two_level_image}
@@ -50,8 +53,11 @@ def test_bundle_bytes_pinned(kind, n, keys):
     digest = hashlib.sha256()
     for plane in bundle.dic:
         digest.update(np.ascontiguousarray(plane, dtype=np.uint8).tobytes())
-    for plane in bundle.carriers:
-        digest.update(np.ascontiguousarray(plane, dtype="<f8").tobytes())
+    schedules = _schedules(tuple(keys), bundle.shifts, n)
+    for pos, carried, sched in zip(bundle.positions, bundle.carriers, schedules):
+        plane = sched.twin.astype("<f8").ravel()
+        plane[pos] = carried
+        digest.update(plane.tobytes())
     assert digest.hexdigest() == BUNDLE_GOLDEN[(kind, n)]
 
 

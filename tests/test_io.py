@@ -1,15 +1,23 @@
+import os
 import struct
+import tempfile
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzdct.cipher import CipherBundle, ImageRGB
+from lorenzdct.cipher import CipherBundle, ImageRGB, _schedules, decrypt_image, encrypt_image
+from lorenzdct.cli import cli_main
 from lorenzdct.container import read_bundle, write_bundle
 from lorenzdct.errors import FormatError
+from lorenzdct.lorenz import SecretKey
 from lorenzdct.ppm import load_ppm, save_pgm, save_ppm
+
+KEYS = (SecretKey("key(A)"), SecretKey("key(B)"), SecretKey("key(C)"))
+KEY_ARGS = ["--key1", "key(A)", "--key2", "key(B)", "--key3", "key(C)"]
 
 
 def random_image(rng, w, h=None):
@@ -17,23 +25,24 @@ def random_image(rng, w, h=None):
     return ImageRGB(tuple(rng.integers(0, 256, (h, w), dtype=np.uint8) for _ in range(3)))
 
 
-def mixed_carrier(rng, n):
-    """Twin-sum-like integer cells, with non-integer exceptions in about a
-    third of them and always at (0, 0)."""
-    plane = rng.integers(0, 766, (n, n)).astype(np.float64)
-    logs = rng.random((n, n)) < 0.3
-    logs[0, 0] = True
-    plane[logs] += rng.uniform(-4.9, 4.9, int(logs.sum()))
-    return plane
+def random_carrier(rng, n):
+    """Ascending positions in about a third of the cells, always cell 0,
+    holding twin-sum-like integers plus logs."""
+    picked = rng.random(n * n) < 0.3
+    picked[0] = True
+    pos = np.flatnonzero(picked).astype(np.uint32)
+    return pos, rng.integers(0, 766, pos.size) + rng.uniform(-4.9, 4.9, pos.size)
 
 
 def random_bundle(rng, n, carriers=None):
+    carriers = carriers or tuple(random_carrier(rng, n) for _ in range(3))
     return CipherBundle(
         n=n,
         shifts=(3, 7, 13),
         rotations=((5, 11, 17), (1, 2, 3), (40, 0, 47)),
         dic=tuple(rng.integers(0, 256, (n, n), dtype=np.uint8) for _ in range(3)),
-        carriers=carriers or tuple(mixed_carrier(rng, n) for _ in range(3)),
+        positions=tuple(pos for pos, _ in carriers),
+        carriers=tuple(values for _, values in carriers),
     )
 
 
@@ -41,26 +50,24 @@ def _bits_to_float(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-# Carrier cells of every kind the v2 encoding distinguishes.
-CELLS = st.one_of(
-    st.integers(0, 65534).map(float),  # the only kind stored as a u16 cell
-    st.integers(65535, 2**53).map(float),  # the sentinel value and beyond
-    st.integers(-(2**53), -1).map(float),
-    st.just(-0.0),
-    st.tuples(st.integers(1, 2**52 - 1), st.booleans()).map(  # subnormals
-        lambda t: _bits_to_float(t[0] | t[1] << 63)
-    ),
-    st.floats(-1e6, 1e6).filter(lambda x: x != int(x)),
-    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
-    st.integers(1, 2**51 - 1).map(lambda p: _bits_to_float(0xFFF8 << 48 | p)),  # NaN payloads
+# Any double: every bit pattern (NaN payloads, subnormals, -0.0, inf), with
+# the special values and plain carrier-like values drawn often.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.floats(-1e6, 1e6),
+    st.integers(0, 2**64 - 1).map(_bits_to_float),
 )
 
 
 @st.composite
-def carrier_planes(draw):
-    n = draw(st.integers(1, 6))
-    cells = draw(st.lists(CELLS, min_size=3 * n * n, max_size=3 * n * n))
-    return np.array(cells, dtype=np.float64).reshape(3, n, n)
+def carriers(draw):
+    n = draw(st.integers(2, 6))
+    planes = []
+    for _ in range(3):
+        cells = sorted(draw(st.sets(st.integers(0, n * n - 1))))
+        values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
+        planes.append((np.array(cells, np.uint32), np.array(values, np.float64)))
+    return n, tuple(planes)
 
 
 class TestPpm:
@@ -142,32 +149,29 @@ class TestContainer:
         assert back.rotations == bundle.rotations
         for a, b in zip(bundle.dic, back.dic):
             assert np.array_equal(a, b)
-        for a, b in zip(bundle.carriers, back.carriers):
+        for a, b in zip(bundle.positions + bundle.carriers, back.positions + back.carriers):
             # bitwise identity, not just numeric closeness
-            assert a.tobytes() == b.tobytes()
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(planes=carrier_planes())
-    def test_carriers_roundtrip_bit_exact(self, planes, tmp_path_factory):
-        n = planes.shape[1]
-        bundle = random_bundle(np.random.default_rng(n), n, tuple(planes))
+    @given(case=carriers())
+    def test_carriers_roundtrip_bit_exact(self, case, tmp_path_factory):
+        n, planes = case
+        bundle = random_bundle(np.random.default_rng(n), n, planes)
         path = tmp_path_factory.getbasetemp() / "prop.ldct"
         write_bundle(path, bundle)
         back = read_bundle(path)
-        for a, b in zip(bundle.carriers, back.carriers):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(bundle.positions + bundle.carriers, back.positions + back.carriers):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_2x2_total_size(self, rng, tmp_path):
-        # planes with 0, 1 and 4 non-integer cells: header 31 bytes + 3*4
-        # counts + 3*4 dic + 3*4*2 cells + (0+1+4)*8 exceptions + 4 CRC = 123
-        carriers = (
-            np.array([[0.0, 765.0], [65534.0, 3.0]]),
-            np.array([[0.0, 765.0], [65535.0, 3.0]]),
-            np.array([[-0.0, 0.5], [-1.0, np.nan]]),
-        )
+        # carriers with 0, 1 and 4 cells: header 31 bytes + 3*4 counts
+        # + 3*4 dic + (0+1+4)*(4+8) positions and values + 4 CRC = 119
+        planes = [np.arange(k, dtype=np.uint32) for k in (0, 1, 4)]
+        carriers = tuple((pos, np.full(pos.size, np.nan)) for pos in planes)
         path = tmp_path / "s.ldct"
         write_bundle(path, random_bundle(rng, 2, carriers))
-        assert path.stat().st_size == 31 + 12 + 12 + 24 + 40 + 4
+        assert path.stat().st_size == 31 + 12 + 12 + 60 + 4
 
     def test_flipped_byte_fails_crc(self, rng, tmp_path):
         path = tmp_path / "c.ldct"
@@ -218,10 +222,12 @@ class TestContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# Offsets in a v2 container: the 31-byte header, whose last nine bytes are
-# the key rotations, then three u32 exception counts.
+# Offsets in a v4 container: the 31-byte header, whose last nine bytes are
+# the key rotations, then three u32 position counts, then the dic planes.
+SIZE_AT = 6
 ROTATIONS_AT = 22
 COUNTS_AT = 31
+HEAD_LEN = 43
 
 
 def _reseal(blob):
@@ -229,8 +235,12 @@ def _reseal(blob):
     return blob + struct.pack("<I", zlib.crc32(blob))
 
 
+def _positions_at(n):
+    return HEAD_LEN + 3 * n * n
+
+
 class TestHostileContainer:
-    """Containers with a valid CRC whose v2 structure is inconsistent."""
+    """Containers with a valid CRC whose v4 structure is inconsistent."""
 
     @pytest.fixture()
     def body(self, rng, tmp_path):
@@ -254,17 +264,39 @@ class TestHostileContainer:
 
     def test_count_beyond_plane(self, body, tmp_path):
         struct.pack_into("<I", body, COUNTS_AT + 4, 4 * 4 + 1)
-        with pytest.raises(FormatError, match="exception count"):
+        with pytest.raises(FormatError, match="position count"):
             self._read(tmp_path, body)
 
-    def test_count_disagrees_with_sentinel_cells(self, body, tmp_path):
-        # move one count from G to R: the total size still matches
+    def test_count_moved_between_planes(self, body, tmp_path):
+        # move one count from G to R: the total size still matches, and R
+        # now ends with G's first position, cell 0
         k_r, k_g, k_b = struct.unpack_from("<3I", body, COUNTS_AT)
         struct.pack_into("<3I", body, COUNTS_AT, k_r + 1, k_g - 1, k_b)
-        with pytest.raises(FormatError, match="exception cells"):
+        with pytest.raises(FormatError, match="carrier R positions are not strictly ascending"):
             self._read(tmp_path, body)
 
-    def test_truncated_exception_values(self, body, tmp_path):
+    @pytest.mark.parametrize("edit", ["swap", "duplicate", "past_plane", "top"])
+    def test_bad_positions(self, body, tmp_path, edit):
+        at = _positions_at(4)
+        k_r = struct.unpack_from("<I", body, COUNTS_AT)[0]
+        assert k_r >= 3  # edits R's first two positions or its last one
+        last = at + 4 * (k_r - 1)
+        first, second = struct.unpack_from("<2I", body, at)
+        if edit in ("swap", "duplicate"):
+            new = (second, first) if edit == "swap" else (first, first)
+            struct.pack_into("<2I", body, at, *new)
+        else:  # still ascending, but past the 16 cells
+            struct.pack_into("<I", body, last, 16 if edit == "past_plane" else 2**32 - 1)
+        with pytest.raises(FormatError, match="carrier R positions are not strictly ascending"):
+            self._read(tmp_path, body)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_size_below_two(self, body, tmp_path, n):
+        struct.pack_into("<2I", body, SIZE_AT, n, n)
+        with pytest.raises(FormatError, match="at least 2x2"):
+            self._read(tmp_path, body)
+
+    def test_truncated_carrier_values(self, body, tmp_path):
         with pytest.raises(FormatError, match="size"):
             self._read(tmp_path, body[:-8])
 
@@ -273,16 +305,145 @@ class TestHostileContainer:
             self._read(tmp_path, body + struct.pack("<d", 1.5))
 
     def test_v1_container_rejected(self, body, rng, tmp_path):
-        # the v1 layout: raw float64 carriers and no exception counts
+        # the v1 layout: raw float64 carrier planes and no exception counts
         bundle = random_bundle(rng, 4)
         blob = struct.pack("<4sHIIBB", b"LDCT", 1, 4, 4, 3, 0)
         blob += struct.pack("<3H", *bundle.shifts)
         blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
         blob += b"".join(p.tobytes() for p in bundle.dic)
-        blob += b"".join(p.astype("<f8").tobytes() for p in bundle.carriers)
+        blob += rng.uniform(0, 766, 3 * 16).astype("<f8").tobytes()
         with pytest.raises(FormatError, match="unsupported container version 1"):
             self._read(tmp_path, blob)
         # v2 has v3's layout over the old keystream: it would decrypt to garbage
         struct.pack_into("<H", body, 4, 2)
         with pytest.raises(FormatError, match="unsupported container version 2"):
             self._read(tmp_path, body)
+
+    def test_v3_container_rejected(self, rng, tmp_path):
+        # the v3 layout: exception counts, the dic planes, every carrier
+        # cell as u16 (0xFFFF marks an exception), then the exceptions
+        bundle = random_bundle(rng, 4)
+        blob = struct.pack("<4sHIIBB", b"LDCT", 3, 4, 4, 3, 0)
+        blob += struct.pack("<3H", *bundle.shifts)
+        blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
+        blob += struct.pack("<3I", 1, 1, 1)
+        blob += b"".join(p.tobytes() for p in bundle.dic)
+        cells = rng.integers(0, 766, 16).astype("<u2")
+        cells[0] = 0xFFFF
+        blob += cells.tobytes() * 3 + struct.pack("<3d", 1.5, 2.5, 3.5)
+        with pytest.raises(FormatError, match="unsupported container version 3"):
+            self._read(tmp_path, blob)
+
+
+@lru_cache(maxsize=1)
+def _valid_container():
+    """A real 8 x 8 container without its CRC, its bundle, and the twin
+    sums under each carrier's positions."""
+    rng = np.random.default_rng(8)
+    bundle = encrypt_image(random_image(rng, 8), KEYS)
+    schedules = _schedules(KEYS, bundle.shifts, bundle.n)
+    twins = tuple(s.twin.ravel()[pos] for s, pos in zip(schedules, bundle.positions))
+    fd, path = tempfile.mkstemp(suffix=".ldct")
+    os.close(fd)
+    try:
+        write_bundle(path, bundle)
+        with open(path, "rb") as f:
+            body = f.read()[:-4]
+    finally:
+        os.unlink(path)
+    return body, bundle, twins
+
+
+@st.composite
+def mutations(draw):
+    """A valid v4 container body (no CRC) with one hostile edit."""
+    body, bundle, twins = _valid_container()
+    body = bytearray(body)
+    n, counts = bundle.n, [p.size for p in bundle.positions]
+    before = np.cumsum([0] + counts[:2]).tolist()  # cells of the carriers ahead of each
+    starts = [_positions_at(n) + 4 * b for b in before]
+    value_starts = [_positions_at(n) + 4 * sum(counts) + 8 * b for b in before]
+    plane = draw(st.integers(0, 2))
+    i = draw(st.integers(0, counts[plane] - 1))
+    kind = draw(
+        st.sampled_from(
+            ["size", "counts", "length", "swap", "duplicate", "position", "last", "value", "twin"]
+        )
+    )
+    if kind == "size":
+        w = draw(st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1)))
+        h = draw(st.one_of(st.just(w), st.integers(0, 2**32 - 1)))
+        struct.pack_into("<2I", body, SIZE_AT, w, h)
+    elif kind == "counts":
+        new = draw(
+            st.one_of(
+                st.permutations(counts),  # sizes still match
+                st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+            )
+        )
+        struct.pack_into("<3I", body, COUNTS_AT, *new)
+    elif kind == "length":
+        cut = draw(st.integers(0, len(body) - 1))
+        extra = draw(st.binary(max_size=24))
+        body = body[:cut] + extra if draw(st.booleans()) else body + extra
+    elif kind in ("swap", "duplicate"):
+        j = draw(st.integers(0, counts[plane] - 1))
+        a, b = starts[plane] + 4 * i, starts[plane] + 4 * j
+        if kind == "swap":
+            body[a : a + 4], body[b : b + 4] = body[b : b + 4], body[a : a + 4]
+        else:
+            body[a : a + 4] = body[b : b + 4]
+    elif kind in ("position", "last"):
+        if kind == "last":  # keeps the order, so only the range can fail
+            i = counts[plane] - 1
+        cell = draw(st.one_of(st.integers(0, n * n + 4), st.integers(0, 2**32 - 1)))
+        struct.pack_into("<I", body, starts[plane] + 4 * i, cell)
+    elif kind == "value":
+        struct.pack_into("<d", body, value_starts[plane] + 8 * i, draw(VALUES))
+    else:  # the bare twin sum: a cell that carries no coefficient
+        struct.pack_into("<d", body, value_starts[plane] + 8 * i, float(twins[plane][i]))
+    return bytes(body)
+
+
+class TestMutatedContainer:
+    """Every hostile edit of a valid container, resealed with a valid CRC,
+    either raises FormatError or decrypts to a valid image, and the CLI
+    exits 2 or 0 accordingly, never with an uncaught exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=mutations())
+    def test_formaterror_or_valid_image(self, blob, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated.ldct"
+        path.write_bytes(_reseal(blob))
+        try:
+            bundle = read_bundle(path)
+        except FormatError:
+            readable = False
+        else:
+            readable = True
+            img = decrypt_image(bundle, KEYS)
+            assert isinstance(img, ImageRGB) and img.width == img.height == bundle.n
+        out = tmp_path_factory.getbasetemp() / "mutated.ppm"
+        rc = cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS)
+        assert rc == (0 if readable else 2)
+
+    def test_every_twin_valued_cell_drops_its_coefficient(self, tmp_path):
+        body, bundle, twins = _valid_container()
+        n, counts = bundle.n, [p.size for p in bundle.positions]
+        values_at = _positions_at(n) + 4 * sum(counts)
+        bare = np.concatenate(twins).astype("<f8").tobytes()
+        blob = body[:values_at] + bare
+        path = tmp_path / "bare.ldct"
+        path.write_bytes(_reseal(blob))
+        # no coefficient is left: each plane decrypts to the difference plane alone
+        out = decrypt_image(read_bundle(path), KEYS)
+        empty = CipherBundle(
+            n=n,
+            shifts=bundle.shifts,
+            rotations=bundle.rotations,
+            dic=bundle.dic,
+            positions=(np.empty(0, np.uint32),) * 3,
+            carriers=(np.empty(0),) * 3,
+        )
+        for a, b in zip(out.planes, decrypt_image(empty, KEYS).planes):
+            assert np.array_equal(a, b)
