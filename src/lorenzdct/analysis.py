@@ -54,7 +54,7 @@ _JUMP_A, _JUMP_C = _lcg_jumps(_LCG_BLOCK)
 
 
 @functools.lru_cache(maxsize=4)
-def _lcg_distinct(seed: int, total: int, count: int) -> np.ndarray:
+def _lcg_distinct(total: int, count: int) -> np.ndarray:
     """The first `count` distinct draws state % total of the LCG, in draw order.
 
     Equal to drawing one state at a time and rejecting repeats, but a block
@@ -64,7 +64,7 @@ def _lcg_distinct(seed: int, total: int, count: int) -> np.ndarray:
     samples of an n=1024 analyze share two sets) and returned read-only.
     """
     mask = np.uint64(_LCG_M - 1)
-    state = np.uint64(seed % _LCG_M)
+    state = np.uint64(DEFAULT_SCATTER_SEED)
     seen = np.zeros(total, dtype=bool)
     chosen = [np.empty(0, dtype=np.intp)]
     need = count
@@ -299,9 +299,7 @@ class ScatterSample:
         self.pairs.setflags(write=False)
 
 
-def scatter_sample(
-    plane, direction: str, count: int, seed: int = DEFAULT_SCATTER_SEED
-) -> ScatterSample:
+def scatter_sample(plane, direction: str, count: int) -> ScatterSample:
     """Deterministic sample of `count` distinct adjacent-pixel pairs.
 
     Indices are drawn from a fixed linear congruential generator (duplicates
@@ -316,9 +314,9 @@ def scatter_sample(
     if count == total:
         idx = np.arange(total)
     else:
-        idx = _lcg_distinct(seed, total, count)
+        idx = _lcg_distinct(total, count)
     pairs = np.stack([cf[idx], df[idx]], axis=1)
-    return ScatterSample(direction, seed, pairs)
+    return ScatterSample(direction, DEFAULT_SCATTER_SEED, pairs)
 
 
 @dataclass

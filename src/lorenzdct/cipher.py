@@ -26,18 +26,28 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError
 from .keystream import build_round_keystream
-from .lorenz import SecretKey
+from .lorenz import SecretKey, check_rotations
 
 COMPONENT_NAMES = ("R", "G", "B")
 
 DEFAULT_SHIFTS = (3, 7, 13)
+
+
+def _check_shifts(shifts) -> tuple[int, int, int]:
+    # Three integers (int or np.integer, not bool) in the container's u16 range.
+    if len(shifts) != 3 or not all(
+        isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s <= 0xFFFF
+        for s in shifts
+    ):
+        raise ValueError("shift schedule must be three integers in [0, 65535]")
+    return tuple(int(s) for s in shifts)
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,11 @@ class CipherBundle:
     coefficients of each component ride in a sparse carrier: positions, the
     strictly ascending flat cells of the row-rotated n x n plane that hold a
     coefficient, and carriers, the doubles twin + log10 at those cells.  The
-    shift and rotation schedules ride along so they do not have to be
-    re-entered.  Raises DimensionMismatchError when a plane or a carrier
-    disagrees in shape, and ValueError when positions are not strictly
-    ascending integers below n * n.
+    shift and rotation schedules ride along; decrypt reads them from here.
+    Raises ValueError unless shifts are three integers in [0, 65535] and
+    rotations three triples of ints in [0, 47] (InvalidKeyError), or when
+    positions are not strictly ascending integers below n * n, and
+    DimensionMismatchError when a plane or a carrier disagrees in shape.
     """
 
     n: int
@@ -90,6 +101,10 @@ class CipherBundle:
     carriers: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
+        if len(self.rotations) != 3:
+            raise ValueError("a bundle needs three rotation triples, one per key")
+        object.__setattr__(self, "shifts", _check_shifts(self.shifts))
+        object.__setattr__(self, "rotations", tuple(map(check_rotations, self.rotations)))
         for p in self.dic:
             if p.shape != (self.n, self.n):
                 raise DimensionMismatchError("bundle plane shape disagrees with header")
@@ -236,14 +251,6 @@ def log_inverse(positions, logs, n: int) -> SparseCoeffs:
     return SparseCoeffs((n, n), i, (i + j) % n, values, 1.0)
 
 
-def _check_schedule(keys: Sequence[SecretKey], shifts: Sequence[int]):
-    if len(keys) != 3:
-        raise ValueError("exactly three secret keys are required")
-    if len(shifts) != 3 or any(not (0 <= int(s) <= 0xFFFF) for s in shifts):
-        raise ValueError("shift schedule must be three integers in [0, 65535]")
-    return tuple(int(s) for s in shifts)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
@@ -276,6 +283,8 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     at a time and dropped, so a miss never holds all three rounds (3 bytes
     per pixel each) nor an earlier schedule.
     """
+    if len(keys) != 3:
+        raise ValueError("exactly three secret keys are required")
     _schedules.cache_clear()  # free the previous schedules before building
     maps = [_identity(n * n) for _ in range(3)]
     twins = [np.zeros((n, n), dtype=np.uint16) for _ in range(3)]
@@ -311,7 +320,7 @@ def encrypt_image(
     n = img.width
     if n < 2:
         raise ValueError("image must be at least 2x2")
-    shifts = _check_schedule(keys, shifts)
+    shifts = _check_shifts(shifts)
 
     dics, positions, carriers = [], [], []
     for plane, sched in zip(img.planes, _schedules(tuple(keys), shifts, n)):
@@ -333,20 +342,14 @@ def encrypt_image(
     )
 
 
-def decrypt_image(
-    bundle: CipherBundle,
-    keys: Sequence[SecretKey],
-    shifts: Optional[Sequence[int]] = None,
-) -> ImageRGB:
-    """Invert encrypt_image given the same keys.
+def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:
+    """Invert encrypt_image given the same keys, under the bundle's shifts.
 
     A wrong key produces garbage rather than an error: there is no
     authentication, so the pipeline sanitizes any overflowing coefficient
     reconstruction and always returns a valid image.
     """
-    shifts = _check_schedule(keys, bundle.shifts if shifts is None else shifts)
-
-    schedules = _schedules(tuple(keys), shifts, bundle.n)
+    schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
     planes = []
     carriers = zip(bundle.positions, bundle.carriers)
     for dic, (pos, carried), sched in zip(bundle.dic, carriers, schedules):

@@ -52,6 +52,13 @@ def _rotation_schedule(text):
     return (values[0:3], values[3:6], values[6:9])
 
 
+def _single_key(args):
+    """The one key of lorenz and keystream; their --rotations takes 3 values."""
+    if args.rotations is None:
+        return SecretKey(args.key)
+    return SecretKey(args.key, _parse_ints(args.rotations, "--rotations", (3,)))
+
+
 def _keys(args, rotations):
     return tuple(
         SecretKey(chars, rot)
@@ -67,19 +74,18 @@ def _build_parser() -> _Parser:
         sp.add_argument("--key1", required=True, help="first 6-character key")
         sp.add_argument("--key2", required=True, help="second 6-character key")
         sp.add_argument("--key3", required=True, help="third 6-character key")
-        sp.add_argument("--rotations", help="3 or 9 comma-separated rotation counts")
 
     enc = sub.add_parser("encrypt", help="encrypt a square P6 PPM into a container")
     enc.add_argument("--in", dest="infile", required=True)
     enc.add_argument("--out", dest="outfile", required=True)
     add_keys(enc)
+    enc.add_argument("--rotations", help="3 or 9 comma-separated rotation counts")
     enc.add_argument("--shifts", help="3 comma-separated per-round shifts")
 
     dec = sub.add_parser("decrypt", help="decrypt a container back to a P6 PPM")
     dec.add_argument("--in", dest="infile", required=True)
     dec.add_argument("--out", dest="outfile", required=True)
     add_keys(dec)
-    dec.add_argument("--shifts", help="override the shifts stored in the container")
 
     ana = sub.add_parser("analyze", help="statistical report for image/cipher pairs")
     ana.add_argument("--original", required=True)
@@ -93,7 +99,7 @@ def _build_parser() -> _Parser:
     lor = sub.add_parser("lorenz", help="dump a key's trajectory as CSV")
     lor.add_argument("--key", required=True)
     lor.add_argument("--dump", required=True)
-    lor.add_argument("--rotations")
+    lor.add_argument("--rotations", help="3 comma-separated rotation counts")
     lor.add_argument("--t-end", type=float, default=50.0)
     lor.add_argument("--dt", type=float, default=0.001)
 
@@ -101,7 +107,7 @@ def _build_parser() -> _Parser:
     ks.add_argument("--key", required=True)
     ks.add_argument("--size", type=int, required=True)
     ks.add_argument("--out-dir", dest="out_dir", required=True)
-    ks.add_argument("--rotations")
+    ks.add_argument("--rotations", help="3 comma-separated rotation counts")
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return p
@@ -120,11 +126,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     bundle = read_bundle(args.infile)
-    rotations = (
-        _rotation_schedule(args.rotations) if args.rotations else bundle.rotations
-    )
-    shifts = _parse_ints(args.shifts, "--shifts", (3,)) if args.shifts else None
-    img = decrypt_image(bundle, _keys(args, rotations), shifts)
+    img = decrypt_image(bundle, _keys(args, bundle.rotations))
     save_ppm(args.outfile, img)
     return 0
 
@@ -183,8 +185,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
-    rotations = _rotation_schedule(args.rotations)[0]
-    key = SecretKey(args.key, rotations)
+    key = _single_key(args)
     traj = integrate(LorenzParams(), derive_initial_conditions(key), args.t_end, args.dt)
     _write_csv(
         args.dump,
@@ -198,8 +199,7 @@ def _cmd_lorenz(args) -> int:
 
 
 def _cmd_keystream(args) -> int:
-    rotations = _rotation_schedule(args.rotations)[0]
-    key = SecretKey(args.key, rotations)
+    key = _single_key(args)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, k in zip(("xy", "xz", "yz"), build_round_keystream(key, args.size)):
         row_orders, col_orders = line_orders(k)

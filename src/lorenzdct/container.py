@@ -36,23 +36,20 @@ import numpy as np
 
 from .cipher import CipherBundle
 from .errors import FormatError
-from .lorenz import _KEY_BITS
 
 MAGIC = b"LDCT"
 VERSION = 4
 ROUNDS = 3
 
 _FIXED = struct.Struct("<4sHIIBB")
+_SCHEDULE = struct.Struct(f"<{ROUNDS}H{3 * ROUNDS}B")  # the shifts, then each key's rotations
 _COUNTS = struct.Struct("<3I")
-_HEAD_LEN = _FIXED.size + 2 * ROUNDS + 3 * ROUNDS + _COUNTS.size
+_HEAD_LEN = _FIXED.size + _SCHEDULE.size + _COUNTS.size
 
 
 def header_bytes(bundle: CipherBundle) -> bytes:
     head = _FIXED.pack(MAGIC, VERSION, bundle.n, bundle.n, ROUNDS, 0)
-    head += struct.pack(f"<{ROUNDS}H", *bundle.shifts)
-    for rot in bundle.rotations:
-        head += struct.pack("<3B", *rot)
-    return head
+    return head + _SCHEDULE.pack(*bundle.shifts, *(r for rot in bundle.rotations for r in rot))
 
 
 def write_bundle(path, bundle: CipherBundle):
@@ -77,9 +74,9 @@ def read_bundle(path) -> CipherBundle:
 
     The header is checked first (magic, version, rounds, flags, a square
     size of at least 2), then the size against the header and the counts,
-    then the CRC, then the key rotations, then each carrier's positions
-    (strictly ascending, below width * height).  Every failure raises
-    FormatError.
+    then the CRC.  `CipherBundle` then checks the key rotations (each below
+    48) and each carrier's positions (strictly ascending, below width *
+    height).  Every failure raises FormatError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -118,17 +115,8 @@ def read_bundle(path) -> CipherBundle:
             f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
         )
 
-    off = _FIXED.size
-    shifts = struct.unpack_from(f"<{ROUNDS}H", blob, off)
-    off += 2 * ROUNDS
-    rotations = []
-    for _ in range(ROUNDS):
-        rotations.append(struct.unpack_from("<3B", blob, off))
-        off += 3
-    top = max(r for rot in rotations for r in rot)
-    if top >= _KEY_BITS:
-        raise FormatError(f"key rotation {top} outside [0, {_KEY_BITS - 1}]")
-    off += _COUNTS.size
+    schedule = _SCHEDULE.unpack_from(blob, _FIXED.size)
+    off = _HEAD_LEN
 
     def take(dtype, count):
         nonlocal off
@@ -142,8 +130,8 @@ def read_bundle(path) -> CipherBundle:
     try:
         return CipherBundle(
             n=width,
-            shifts=shifts,
-            rotations=tuple(rotations),
+            shifts=schedule[:ROUNDS],
+            rotations=tuple(schedule[i : i + 3] for i in range(ROUNDS, 4 * ROUNDS, 3)),
             dic=dic,
             positions=positions,
             carriers=carriers,

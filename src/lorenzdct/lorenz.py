@@ -61,6 +61,16 @@ class State3:
         return (self.x, self.y, self.z)
 
 
+def check_rotations(rotations) -> tuple[int, int, int]:
+    """One key's rotations as a tuple; InvalidKeyError unless three ints in [0, 47]."""
+    if len(rotations) != 3:
+        raise InvalidKeyError("exactly three rotation counts are required")
+    for r in rotations:
+        if isinstance(r, bool) or not (isinstance(r, int) and 0 <= r < _KEY_BITS):
+            raise InvalidKeyError(f"rotation {r!r} outside [0, {_KEY_BITS - 1}]")
+    return tuple(rotations)
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """Six printable characters plus three cyclic rotation counts.
@@ -82,11 +92,7 @@ class SecretKey:
                 raise InvalidKeyError(
                     f"key character {ch!r} outside printable range 32..126"
                 )
-        if len(self.rotations) != 3:
-            raise InvalidKeyError("exactly three rotation counts are required")
-        for r in self.rotations:
-            if not (isinstance(r, int) and 0 <= r < _KEY_BITS):
-                raise InvalidKeyError(f"rotation {r!r} outside [0, {_KEY_BITS - 1}]")
+        object.__setattr__(self, "rotations", check_rotations(self.rotations))
 
     def bits(self) -> int:
         """The 48-bit integer: first character is the most significant byte."""

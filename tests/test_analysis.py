@@ -37,9 +37,9 @@ PSNR_OFF_BY_ONE = 48.1308036086791  # 20*log10(255), hand-evaluated
 GOLDEN_ALL_BUT_ONE_1024 = "050ff84091112375d0a450044aef8a683e99599baa167b95795017b86a6d9605"
 
 
-def ref_scatter_indices(total, count, seed=DEFAULT_SCATTER_SEED):
+def ref_scatter_indices(total, count):
     """The sequential sampler: one LCG draw at a time, repeats rejected."""
-    state = seed % 2**32
+    state = DEFAULT_SCATTER_SEED
     chosen, seen = [], set()
     while len(chosen) < count:
         state = (1664525 * state + 1013904223) % 2**32
@@ -334,8 +334,8 @@ class TestScatterSample:
             assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
 
     def test_memoized_indices_are_read_only(self):
-        idx = _lcg_distinct(DEFAULT_SCATTER_SEED, 1000, 50)
-        assert _lcg_distinct(DEFAULT_SCATTER_SEED, 1000, 50) is idx
+        idx = _lcg_distinct(1000, 50)
+        assert _lcg_distinct(1000, 50) is idx
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0] = 0
@@ -343,7 +343,7 @@ class TestScatterSample:
 
     def test_all_but_one_pair_at_1024(self):
         total = 1024 * 1023
-        idx = _lcg_distinct(DEFAULT_SCATTER_SEED, total, total - 1)
+        idx = _lcg_distinct(total, total - 1)
         assert np.unique(idx).size == total - 1
         assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == GOLDEN_ALL_BUT_ONE_1024
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_io import BAD_SHIFTS
 
 import lorenzdct.cipher as cipher
 from lorenzdct.analysis import adjacent_correlation, correlation
@@ -280,6 +282,17 @@ class TestScheduleCache:
         decrypt_image(bundle, keys)
         assert len(calls) == 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(shifts=BAD_SHIFTS)
+    def test_bad_shifts_refused_before_any_keystream(self, image_a, keys, shifts):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cipher, "build_round_keystream", lambda key, n: calls.append(key))
+            _schedules.cache_clear()
+            with pytest.raises(ValueError, match="shift schedule"):
+                encrypt_image(image_a, keys, shifts)
+        assert calls == []
+
     def test_held_schedules_within_33_bytes_per_pixel(self, keys):
         n = 256
         for k in keys:
@@ -470,7 +483,7 @@ class TestPipeline:
                 assert abs(adjacent_correlation(dec, direction)) <= 0.1
 
     def test_shift_schedule_matters(self, image_a, bundle_a, keys):
-        out = decrypt_image(bundle_a, keys, shifts=(13, 7, 3))
+        out = decrypt_image(dataclasses.replace(bundle_a, shifts=(13, 7, 3)), keys)
         assert any(
             not np.array_equal(a, b) for a, b in zip(image_a.planes, out.planes)
         )
@@ -485,6 +498,8 @@ class TestPipeline:
             encrypt_image(image_a, keys, shifts=(1, 2))
         with pytest.raises(ValueError):
             encrypt_image(image_a, keys, shifts=(1, 2, 70000))
+        with pytest.raises(ValueError):  # not coerced with int()
+            encrypt_image(image_a, keys, shifts=(3.9, "7", 13))
 
     def test_bundle_records_schedules(self, bundle_a, keys):
         assert bundle_a.shifts == (3, 7, 13)

@@ -11,6 +11,7 @@ from synthimg import make_image
 
 import lorenzdct
 from lorenzdct.cli import cli_main
+from lorenzdct.container import read_bundle
 from lorenzdct.ppm import load_ppm, save_ppm
 
 KEY_ARGS = ["--key1", "key(A)", "--key2", "key(B)", "--key3", "key(C)"]
@@ -211,16 +212,49 @@ def test_oversized_ppm_header_is_data_error(tmp_path, capsys):
 def test_rotations_roundtrip_through_bundle(small_ppm, tmp_path):
     bundle = tmp_path / "img.ldct"
     dec = tmp_path / "dec.ppm"
-    rc = cli_main(
-        ["encrypt", "--in", str(small_ppm), "--out", str(bundle), "--rotations", "1,2,3"]
-        + KEY_ARGS
-    )
-    assert rc == 0
-    # decrypt picks the rotation schedule up from the container header
-    assert cli_main(["decrypt", "--in", str(bundle), "--out", str(dec)] + KEY_ARGS) == 0
-    orig, back = load_ppm(small_ppm), load_ppm(dec)
-    for a, b in zip(orig.planes, back.planes):
-        assert np.array_equal(a, b)
+    cases = [
+        (["--rotations", "1,2,3"], (3, 7, 13), ((1, 2, 3),) * 3),
+        (
+            ["--rotations", "1,2,3,4,5,6,7,8,9", "--shifts", "5,11,2"],
+            (5, 11, 2),
+            ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ),
+    ]
+    for options, shifts, rotations in cases:
+        rc = cli_main(
+            ["encrypt", "--in", str(small_ppm), "--out", str(bundle)] + options + KEY_ARGS
+        )
+        assert rc == 0
+        header = read_bundle(bundle)
+        assert header.shifts == shifts and header.rotations == rotations
+        # decrypt picks both schedules up from the container header
+        assert cli_main(["decrypt", "--in", str(bundle), "--out", str(dec)] + KEY_ARGS) == 0
+        orig, back = load_ppm(small_ppm), load_ppm(dec)
+        for a, b in zip(orig.planes, back.planes):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("option", [["--shifts", "3,7,13"], ["--rotations", "5,11,17"]])
+def test_decrypt_takes_no_schedule_options(small_ppm, tmp_path, capsys, option):
+    bundle = tmp_path / "img.ldct"
+    assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(bundle)] + KEY_ARGS) == 0
+    capsys.readouterr()
+    dec = ["decrypt", "--in", str(bundle), "--out", str(tmp_path / "dec.ppm")]
+    assert cli_main(dec + option + KEY_ARGS) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rotations", ["1,2,3,4,5,6,7,8,9", "1,2"])
+def test_single_key_commands_take_three_rotations(tmp_path, capsys, rotations):
+    commands = [
+        ["lorenz", "--key", "key(A)", "--t-end", "0.01", "--dump", str(tmp_path / "t.csv")],
+        ["keystream", "--key", "key(A)", "--size", "4", "--out-dir", str(tmp_path / "ks")],
+    ]
+    for command in commands:
+        assert cli_main(command + ["--rotations", rotations]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --rotations needs 3 values")
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "ks").exists()
 
 
 def test_lorenz_dump(tmp_path):

@@ -34,12 +34,14 @@ def random_carrier(rng, n):
     return pos, rng.integers(0, 766, pos.size) + rng.uniform(-4.9, 4.9, pos.size)
 
 
-def random_bundle(rng, n, carriers=None):
+def random_bundle(
+    rng, n, carriers=None, shifts=(3, 7, 13), rotations=((5, 11, 17), (1, 2, 3), (40, 0, 47))
+):
     carriers = carriers or tuple(random_carrier(rng, n) for _ in range(3))
     return CipherBundle(
         n=n,
-        shifts=(3, 7, 13),
-        rotations=((5, 11, 17), (1, 2, 3), (40, 0, 47)),
+        shifts=shifts,
+        rotations=rotations,
         dic=tuple(rng.integers(0, 256, (n, n), dtype=np.uint8) for _ in range(3)),
         positions=tuple(pos for pos, _ in carriers),
         carriers=tuple(values for _, values in carriers),
@@ -68,6 +70,41 @@ def carriers(draw):
         values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
         planes.append((np.array(cells, np.uint32), np.array(values, np.float64)))
     return n, tuple(planes)
+
+
+# Schedules a bundle carries: shifts over the container's u16 range, as ints
+# or numpy integers, and rotations over the 48 key bits, edges drawn often.
+SHIFT = st.builds(
+    lambda value, cast: cast(value),
+    st.one_of(st.sampled_from([0, 0xFFFF]), st.integers(0, 0xFFFF)),
+    st.sampled_from([int, np.uint16, np.int64]),
+)
+ROTATION = st.one_of(st.sampled_from([0, 47]), st.integers(0, 47))
+SHIFTS = st.tuples(SHIFT, SHIFT, SHIFT)
+TRIPLE = st.tuples(ROTATION, ROTATION, ROTATION)
+ROTATIONS = st.tuples(TRIPLE, TRIPLE, TRIPLE)
+NOT_INTEGER = st.sampled_from(["7", 3.9, 7.0, True, False, np.bool_(True), None])
+
+
+@st.composite
+def spoiled(draw, valid, bad):
+    """A draw of the tuple strategy `valid` with a wrong length, or with one
+    entry replaced by a draw of `bad`."""
+    values = list(draw(valid))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    else:
+        values = (values * 2)[: draw(st.sampled_from([0, 1, 2, 4]))]
+    return tuple(values)
+
+
+BAD_SHIFTS = spoiled(
+    SHIFTS, st.one_of(NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=0x10000))
+)
+BAD_ROTATIONS = spoiled(
+    ROTATIONS,
+    spoiled(TRIPLE, st.one_of(NOT_INTEGER, st.integers(max_value=-1), st.integers(min_value=48))),
+)
 
 
 class TestPpm:
@@ -220,6 +257,36 @@ class TestContainer:
         write_bundle(p1, bundle)
         write_bundle(p2, bundle)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBundleSchedule:
+    """CipherBundle checks the schedules it carries, so every bundle that
+    constructs is written and read back unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shifts=SHIFTS, rotations=ROTATIONS)
+    def test_valid_schedule_roundtrips(self, shifts, rotations, tmp_path_factory):
+        bundle = random_bundle(np.random.default_rng(0), 2, shifts=shifts, rotations=rotations)
+        assert bundle.shifts == shifts and bundle.rotations == rotations
+        assert all(type(s) is int for s in bundle.shifts)
+        path = tmp_path_factory.getbasetemp() / "schedule.ldct"
+        write_bundle(path, bundle)
+        back = read_bundle(path)
+        assert back.shifts == bundle.shifts and back.rotations == bundle.rotations
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=st.one_of(st.tuples(BAD_SHIFTS, ROTATIONS), st.tuples(SHIFTS, BAD_ROTATIONS)))
+    def test_invalid_schedule_refused_at_construction(self, schedule):
+        # refused here, such a bundle never reaches write_bundle's u16/u8 packing
+        shifts, rotations = schedule
+        with pytest.raises(ValueError):
+            random_bundle(np.random.default_rng(0), 2, shifts=shifts, rotations=rotations)
+
+    def test_out_of_range_messages(self, rng):
+        with pytest.raises(ValueError, match=r"rotation 100 outside \[0, 47\]"):
+            random_bundle(rng, 2, rotations=((5, 11, 17), (1, 2, 100), (0, 0, 0)))
+        with pytest.raises(ValueError, match=r"three integers in \[0, 65535\]"):
+            random_bundle(rng, 2, shifts=(3, 7, 70000))
 
 
 # Offsets in a v4 container: the 31-byte header, whose last nine bytes are

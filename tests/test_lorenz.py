@@ -43,6 +43,14 @@ class TestSecretKey:
             SecretKey("abcdef", (0, 1, 48))
         with pytest.raises(InvalidKeyError):
             SecretKey("abcdef", (0, 1))
+        with pytest.raises(InvalidKeyError):  # a bool is not a rotation count
+            SecretKey("abcdef", (0, True, 2))
+
+    def test_rotations_stored_as_a_tuple(self):
+        # a list would make the key unhashable, and the cipher caches by key
+        key = SecretKey("abcdef", [1, 2, 3])
+        assert key.rotations == (1, 2, 3)
+        assert hash(key) == hash(SecretKey("abcdef", (1, 2, 3)))
 
     def test_bits_big_endian_first_char(self):
         assert SecretKey("A     ").bits() >> 40 == 65
