@@ -9,6 +9,14 @@ add non-integer terms in numpy's reduction order, and entropy and PSNR call
 log2/log10.  The scatter sampler is the one deliberately sampled quantity
 and therefore runs on a fixed-seed linear congruential generator whose seed
 is recorded in its output.
+
+The histogram and the difference metrics work on bytes.  A plane enters as
+uint8; any other dtype must hold integers in 0..255 and is cast, and
+anything else raises ValueError.  `histogram` counts two bytes per bin (one
+bincount of the plane viewed as uint16, folded from a 256x256 table of byte
+pairs).  NPCR, UACI, MAE, MSE and PSNR all come from one uint8 plane
+|a - b|: NPCR, MAE and MSE from its histogram as exact integer sums, and
+UACI as the mean of that plane divided by 255.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ _LCG_M = 1 << 32
 _LCG_BLOCK = 4096  # states drawn per vectorized step
 DEFAULT_SCATTER_SEED = 0x5EED
 _EXACT_SUM_LIMIT = 1 << 53  # float64 holds every integer up to here exactly
+_BYTE_VALUES = np.arange(256, dtype=np.int64)
 
 
 def _lcg_jumps(steps: int):
@@ -82,20 +91,45 @@ def _lcg_distinct(total: int, count: int) -> np.ndarray:
     return idx
 
 
-def histogram(plane) -> np.ndarray:
-    """Counts of each byte value 0..255; counts sum to the pixel count.
+def _bytes(plane) -> np.ndarray:
+    """The plane as uint8, the one domain of the byte statistics.
 
-    A value that is not an integer in 0..255 raises ValueError rather than
-    wrapping into another bin.
+    uint8 passes through, integer values in 0..255 of any other dtype are
+    cast, and anything else raises ValueError rather than wrapping into
+    another byte.
     """
     plane = np.asarray(plane)
     if plane.dtype != np.uint8:
         with np.errstate(invalid="ignore"):
             as_bytes = plane.astype(np.uint8)
         if not np.array_equal(as_bytes, plane):
-            raise ValueError("histogram needs integer values in 0..255")
+            raise ValueError("byte statistics need integer values in 0..255")
         plane = as_bytes
-    return np.bincount(plane.ravel(), minlength=256)
+    return plane
+
+
+def histogram(plane) -> np.ndarray:
+    """Counts of each byte value 0..255; counts sum to the pixel count.
+
+    A value that is not an integer in 0..255 raises ValueError rather than
+    wrapping into another bin.  The bytes are counted two at a time: one
+    bincount of the plane viewed as uint16 fills a 256x256 table of byte
+    pairs, whose row sums count one byte of each pair and whose column sums
+    count the other, whatever the machine's byte order.  An odd last byte
+    is counted on its own.
+    """
+    flat = np.ascontiguousarray(_bytes(plane)).reshape(-1)
+    even = flat.size & ~1
+    table = np.bincount(flat[:even].view(np.uint16), minlength=1 << 16).reshape(256, 256)
+    counts = table.sum(axis=0) + table.sum(axis=1)
+    if even < flat.size:
+        counts[flat[-1]] += 1
+    return counts
+
+
+def _byte_sums(counts: np.ndarray) -> tuple[int, int]:
+    """(sum v, sum v**2) over the bytes a histogram counts, as exact ints."""
+    return int(counts @ _BYTE_VALUES), int(counts @ (_BYTE_VALUES * _BYTE_VALUES))
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -224,23 +258,24 @@ def adjacent_correlation(plane, direction: str) -> float:
 
 
 def _differences(a, b) -> dict:
-    """NPCR, UACI, MAE, MSE and PSNR of planes a (the original) and b.
+    """NPCR, UACI, MAE, MSE and PSNR of byte planes a (the original) and b.
 
-    One float64 difference plane serves all five.  Its square sum and
-    absolute sum are exact for integer-valued planes; UACI divides by 255
+    One uint8 plane |a - b| serves all five.  From its histogram, NPCR is
+    the count of non-zero differences, and MAE and MSE are the exact
+    integer sums of v * count and v**2 * count, each divided (correctly
+    rounded) by the pixel count.  UACI divides each difference by 255
     before its mean.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatchError("difference metric operands must share dimensions")
-    d = np.subtract(a, b, dtype=np.float64).ravel()
-    n = d.size
-    changed = float(np.count_nonzero(d))
-    square_mean = float(np.einsum("i,i->", d, d)) / n
-    np.abs(d, out=d)
-    abs_mean = float(np.mean(d))
-    d /= 255.0
-    scaled_mean = float(np.mean(d))
+    a, b = _bytes(a), _bytes(b)
+    absd = np.maximum(a, b)
+    absd -= np.minimum(a, b)
+    counts = histogram(absd)
+    n = absd.size
+    abs_sum, square_sum = _byte_sums(counts)
+    square_mean = square_sum / n
     peak = float(np.max(a))
     if square_mean == 0.0:
         peak_ratio = math.inf
@@ -249,9 +284,9 @@ def _differences(a, b) -> dict:
     else:
         peak_ratio = 20.0 * math.log10(peak / math.sqrt(square_mean))
     return {
-        "npcr": changed / n * 100.0,
-        "uaci": scaled_mean * 100.0,
-        "mae": abs_mean,
+        "npcr": (n - int(counts[0])) / n * 100.0,
+        "uaci": float(np.mean(absd.ravel() / 255.0)) * 100.0,
+        "mae": abs_sum / n,
         "mse": square_mean,
         "psnr": peak_ratio,
     }
@@ -306,16 +341,22 @@ def scatter_sample(plane, direction: str, count: int) -> ScatterSample:
     rejected); asking for every available pair returns the full population
     in row-major order.
     """
-    c, d = _adjacent_views(plane, direction)
-    cf, df = c.ravel(), d.ravel()
-    total = cf.size
+    plane = np.asarray(plane)
+    c, _ = _adjacent_views(plane, direction)
+    total = c.size
     if not 0 <= count <= total:
         raise ValueError(f"count {count} outside 0..{total} available pairs")
     if count == total:
         idx = np.arange(total)
     else:
         idx = _lcg_distinct(total, count)
-    pairs = np.stack([cf[idx], df[idx]], axis=1)
+    # The view drops the plane's last dr rows and dc columns, and the
+    # neighbor of plane cell k is cell k + dr * width + dc.
+    height, width = plane.shape
+    dr, dc = height - c.shape[0], width - c.shape[1]
+    at = idx + idx // c.shape[1] * dc  # row-major view index -> plane index
+    flat = plane.reshape(-1)
+    pairs = np.stack([flat[at], flat[at + (dr * width + dc)]], axis=1)
     return ScatterSample(direction, DEFAULT_SCATTER_SEED, pairs)
 
 
@@ -339,8 +380,7 @@ class AnalysisReport:
 
 def _component_entry(label: str, plane) -> dict:
     counts = histogram(plane)
-    values = np.arange(256, dtype=np.int64)
-    sums = (int(counts @ values), int(counts @ (values * values)))
+    sums = _byte_sums(counts)
     f = _exact_float(plane)
     return {
         "name": label,

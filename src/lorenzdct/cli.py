@@ -42,6 +42,17 @@ def _parse_ints(text, what, expect):
     return values
 
 
+def _count(text):
+    """A non-negative integer option value, checked while the arguments parse."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def _rotation_schedule(text):
     """--rotations accepts 3 values (shared by all keys) or 9 (3 per key)."""
     if text is None:
@@ -94,7 +105,7 @@ def _build_parser() -> _Parser:
     ana.add_argument("--json", dest="json_path", required=True)
     ana.add_argument("--scatter-csv", dest="scatter_dir")
     ana.add_argument("--hist-csv", dest="hist_dir")
-    ana.add_argument("--scatter-count", type=int, default=4096)
+    ana.add_argument("--scatter-count", type=_count, default=4096)
 
     lor = sub.add_parser("lorenz", help="dump a key's trajectory as CSV")
     lor.add_argument("--key", required=True)

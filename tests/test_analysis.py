@@ -14,6 +14,7 @@ from lorenzdct.analysis import (
     DIRECTIONS,
     _adjacent_views,
     _component_entry,
+    _differences,
     _lcg_distinct,
     adjacent_correlation,
     correlation,
@@ -67,6 +68,57 @@ def exact_correlation(c, d):
         return r if cov >= 0 else -r
 
 
+# Shapes whose pixel count is odd (1x1, 1xn, odd n**2) or even, and the
+# layouts a plane can arrive in: contiguous, transposed, strided, and
+# contiguous from an odd address, where histogram's uint16 view is unaligned.
+KERNEL_SHAPES = [(1, 1), (1, 2), (1, 9), (2, 1), (7, 7), (4, 6), (33, 33), (64, 48)]
+
+
+def odd_offset(plane):
+    buf = np.empty(plane.size + 1, dtype=plane.dtype)
+    buf[1:] = plane.ravel()
+    moved = buf[1:].reshape(plane.shape)
+    assert moved.ctypes.data % 2 == 1 and moved.flags.c_contiguous
+    return moved
+
+
+LAYOUTS = {
+    "c": lambda p: p,
+    "transposed": lambda p: p.T,
+    "strided": lambda p: p[:, ::2],
+    "odd_offset": odd_offset,
+}
+
+
+@st.composite
+def layout_pairs(draw):
+    """Two byte planes of one shape, in one drawn layout."""
+    shape = draw(st.sampled_from(KERNEL_SHAPES))
+    layout = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    a, b = draw(arrays(np.uint8, shape)), draw(arrays(np.uint8, shape))
+    return layout(a), layout(b)
+
+
+def textbook_differences(a, b):
+    """The difference metrics from a float64 difference plane in C order."""
+    d = (np.asarray(a, np.float64) - np.asarray(b, np.float64)).ravel()
+    mse_ = float(np.mean(d * d))
+    peak = float(np.max(a))
+    if mse_ == 0.0:
+        psnr_ = math.inf
+    elif peak == 0.0:
+        psnr_ = -math.inf
+    else:
+        psnr_ = 20.0 * math.log10(peak / math.sqrt(mse_))
+    return {
+        "npcr": float(np.count_nonzero(d)) / d.size * 100.0,
+        "uaci": float(np.mean(np.abs(d) / 255.0)) * 100.0,
+        "mae": float(np.mean(np.abs(d))),
+        "mse": mse_,
+        "psnr": psnr_,
+    }
+
+
 @st.composite
 def small_planes(draw):
     """Small uint8 planes, square or not: random, constant rows or columns,
@@ -100,6 +152,15 @@ class TestHistogram:
         plane = rng.integers(0, 256, (13, 9), dtype=np.uint8)
         for dtype in (np.int64, np.uint16, np.float64):
             assert np.array_equal(histogram(plane.astype(dtype)), histogram(plane))
+
+    @pytest.mark.parametrize("dtype", ["uint8", "int64", "float64"])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_equals_plain_bincount(self, rng, layout, shape, dtype):
+        plane = LAYOUTS[layout](rng.integers(0, 256, shape, dtype=np.uint8))
+        want = np.bincount(plane.ravel(), minlength=256)
+        got = histogram(plane.astype(dtype))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "plane", [[[300, 1], [2, 3]], [[-1, 0], [0, 0]], [[3.5, 0], [0, 0]], [[np.nan, 0], [0, 0]]]
@@ -241,9 +302,35 @@ class TestDifferentialMetrics:
         assert npcr(a, b) == npcr(b, a)
         assert mae(a, b) == mae(b, a)
 
+    @settings(max_examples=200, deadline=None)
+    @given(layout_pairs())
+    def test_bit_identical_to_textbook(self, planes):
+        assert _differences(*planes) == textbook_differences(*planes)
+
+    @pytest.mark.parametrize("dtype", ["int64", "float64"])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_byte_valued_dtypes(self, rng, dtype, shape):
+        a, b = (rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(2))
+        want = textbook_differences(a, b)
+        assert _differences(a.astype(dtype), b.astype(dtype)) == want
+        assert _differences(a.astype(dtype), b) == want
+
+    @pytest.mark.parametrize("bad", [300, -1, 0.5, np.nan])
+    def test_rejects_values_outside_bytes(self, bad):
+        good = np.zeros((2, 2))
+        plane = good.copy()
+        plane[0, 1] = bad
+        for metric in (npcr, uaci, mae, mse, psnr):
+            with pytest.raises(ValueError):
+                metric(plane, good)
+            with pytest.raises(ValueError):
+                metric(good, plane)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             npcr(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            npcr(np.full((2, 2), 300), np.zeros((3, 3)))  # the shape is checked first
 
 
 class TestEntropy:
@@ -332,6 +419,19 @@ class TestScatterSample:
             idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
             s = scatter_sample(plane, direction, count)
             assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 8), (7, 7), (13, 6), (33, 33)])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_matches_ravel_reference(self, rng, shape, direction):
+        plane = rng.integers(0, 256, shape, dtype=np.uint8)
+        for source in (plane, plane.T):
+            c, d = (v.ravel() for v in _adjacent_views(source, direction))
+            total = c.size
+            for count in sorted({1, total // 2, total - 1, total} - {0}):
+                idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
+                s = scatter_sample(source, direction, count)
+                assert s.pairs.dtype == np.uint8
+                assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
 
     def test_memoized_indices_are_read_only(self):
         idx = _lcg_distinct(1000, 50)

@@ -249,6 +249,18 @@ def test_out_of_range_schedule_is_usage_error(small_ppm, tmp_path, capsys, optio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["-1", "x"])
+def test_bad_scatter_count_is_usage_error(small_ppm, tmp_path, capsys, count):
+    report, scatter = tmp_path / "neg.json", tmp_path / "negdir"
+    argv = ["analyze", "--original", str(small_ppm), "--json", str(report)]
+    rc = cli_main(argv + ["--scatter-csv", str(scatter), "--scatter-count", count])
+    assert rc == 1
+    errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("usage error:")]
+    message = f"argument --scatter-count: must be a non-negative integer, not {count!r}"
+    assert errors == [f"usage error: {message}"]
+    assert not report.exists() and not scatter.exists()
+
+
 @pytest.mark.parametrize("option", [["--shifts", "3,7,13"], ["--rotations", "5,11,17"]])
 def test_decrypt_takes_no_schedule_options(small_ppm, tmp_path, capsys, option):
     bundle = tmp_path / "img.ldct"

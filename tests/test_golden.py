@@ -19,15 +19,26 @@ shows that the cipher's values did not move.  The keystream is the same on
 every IEEE-754 platform; the image side (scipy's DCT, the energy selection,
 the sign-log carriers) is still floating point, so a different DCT build
 could still move both tables.
+
+REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
+image, its cipher (the bundle's dic planes) and its decrypt, and
+SCATTER_GOLDEN the bytes of the 27 scatter samples (3 images x 3 planes x 3
+directions) of the n=33 case, drawn (300) and whole (every pair).  The n=33
+two-level image has an odd pixel count.  A faster statistic must leave both
+alone.  The report also holds entropies (numpy's log2) and UACI (numpy's
+summation order), so a numpy build that rounds those differently would move
+REPORT_GOLDEN alone.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from synthimg import make_image, make_two_level_image
 
-from lorenzdct.cipher import _schedules, encrypt_image
+from lorenzdct.analysis import DIRECTIONS, full_report, scatter_sample
+from lorenzdct.cipher import ImageRGB, _schedules, decrypt_image, encrypt_image
 from lorenzdct.container import write_bundle
 
 BUNDLE_GOLDEN = {
@@ -42,6 +53,16 @@ GOLDEN = {
     ("natural", 256): "bfe27acc151ec02ebd63ee248203f760726f6b983c2137436033bcb8e28d0962",
     ("two_level", 64): "5454b253780e78a984ebf8355450ea53515ecd9dab5050980944d07a6e4d2dce",
     ("two_level", 256): "519d2597db3013d547746e181c52aad9e497bc2a2cee1a99761dd3adfb5481fc",
+}
+
+REPORT_GOLDEN = {
+    ("natural", 64): "c041bf337d64af8adf159614f8dded1a94edd68b09c3759d89c1f160b868448f",
+    ("two_level", 33): "09d7802bc4bbc4965475490679c47e2877d9439d920a38ccef08b0346ad6ad13",
+}
+
+SCATTER_GOLDEN = {
+    300: "f61ce15cb0b13db9b3449560b03b87ca67746c7f368622ba7ced207c577a7e34",
+    "all": "68649783cd66a3c4382875f13fc3f1d93e3cf3b8747fec1f38a354ef0e06802d",
 }
 
 MAKERS = {"natural": make_image, "two_level": make_two_level_image}
@@ -66,3 +87,29 @@ def test_container_bytes_pinned(kind, n, keys, tmp_path):
     path = tmp_path / "golden.ldct"
     write_bundle(path, encrypt_image(MAKERS[kind](7, n), keys))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(kind, n)]
+
+
+def _report_triple(kind, n, keys):
+    image = MAKERS[kind](7, n)
+    bundle = encrypt_image(image, keys)
+    return image, ImageRGB(bundle.dic), decrypt_image(bundle, keys)
+
+
+@pytest.mark.parametrize("kind, n", sorted(REPORT_GOLDEN))
+def test_report_json_pinned(kind, n, keys):
+    text = json.dumps(full_report(*_report_triple(kind, n, keys)).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_GOLDEN[(kind, n)]
+
+
+@pytest.mark.parametrize("count", sorted(SCATTER_GOLDEN, key=str))
+def test_scatter_samples_pinned(count, keys):
+    n = 33
+    digest = hashlib.sha256()
+    for image in _report_triple("two_level", n, keys):
+        for plane in image.planes:
+            for direction in DIRECTIONS:
+                total = (n - (direction != "horizontal")) * (n - (direction != "vertical"))
+                sample = scatter_sample(plane, direction, total if count == "all" else count)
+                assert sample.pairs.dtype == np.uint8
+                digest.update(sample.pairs.tobytes())
+    assert digest.hexdigest() == SCATTER_GOLDEN[count]
