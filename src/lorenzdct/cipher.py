@@ -229,12 +229,15 @@ def log_forward(s: SparseCoeffs, n: int):
 
     Row i of the n x n plane is rolled left by i, so coefficient (i, j)
     sits at flat position i * n + (j - i) % n.  Returns (positions, logs):
-    positions uint32 and strictly ascending, logs in the same order.
+    positions uint32 and strictly ascending, logs in the same order.  The
+    positions are unique, so any sort gives the same order; on
+    energy_select's row-major output each rolled row is two ascending runs
+    (the columns j < i, then j >= i), which the stable sort merges as runs.
     """
     if s.dims != (n, n):
         raise DimensionMismatchError(f"sparse dims {s.dims} do not match ({n}, {n})")
     pos = s.rows * n + (s.cols - s.rows) % n
-    order = np.argsort(pos)
+    order = np.argsort(pos, kind="stable")
     logs = np.sign(s.values) * np.log10(np.abs(s.values))
     return pos[order].astype(np.uint32), logs[order]
 

@@ -53,6 +53,18 @@ def _count(text):
     return value
 
 
+def _keystream_size(text):
+    """keystream --size: an integer in [2, 65536], the line lengths
+    `line_orders` takes, checked while the arguments parse."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 2 <= value <= 1 << 16:
+        raise argparse.ArgumentTypeError(f"must be an integer in [2, 65536], not {text!r}")
+    return value
+
+
 def _rotation_schedule(text):
     """--rotations accepts 3 values (shared by all keys) or 9 (3 per key)."""
     if text is None:
@@ -116,7 +128,7 @@ def _build_parser() -> _Parser:
 
     ks = sub.add_parser("keystream", help="dump keystream planes (PGM) and perms (CSV)")
     ks.add_argument("--key", required=True)
-    ks.add_argument("--size", type=int, required=True)
+    ks.add_argument("--size", type=_keystream_size, required=True)
     ks.add_argument("--out-dir", dest="out_dir", required=True)
     ks.add_argument("--rotations", help="3 comma-separated rotation counts")
 

@@ -20,11 +20,12 @@ from scipy import fft as _fft
 UNIT_GUARD_EPS = 1e-12
 _UNIT_GUARD_TOP = np.nextafter(1.0 + UNIT_GUARD_EPS, np.inf)
 
-# Candidate count energy_select starts its partial selection from, and the
-# factor it grows by.  Natural 1024 x 1024 planes keep a few hundred
-# coefficients at 99.9% energy, two-level document planes about 150k.
+# Candidate counts energy_select sorts before the whole plane.  Natural
+# planes keep a few hundred coefficients at 99.9% energy.  Two-level text
+# planes keep 28-49% of theirs at n = 280-472 (up to 80k), which the second
+# block's floor covers, and 120-170k at n = 1024, inside a quarter of the plane.
 _FIRST_CANDIDATES = 4096
-_GROWTH = 4
+_DENSE_CANDIDATES = 1 << 17
 
 
 def dct1(x):
@@ -56,9 +57,9 @@ class SparseCoeffs:
     """Retained high-energy coefficients of one transform.
 
     rows/cols/values are parallel arrays; every (row, col) lies inside dims
-    and every |value| >= 1.  Only energy_select output is sorted, by
-    descending |value| with ties in row-major order.  energy_fraction is the
-    fraction of the source signal energy the entries actually carry.
+    and every |value| >= 1.  energy_select output is in row-major order
+    (strictly ascending row * width + col).  energy_fraction is the fraction
+    of the source signal energy the entries actually carry.
     """
 
     dims: tuple[int, int]
@@ -93,20 +94,21 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
     Selected values with |value| < 1 are then discarded; values inside
     [1, 1 + 1e-12] are nudged just above that band (their log would be
     indistinguishable from an empty carrier cell otherwise).  A 1-D input is
-    treated as a 1 x L matrix.
+    treated as a 1 x L matrix.  The result is in row-major order (strictly
+    ascending flat index); energy_fraction sums the retained squares in
+    descending |value| order.
 
-    The order is found by partial selection rather than a full sort: blocks
-    of the largest magnitudes (4096, then growing fourfold) are split off
-    with np.partition until their energy reaches the target, which gives a
-    threshold t just past the crossing.  Every magnitude >= t is a candidate,
-    so boundary ties stay in.  The candidates, in row-major order, are
-    stable-sorted by -|value|; since every coefficient outside the set is
-    strictly smaller, that is exactly the head of the full stable argsort,
-    and the sequential cumsum over it is exactly the head of the full
-    cumsum.  When that cumsum does not reach the target (the block energies
-    are summed in another order), when the blocks outgrow the size, or when
-    the total energy is not finite, the full stable argsort is used.  The
-    result is bit-identical to a full stable argsort in every case.
+    The head is found by value sorts alone.  Tied magnitudes have equal
+    squares, so the sequential cumsum of the sorted squared magnitudes is
+    exactly the cumsum taken in the stable descending order.  Its first
+    index i that reaches the target fixes the last magnitude t of the head,
+    which is every cell above t plus the first cells at t, in row-major
+    order, up to i + 1 cells.  The sorted magnitudes are the largest 4096
+    (split off with np.partition), then, when those fall short, the largest
+    quarter of the plane (at least 2**17 cells), then the whole plane.  An
+    infinite total sorts the whole plane at once, and a NaN total reaches
+    no target, so every cell is taken.  The result is bit-identical to a
+    full stable argsort of -|value| in every case.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
@@ -123,71 +125,40 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
         empty = np.empty(0, dtype=np.int64)
         return SparseCoeffs(dims, empty, empty.copy(), np.empty(0), 1.0)
 
-    picked = _head_by_magnitude(flat, fraction * total)
-
+    mags = np.abs(flat)
+    picked, head = _head_by_magnitude(mags, fraction * total)
+    picked = picked[mags[picked] >= 1.0]
+    # |v| in [1, 1 + EPS] rises to _UNIT_GUARD_TOP, the next double up
     vals = flat[picked]
-    keep = np.abs(vals) >= 1.0
-    picked, vals = picked[keep], vals[keep].copy()
-
-    guard = np.abs(vals) <= 1.0 + UNIT_GUARD_EPS
-    vals[guard] = np.sign(vals[guard]) * _UNIT_GUARD_TOP
+    vals = np.copysign(np.maximum(np.abs(vals), _UNIT_GUARD_TOP), vals)
+    head = np.maximum(head[head >= 1.0], _UNIT_GUARD_TOP)
 
     rows, cols = np.divmod(picked, dims[1])
-    achieved = float(np.sum(vals * vals)) / total
+    achieved = float(np.sum(head * head)) / total
     return SparseCoeffs(dims, rows, cols, vals, min(achieved, 1.0))
 
 
-def _head_by_magnitude(flat, target):
-    """Shortest head of the stable -|v| order whose cumsum of v**2 reaches
-    target (the whole order when none does)."""
-    mags = np.abs(flat)
-    threshold = _energy_threshold(mags, target) if np.isfinite(target) else None
-    if threshold is not None:
-        cand = np.flatnonzero(mags >= threshold)
-        head = cand[_stable_descending(mags[cand])]
-        reached = np.flatnonzero(np.cumsum(flat[head] ** 2) >= target)
-        if reached.size:
-            return head[: int(reached[0]) + 1]
-
-    # stable argsort on -|v| keeps row-major order within magnitude ties
-    order = np.argsort(-mags, kind="stable")
-    reached = np.flatnonzero(np.cumsum(flat[order] ** 2) >= target)
-    return order[: int(reached[0]) + 1] if reached.size else order
-
-
-def _energy_threshold(mags, target):
-    """A magnitude t whose cells mags >= t carry about target energy, found
-    by partial selection; None when the candidate count outgrows mags.
-
-    Each round partitions only the remainder below the previous block and
-    takes the next block of the largest magnitudes (m = 4096, then m grows
-    fourfold).  In the block that reaches target, its sorted magnitudes
-    place t one past the estimated crossing.
-    """
+def _head_by_magnitude(mags, target):
+    """Ascending flat indices of the shortest head of the stable -mags order
+    whose cumsum of mags**2 reaches target (every cell when none does), and
+    the head's magnitudes in descending order."""
     size = mags.size
-    rest, energy, m = mags, 0.0, _FIRST_CANDIDATES
-    while m < size:
-        rest = np.partition(rest, size - m)
-        block, rest = rest[size - m :], rest[: size - m]
-        block_energy = np.sum(block * block)
-        if energy + block_energy >= target:
-            block = np.sort(block)[::-1]
-            i = int(np.searchsorted(energy + np.cumsum(block * block), target))
-            return block[min(i + 1, block.size - 1)]
-        energy += block_energy
-        m *= _GROWTH
-    return None
-
-
-def _stable_descending(keys):
-    """np.argsort(-keys, kind="stable") by way of the faster unstable sort:
-    positions are re-sorted inside each run of equal keys, via one sort of
-    run * size + position."""
-    size = keys.size
-    order = np.argsort(-keys)
-    ranked = keys[order]
-    run = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-    return np.sort(run * size + order) % size
+    if np.isnan(target):
+        return np.arange(size), mags
+    blocks = ()
+    if np.isfinite(target):
+        blocks = (_FIRST_CANDIDATES, max(size // 4, _DENSE_CANDIDATES))
+    for m in [m for m in blocks if m < size] + [size]:
+        top = np.sort(np.partition(mags, size - m)[size - m :] if m < size else mags)[::-1]
+        i = int(np.searchsorted(np.cumsum(top * top), target))
+        if i < m:
+            break
+    i = min(i, size - 1)
+    t = top[i]
+    cand = np.flatnonzero(mags >= t)
+    tied = np.flatnonzero(mags[cand] == t)
+    # keep every candidate above t and the first of those at t
+    return np.delete(cand, tied[i + 1 - (cand.size - tied.size) :]), top[: i + 1]
 
 
 def reconstruct_sparse(s: SparseCoeffs) -> np.ndarray:

@@ -52,15 +52,15 @@ S = 6
 
 
 def truncated_vectors(traj: Trajectory):
-    """99.9%-energy DCT coefficients of x, y, z, in original index order."""
+    """99.9%-energy DCT coefficients of x, y, z, in original index order.
+
+    energy_select returns its selection in index order already, so each
+    vector is its values as they come (read-only, like every SparseCoeffs
+    array).
+    """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    out = []
-    for arr in (traj.x, traj.y, traj.z):
-        sel = energy_select(dct1(arr))
-        order = np.argsort(sel.cols, kind="stable")
-        out.append(np.ascontiguousarray(sel.values[order]))
-    return tuple(out)
+    return tuple(energy_select(dct1(arr)).values for arr in (traj.x, traj.y, traj.z))
 
 
 def resize_linear(v, n: int) -> np.ndarray:

@@ -64,3 +64,14 @@ def make_two_level_image(seed: int, n: int = 256) -> ImageRGB:
         paper, dark = int(rng.integers(190, 256)), int(rng.integers(0, 70))
         planes.append(np.where(ink, dark, paper).astype(np.uint8))
     return ImageRGB(tuple(planes))
+
+
+def make_dense_two_level_image(seed: int, n: int = 256) -> ImageRGB:
+    """Two levels per plane on independently drawn pixels: a white spectrum,
+    so the 99.9%-energy head holds most of each plane's coefficients."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(3):
+        paper, dark = int(rng.integers(190, 256)), int(rng.integers(0, 70))
+        planes.append(np.where(rng.random((n, n)) < 0.5, dark, paper).astype(np.uint8))
+    return ImageRGB(tuple(planes))

@@ -10,7 +10,7 @@ import pytest
 from synthimg import make_image
 
 import lorenzdct
-from lorenzdct.cli import cli_main
+from lorenzdct.cli import _build_parser, cli_main
 from lorenzdct.container import read_bundle
 from lorenzdct.ppm import load_ppm, save_ppm
 
@@ -259,6 +259,28 @@ def test_bad_scatter_count_is_usage_error(small_ppm, tmp_path, capsys, count):
     message = f"argument --scatter-count: must be a non-negative integer, not {count!r}"
     assert errors == [f"usage error: {message}"]
     assert not report.exists() and not scatter.exists()
+
+
+@pytest.mark.parametrize("size", ["1", "0", "-5", "x"])
+def test_bad_keystream_size_is_usage_error(tmp_path, capsys, size):
+    outdir = tmp_path / "ks"
+    rc = cli_main(["keystream", "--key", "key(A)", "--size", size, "--out-dir", str(outdir)])
+    assert rc == 1
+    errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("usage error:")]
+    message = f"argument --size: must be an integer in [2, 65536], not {size!r}"
+    assert errors == [f"usage error: {message}"]
+    assert not outdir.exists()
+
+
+def test_keystream_size_bounds_parse(capsys):
+    # parsed only: a run at 65536 would build 65536 x 65536 planes
+    parse = _build_parser().parse_args
+    argv = ["keystream", "--key", "key(A)", "--out-dir", "ks", "--size"]
+    assert [parse(argv + [s]).size for s in ("2", "65536")] == [2, 65536]
+    with pytest.raises(SystemExit) as exc:
+        parse(argv + ["65537"])
+    assert exc.value.code == 1
+    assert "must be an integer in [2, 65536], not '65537'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [["--shifts", "3,7,13"], ["--rotations", "5,11,17"]])

@@ -143,12 +143,11 @@ class TestEnergySelect:
             assert v > 1.0 + UNIT_GUARD_EPS
             assert np.log10(v) > 0.0
 
-    def test_sorted_descending_and_unique_positions(self, rng):
+    def test_row_major_and_unique_positions(self, rng):
         m = rng.uniform(-300, 300, (12, 12))
         s = energy_select(m, 0.99)
-        mags = np.abs(s.values)
-        assert np.all(mags[:-1] >= mags[1:])
-        assert len({(r, c) for r, c in zip(s.rows, s.cols)}) == len(s)
+        flat = s.rows * 12 + s.cols
+        assert len(s) > 1 and np.all(flat[:-1] < flat[1:])
 
     def test_energy_fraction_reported(self, rng):
         m = rng.uniform(-300, 300, (16, 16))
@@ -161,7 +160,7 @@ class TestEnergySelect:
         s = energy_select(np.array([10.0, 0.0, -20.0, 0.0]), 1.0)
         assert s.dims == (1, 4)
         assert list(s.rows) == [0, 0]
-        assert list(s.cols) == [2, 0]
+        assert list(s.cols) == [0, 2]
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -233,8 +232,12 @@ def energy_select_full_sort(F, fraction=0.999):
 
 
 def assert_same_selection(got, want):
+    """got is the reference selection want in ascending flat index order,
+    byte for byte, with the same energy_fraction bits."""
     assert got.dims == want.dims
-    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.values, want.values)):
+    order = np.argsort(want.rows * want.dims[1] + want.cols)
+    for a, b in zip((got.rows, got.cols, got.values), (want.rows, want.cols, want.values)):
+        b = b[order]
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
     assert type(got.energy_fraction) is type(want.energy_fraction)
@@ -262,13 +265,17 @@ FAMILIES = {
     "checkerboard": _checkerboard,
     "two_level": _two_level,
     "sub_unit": lambda rng, h, w: rng.uniform(-0.999, 0.999, (h, w)),
+    # values at and inside the unit guard band [1, 1 + UNIT_GUARD_EPS]
+    "unit_band": lambda rng, h, w: rng.choice(
+        [1.0, -1.0, 1.0 + UNIT_GUARD_EPS / 2, -1.0 - UNIT_GUARD_EPS, 2.0, 0.5], (h, w)
+    ),
     "row": _trajectory_row,
 }
 
 FRACTIONS = (1e-6, 0.5, 0.999, 1.0)
 
 # name -> (matrix maker, fraction), chosen to reach every branch of the
-# partial selection; test_named_cases_take_each_path checks that they do.
+# head search; test_named_cases_take_each_path checks that they do.
 PATH_CASES = {
     # the first block of candidates already holds the energy
     "smooth_plane_256": (
@@ -276,11 +283,21 @@ PATH_CASES = {
         0.999,
     ),
     "trajectory_50001": (lambda rng: _trajectory_row(rng, 1, 50001), 0.999),
-    # the first block falls short and a later, fourfold block reaches the target
+    # the first block falls short and the plane is no larger than the second
+    # block, so the whole plane is sorted
     "two_level_256": (lambda rng: dct2(make_two_level_image(7, 256).planes[0]), 0.999),
     "gaussian_row_20000": (lambda rng: rng.standard_normal(20000), 0.9),
-    # k is most of the size: the blocks outgrow it and the full sort decides
+    # k is most of the size: only the whole plane holds the head
     "white_noise_128": (lambda rng: rng.uniform(-1000, 1000, (128, 128)), 0.999),
+    # the first block falls short and the larger second block reaches the target
+    "two_level_512": (lambda rng: dct2(make_two_level_image(7, 512).planes[0]), 0.999),
+    # ... with the crossing inside a run of ties, which are taken row-major
+    "ties_in_second_block_400": (
+        lambda rng: rng.integers(-3, 4, (400, 400)) * 1000.0,
+        0.5,
+    ),
+    # both blocks fall short on a plane larger than the second block
+    "white_noise_400": (lambda rng: rng.uniform(-1000, 1000, (400, 400)), 0.999),
     # ties at the threshold widen the candidates past the first block
     "ties_past_block_100": (
         lambda rng: np.where(np.arange(10000).reshape(100, 100) % 2, 7.0, 1.0),
@@ -288,12 +305,17 @@ PATH_CASES = {
     ),
     # all ties at fraction 1: only the whole plane reaches the target
     "all_ties_100": (lambda rng: np.full((100, 100), 7.0), 1.0),
-    # a non-finite total goes straight to the full sort
+    # an infinite total goes straight to the whole-plane sort
     "with_inf": (
         lambda rng: np.where(rng.random((80, 80)) < 0.01, np.inf, rng.standard_normal((80, 80))),
         0.999,
     ),
     "overflowing_squares": (lambda rng: rng.standard_normal((80, 80)) * 1e200, 0.5),
+    # a NaN total reaches no target: every cell is taken, with no sort
+    "with_nan": (
+        lambda rng: np.where(rng.random((80, 80)) < 0.01, np.nan, rng.standard_normal((80, 80))),
+        0.999,
+    ),
 }
 
 
@@ -325,35 +347,48 @@ class TestEnergySelectMatchesFullSort:
         [
             ("smooth_plane_256", 1, False),
             ("trajectory_50001", 1, False),
-            ("two_level_256", 2, False),
-            ("gaussian_row_20000", 2, False),
+            ("two_level_256", 1, True),
+            ("gaussian_row_20000", 1, True),
             ("white_noise_128", 1, True),
+            ("two_level_512", 2, False),
+            ("ties_in_second_block_400", 2, False),
+            ("white_noise_400", 2, True),
             ("ties_past_block_100", 1, False),
             ("all_ties_100", 1, True),
             ("with_inf", 0, True),
             ("overflowing_squares", 0, True),
+            ("with_nan", 0, False),
         ],
     )
     def test_named_cases_take_each_path(self, case, rounds, full_sort, monkeypatch):
+        # rounds: blocks split off with np.partition; full_sort: whether the
+        # whole plane's magnitudes are value-sorted.  No case runs an argsort.
         make, fraction = PATH_CASES[case]
         F = make(np.random.default_rng(7))
-        partitions, sorts = [], []
-        real_partition, real_argsort = np.partition, np.argsort
+        partitions, sorts, argsorts = [], [], []
+        real_partition, real_sort, real_argsort = np.partition, np.sort, np.argsort
 
         def partition(a, *args, **kw):
             partitions.append(a.size)
             return real_partition(a, *args, **kw)
 
-        def argsort(a, *args, **kw):
+        def sort(a, *args, **kw):
             sorts.append(a.size)
+            return real_sort(a, *args, **kw)
+
+        def argsort(a, *args, **kw):
+            argsorts.append(kw.get("kind"))
             return real_argsort(a, *args, **kw)
 
         monkeypatch.setattr(np, "partition", partition)
+        monkeypatch.setattr(np, "sort", sort)
         monkeypatch.setattr(np, "argsort", argsort)
         with np.errstate(over="ignore"):
             energy_select(F, fraction)
-        assert len(partitions) == rounds
+        assert partitions == [F.size] * rounds
+        assert len(sorts) == rounds + full_sort
         assert (F.size in sorts) == full_sort
+        assert argsorts == []
 
 
 def _scatter(dims, mask, rng):

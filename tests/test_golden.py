@@ -20,6 +20,11 @@ every IEEE-754 platform; the image side (scipy's DCT, the energy selection,
 the sign-log carriers) is still floating point, so a different DCT build
 could still move both tables.
 
+The n=331 dense two-level planes keep about 90,000 of their 109,561
+coefficients.  A head that large is more than a quarter of the plane, so the
+energy selection sorts the whole plane's magnitudes; both entries were
+recorded while that case still ran a whole-plane stable argsort.
+
 REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
 image, its cipher (the bundle's dic planes) and its decrypt, and
 SCATTER_GOLDEN the bytes of the 27 scatter samples (3 images x 3 planes x 3
@@ -35,7 +40,7 @@ import json
 
 import numpy as np
 import pytest
-from synthimg import make_image, make_two_level_image
+from synthimg import make_dense_two_level_image, make_image, make_two_level_image
 
 from lorenzdct.analysis import DIRECTIONS, full_report, scatter_sample
 from lorenzdct.cipher import ImageRGB, _schedules, decrypt_image, encrypt_image
@@ -46,6 +51,7 @@ BUNDLE_GOLDEN = {
     ("natural", 256): "11f949f246030706947af357653e9b1ce8799824e2c39b7d2f2b8fb4ddadbc08",
     ("two_level", 64): "62787ac04f5bcfc1aca652cfd02013539fe51865ddef02936f230fa09bd287f8",
     ("two_level", 256): "6a26357a96e33c6a9c79a608dd2fd9bc6b028e709a5a908794bd50cae5925e38",
+    ("dense_two_level", 331): "7a8e59621506e5a7f9d0250e52b6d667d015181328c4ebb1581abc2149e6cb1c",
 }
 
 GOLDEN = {
@@ -53,6 +59,7 @@ GOLDEN = {
     ("natural", 256): "bfe27acc151ec02ebd63ee248203f760726f6b983c2137436033bcb8e28d0962",
     ("two_level", 64): "5454b253780e78a984ebf8355450ea53515ecd9dab5050980944d07a6e4d2dce",
     ("two_level", 256): "519d2597db3013d547746e181c52aad9e497bc2a2cee1a99761dd3adfb5481fc",
+    ("dense_two_level", 331): "aa2a108e50cd3ffc5c169503c270c2f890a7b04b68f296d7933ccdab63bda82e",
 }
 
 REPORT_GOLDEN = {
@@ -65,7 +72,11 @@ SCATTER_GOLDEN = {
     "all": "68649783cd66a3c4382875f13fc3f1d93e3cf3b8747fec1f38a354ef0e06802d",
 }
 
-MAKERS = {"natural": make_image, "two_level": make_two_level_image}
+MAKERS = {
+    "natural": make_image,
+    "two_level": make_two_level_image,
+    "dense_two_level": make_dense_two_level_image,
+}
 
 
 @pytest.mark.parametrize("kind, n", sorted(BUNDLE_GOLDEN))
