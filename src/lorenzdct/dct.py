@@ -6,14 +6,35 @@ no extra scaling.  Energy selection keeps the largest-magnitude coefficients
 until a target fraction of the total energy is reached, then drops any
 coefficient with magnitude below 1 so that a signed base-10 logarithm of
 every retained value is well defined.
+
+The transforms are scipy's pocketfft extension,
+scipy/fft/_pocketfft/pypocketfft, loaded by file path: importing the
+scipy.fft package would cost about 0.3 s per process (its array-API layer
+and scipy.special).  Each call passes the extension's dct() the arguments
+scipy.fft's wrappers pass, so the bits are scipy.fft's: an inverse turns
+type 2 into 3 and inorm into 2 - inorm, where inorm is 0 for
+norm="backward", 1 for "ortho" (which also orthogonalizes) and 2 for
+"forward".
+
+    dct1                type=2, axes=(0,),   inorm=1     scipy.fft.dct, ortho
+    dct2                type=2, axes=(0, 1), inorm=1     dctn, ortho
+    idct2               type=3, axes=(0, 1), inorm=1     idctn, ortho
+    reconstruct_sparse  type=3, axes=(0,) then (1,), ortho=True;
+                        inorm=2 then 0 on a square plane, 1 and 1 otherwise
+
+Only when the extension file is not at that path (an editable scipy build,
+say) is the same module imported the normal way.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 # Retained values with |v| in [1, 1 + EPS] are nudged just above the bucket
 # boundary so their log10 stays distinguishable from the empty-cell zero.
@@ -27,13 +48,35 @@ _UNIT_GUARD_TOP = np.nextafter(1.0 + UNIT_GUARD_EPS, np.inf)
 _FIRST_CANDIDATES = 4096
 _DENSE_CANDIDATES = 1 << 17
 
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """scipy's pypocketfft extension, loaded from its file without importing
+    any scipy package; imported the normal way when the file is not there."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        stem = os.path.join(root, "fft", "_pocketfft", "pypocketfft")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(stem + suffix):
+                loader = importlib.machinery.ExtensionFileLoader(_POCKETFFT, stem + suffix)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(_POCKETFFT, loader)
+                )
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(_POCKETFFT)
+
+
+_pocketfft = _load_pocketfft()
+
 
 def dct1(x):
     """Orthonormal 1-D type-II DCT of a real sequence."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("dct1 expects a 1-D sequence")
-    return _fft.dct(x, type=2, norm="ortho")
+    return _pocketfft.dct(x, type=2, axes=(0,), inorm=1)
 
 
 def dct2(f):
@@ -41,7 +84,7 @@ def dct2(f):
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("dct2 expects a 2-D matrix")
-    return _fft.dctn(f, type=2, norm="ortho")
+    return _pocketfft.dct(f, type=2, axes=(0, 1), inorm=1)
 
 
 def idct2(F):
@@ -49,7 +92,7 @@ def idct2(F):
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2:
         raise ValueError("idct2 expects a 2-D matrix")
-    return _fft.idctn(F, type=2, norm="ortho")
+    return _pocketfft.dct(F, type=3, axes=(0, 1), inorm=1)
 
 
 @dataclass(frozen=True)
@@ -165,22 +208,21 @@ def reconstruct_sparse(s: SparseCoeffs) -> np.ndarray:
     """idct2 of the retained coefficients scattered into zeros.
 
     The two passes of idctn run here.  The column pass (axis 0) runs only
-    over the leading m = max(cols) + 1 columns, and the row pass takes its
-    output zero-padded to width w: a column without a coefficient would
-    transform to exact zeros anyway.  On a square plane pocketfft's
-    idctn(norm="ortho") puts the whole factor 1 / (2n) on the axis-0 pass
-    and 1 on the axis-1 pass, each with the ortho DC weight, which is what
-    norm="backward" then norm="forward" with orthogonalize=True apply; the
-    result is bit-identical to idct2.  A non-square factor 1 / sqrt(4hw) has
-    no per-pass form, so there each pass is "ortho" and the result agrees
-    with idct2 to rounding.
+    over the leading m = max(cols) + 1 columns of the zero plane, in place,
+    and the row pass then runs over the whole plane: a column without a
+    coefficient would transform to exact zeros anyway.  On a square plane
+    pocketfft's idctn(norm="ortho") puts the whole factor 1 / (2n) on the
+    axis-0 pass and 1 on the axis-1 pass, each with the ortho DC weight,
+    which is what inorm 2 then inorm 0 with ortho=True apply; the result is
+    bit-identical to idct2.  A non-square factor 1 / sqrt(4hw) has no
+    per-pass form, so there each pass is orthonormal (inorm 1) and the
+    result agrees with idct2 to rounding.
     """
     h, w = s.dims
     m = int(np.max(s.cols, initial=0)) + 1
-    block = np.zeros((h, m))
+    plane = np.zeros((h, w))
+    block = plane[:, :m]
     block[s.rows, s.cols] = s.values
-    first, second = ("backward", "forward") if h == w else ("ortho", "ortho")
-    block = _fft.idct(block, type=2, axis=0, norm=first, orthogonalize=True, overwrite_x=True)
-    return _fft.idct(
-        block, type=2, n=w, axis=1, norm=second, orthogonalize=True, overwrite_x=True
-    )
+    first, second = (2, 0) if h == w else (1, 1)
+    _pocketfft.dct(block, type=3, axes=(0,), inorm=first, out=block, ortho=True)
+    return _pocketfft.dct(plane, type=3, axes=(1,), inorm=second, out=plane, ortho=True)

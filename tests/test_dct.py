@@ -1,3 +1,11 @@
+import importlib
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -474,7 +482,7 @@ class TestReconstructSparseMatchesIdct2:
         s = energy_select(dct2(make(5, n)))
         F = np.zeros((n, n))
         F[s.rows, s.cols] = s.values
-        assert np.array_equal(reconstruct_sparse(s), idct2(F))
+        assert np.array_equal(reconstruct_sparse(s), fft.idctn(F, norm="ortho"))
 
     @pytest.mark.parametrize("dims", [(3, 5), (17, 4), (1, 40), (64, 100)])
     def test_non_square_agrees_to_rounding(self, dims, rng):
@@ -490,16 +498,64 @@ class TestReconstructSparseMatchesIdct2:
         s, F = _scatter((n, n), mask, rng)
         want = idct2(F)
         passes = []
-        real_idct = dct_module._fft.idct
+        real_dct = dct_module._pocketfft.dct
 
-        def idct(x, *args, axis=-1, **kw):
-            passes.append((axis, x.shape))
-            return real_idct(x, *args, axis=axis, **kw)
+        def dct(a, *, axes, **kw):
+            passes.append((axes, a.shape))
+            return real_dct(a, axes=axes, **kw)
 
-        def idctn(*args, **kw):
-            raise AssertionError("reconstruct_sparse must not run idctn")
-
-        monkeypatch.setattr(dct_module._fft, "idct", idct)
-        monkeypatch.setattr(dct_module._fft, "idctn", idctn)
+        monkeypatch.setattr(dct_module, "_pocketfft", SimpleNamespace(dct=dct))
         assert np.array_equal(reconstruct_sparse(s), want)
-        assert len(passes) == 2 and passes[0] == (0, (n, 10))
+        # two 1-D passes, the first over the leading 10 columns, and no 2-D pass
+        assert len(passes) == 2 and passes[0] == ((0,), (n, 10))
+        assert all(len(axes) == 1 for axes, _ in passes)
+
+
+class TestMatchesScipyFft:
+    """The extension calls give scipy.fft's orthonormal transforms bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 50_001])
+    def test_dct1(self, length, rng):
+        x = rng.uniform(-255.0, 255.0, length)
+        assert np.array_equal(dct1(x), fft.dct(x, norm="ortho"))
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (3, 3), (64, 64), (331, 331), (1024, 1024), (17, 4), (1, 40)]
+    )
+    def test_dct2_and_idct2(self, dims, rng):
+        f = rng.uniform(-255.0, 255.0, dims)
+        assert np.array_equal(dct2(f), fft.dctn(f, norm="ortho"))
+        assert np.array_equal(idct2(f), fft.idctn(f, norm="ortho"))
+
+
+class TestPocketfftLoader:
+    def test_import_loads_no_scipy_module(self):
+        # the subprocess imports the same lorenzdct as this process
+        env = {**os.environ, "PYTHONPATH": str(Path(dct_module.__file__).parents[1])}
+        code = (
+            "import sys, lorenzdct.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "print(lorenzdct.dct.__file__)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert out == ["[]", dct_module.__file__]
+
+    def test_falls_back_to_normal_import(self, monkeypatch):
+        f = _natural_plane(3, 96)
+        want = dct2(f)
+        imported = []
+        real_import = importlib.import_module
+
+        def import_module(name):
+            imported.append(name)
+            return real_import(name)
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        monkeypatch.setattr(importlib, "import_module", import_module)
+        module = dct_module._load_pocketfft()
+        assert imported == ["scipy.fft._pocketfft.pypocketfft"]
+        assert module is sys.modules["scipy.fft._pocketfft.pypocketfft"]
+        monkeypatch.setattr(dct_module, "_pocketfft", module)
+        assert np.array_equal(dct2(f), want)
