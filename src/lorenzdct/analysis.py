@@ -1,22 +1,23 @@
 """Statistical metrics: histogram, correlation, NPCR/UACI/MAE, entropy, PSNR.
 
-All metrics use the full pixel population (no random sampling).  For
-integer-valued planes every sum behind the histograms, correlations, NPCR,
-MAE and MSE is exact, so those values are the same on every numpy build by
-construction: a correlation combines its moments as Python ints, and a
-float64 sum of integers below 2**53 is exact in any order.  Entropy and UACI
-add non-integer terms in numpy's reduction order, and entropy and PSNR call
-log2/log10.  The scatter sampler is the one deliberately sampled quantity
-and therefore runs on a fixed-seed linear congruential generator whose seed
-is recorded in its output.
+All metrics use the full pixel population (no random sampling).  Every
+statistic works on bytes: a plane enters as uint8, any other dtype must
+hold integers in 0..255 and is cast, and anything else raises ValueError.
+Every sum behind the histograms, correlations, NPCR, MAE and MSE is
+therefore exact, so those values are the same on every numpy build by
+construction: a correlation combines its moments as Python ints, summed
+from a float64 copy of the bytes, and a byte product is at most 255**2, so
+a float64 sum of them over fewer than 2**53 / 255**2 (about 1.4e11) pixels
+is exact in any order.  Entropy and UACI add non-integer terms in numpy's
+reduction order, and entropy and PSNR call log2/log10.  The scatter sampler
+is the one deliberately sampled quantity and therefore runs on a fixed-seed
+linear congruential generator whose seed is recorded in its output.
 
-The histogram and the difference metrics work on bytes.  A plane enters as
-uint8; any other dtype must hold integers in 0..255 and is cast, and
-anything else raises ValueError.  `histogram` counts two bytes per bin (one
-bincount of the plane viewed as uint16, folded from a 256x256 table of byte
-pairs).  NPCR, UACI, MAE, MSE and PSNR all come from one uint8 plane
-|a - b|: NPCR, MAE and MSE from its histogram as exact integer sums, and
-UACI as the mean of that plane divided by 255.
+`histogram` counts two bytes per bin (one bincount of the plane viewed as
+uint16, folded from a 256x256 table of byte pairs).  NPCR, UACI, MAE, MSE
+and PSNR all come from one uint8 plane |a - b|: NPCR, MAE and MSE from its
+histogram as exact integer sums, and UACI as the mean of that plane divided
+by 255.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ _LCG_C = 1013904223
 _LCG_M = 1 << 32
 _LCG_BLOCK = 4096  # states drawn per vectorized step
 DEFAULT_SCATTER_SEED = 0x5EED
-_EXACT_SUM_LIMIT = 1 << 53  # float64 holds every integer up to here exactly
 _BYTE_VALUES = np.arange(256, dtype=np.int64)
 
 
@@ -92,7 +92,7 @@ def _lcg_distinct(total: int, count: int) -> np.ndarray:
 
 
 def _bytes(plane) -> np.ndarray:
-    """The plane as uint8, the one domain of the byte statistics.
+    """The plane as uint8, the one domain of every statistic here.
 
     uint8 passes through, integer values in 0..255 of any other dtype are
     cast, and anything else raises ValueError rather than wrapping into
@@ -164,30 +164,8 @@ def _dropped_lines(plane, direction):
     return (plane[-1], plane[:-1, -1]), (plane[0], plane[1:, 0])
 
 
-def _exact_float(x) -> np.ndarray:
-    """x as float64, checked to be integer-valued and small enough for exact sums.
-
-    With |v| <= peak and x.size * peak**2 <= 2**53, every product of two
-    elements is an integer and every partial sum of up to x.size of them
-    stays below 2**53, so float64 adds them exactly in any order.
-    """
-    x = np.asarray(x)
-    if x.dtype.kind not in "biuf":
-        raise ValueError(f"correlation needs real operands, not {x.dtype}")
-    f = np.asarray(x, dtype=np.float64)
-    if x.dtype == np.uint8:
-        peak = 255.0
-    else:
-        if x.dtype.kind == "f" and not np.array_equal(np.floor(f), f):
-            raise ValueError("correlation needs integer-valued operands")
-        peak = max(-f.min(initial=0.0), f.max(initial=0.0))
-    if not math.isfinite(peak) or int(peak) ** 2 * f.size > _EXACT_SUM_LIMIT:
-        raise ValueError("correlation operands too large for an exact sum")
-    return f
-
-
 def _moments(*lines) -> tuple[int, int]:
-    """(sum v, sum v**2) over disjoint 1-D float64 lines from `_exact_float`, as ints."""
+    """(sum v, sum v**2) over disjoint 1-D float64 lines of bytes, as ints."""
     s1 = s2 = 0
     for v in lines:
         s1 += int(v.sum())
@@ -217,21 +195,20 @@ def _defined(r: float | None) -> float:
 
 
 def correlation(c, d) -> float:
-    """Pearson correlation between two equal-size integer-valued matrices.
+    """Pearson correlation between two equal-size byte planes.
 
-    Operands are uint8, integer or integer-valued float arrays with
-    size * max|v|**2 <= 2**53; anything else raises ValueError.
+    A value that is not an integer in 0..255 raises ValueError.
     """
     c, d = np.asarray(c), np.asarray(d)
     if c.shape != d.shape:
         raise DimensionMismatchError("correlation operands must share dimensions")
-    c, d = _exact_float(c).ravel(), _exact_float(d).ravel()
+    c, d = (_bytes(x).astype(np.float64).ravel() for x in (c, d))
     (sc, scc), (sd, sdd) = _moments(c), _moments(d)
     return _defined(_pearson(c.size, sc, sd, scc, sdd, int(np.einsum("i,i->", c, d))))
 
 
 def _adjacent(f: np.ndarray, sums: tuple[int, int], direction: str) -> float | None:
-    """Adjacent correlation of the `_exact_float` plane f, whose `_moments` are sums.
+    """Adjacent correlation of the float64 byte plane f, whose `_moments` are sums.
 
     Each view's sums are the plane's minus those of the lines it drops, so
     the only pass over the plane is the cross term.
@@ -251,9 +228,9 @@ def _adjacent(f: np.ndarray, sums: tuple[int, int], direction: str) -> float | N
 def adjacent_correlation(plane, direction: str) -> float:
     """Correlation between each pixel and its neighbor in one direction.
 
-    The plane must lie in `correlation`'s domain, else ValueError.
+    A value that is not an integer in 0..255 raises ValueError.
     """
-    f = _exact_float(plane)
+    f = _bytes(plane).astype(np.float64)
     return _defined(_adjacent(f, _moments(f.ravel()), direction))
 
 
@@ -379,9 +356,10 @@ class AnalysisReport:
 
 
 def _component_entry(label: str, plane) -> dict:
+    plane = _bytes(plane)
     counts = histogram(plane)
     sums = _byte_sums(counts)
-    f = _exact_float(plane)
+    f = plane.astype(np.float64)
     return {
         "name": label,
         "entropy": _entropy(counts),

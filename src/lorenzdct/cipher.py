@@ -305,7 +305,9 @@ def _carried_coeffs(positions, carried, twin) -> SparseCoeffs:
     # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
     # takes its difference plane against these rather than the exact ones,
     # so both sides round one and the same reconstruction.  A cell whose
-    # value is its bare twin (an exact zero log) carries no coefficient.
+    # value is its bare twin carries no coefficient: this is the one place
+    # where a log that rounds into its twin (a |v| just above 1) is
+    # dropped, on both sides, and the difference plane absorbs it.
     logs = carried - twin.ravel()[positions]
     keep = logs != 0.0
     return log_inverse(positions[keep], logs[keep], twin.shape[0])

@@ -36,11 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Retained values with |v| in [1, 1 + EPS] are nudged just above the bucket
-# boundary so their log10 stays distinguishable from the empty-cell zero.
-UNIT_GUARD_EPS = 1e-12
-_UNIT_GUARD_TOP = np.nextafter(1.0 + UNIT_GUARD_EPS, np.inf)
-
 # Candidate counts energy_select sorts before the whole plane.  Natural
 # planes keep a few hundred coefficients at 99.9% energy.  Two-level text
 # planes keep 28-49% of theirs at n = 280-472 (up to 80k), which the second
@@ -134,9 +129,7 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
 
     Coefficients are taken in descending |value| order (row-major order on
     ties) until their cumulative squared sum reaches fraction * total.
-    Selected values with |value| < 1 are then discarded; values inside
-    [1, 1 + 1e-12] are nudged just above that band (their log would be
-    indistinguishable from an empty carrier cell otherwise).  A 1-D input is
+    Selected values with |value| < 1 are then discarded.  A 1-D input is
     treated as a 1 x L matrix.  The result is in row-major order (strictly
     ascending flat index); energy_fraction sums the retained squares in
     descending |value| order.
@@ -171,14 +164,11 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
     mags = np.abs(flat)
     picked, head = _head_by_magnitude(mags, fraction * total)
     picked = picked[mags[picked] >= 1.0]
-    # |v| in [1, 1 + EPS] rises to _UNIT_GUARD_TOP, the next double up
-    vals = flat[picked]
-    vals = np.copysign(np.maximum(np.abs(vals), _UNIT_GUARD_TOP), vals)
-    head = np.maximum(head[head >= 1.0], _UNIT_GUARD_TOP)
+    head = head[head >= 1.0]
 
     rows, cols = np.divmod(picked, dims[1])
     achieved = float(np.sum(head * head)) / total
-    return SparseCoeffs(dims, rows, cols, vals, min(achieved, 1.0))
+    return SparseCoeffs(dims, rows, cols, flat[picked], min(achieved, 1.0))
 
 
 def _head_by_magnitude(mags, target):

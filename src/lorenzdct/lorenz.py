@@ -33,6 +33,10 @@ _KEY_SPAN = 1 << _KEY_BITS
 #: Default per-key rotation counts ("predefined number of shifts").
 DEFAULT_ROTATIONS = (5, 11, 17)
 
+#: Most RK4 steps `integrate` takes: 20 times the paper's 50,000.  A step
+#: holds about 130 bytes until the trajectory is returned.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class LorenzParams:
@@ -184,13 +188,16 @@ def integrate(
 
     The update is evaluated in a fixed scalar order (no vectorized
     reductions), which pins the floating-point result across platforms.
-    Raises IntegrationDivergedError if a state variable leaves the finite
-    range.
+    Raises ValueError unless t_end and dt are positive and finite and
+    t_end / dt asks for at most MAX_STEPS steps, and
+    IntegrationDivergedError if a state variable leaves the finite range.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if t_end / dt >= MAX_STEPS + 1:
+        raise ValueError(f"t_end / dt asks for more than {MAX_STEPS} steps")
 
     n_steps = int(math.floor(t_end / dt))
     sigma, rho, beta = p.sigma, p.rho, p.beta

@@ -266,7 +266,9 @@ def test_half_step_planes_round_trip_exactly(kind, n, base):
     _assert_round_trip(ImageRGB((plane, plane, plane)))
 
 
-FAMILIES = ("two_level", "constant", "checker", "stripe", "2x2", "max_contrast", "random")
+FAMILIES = (
+    "two_level", "constant", "checker", "stripe", "2x2", "max_contrast", "random", "unit_dc"
+)
 
 
 @st.composite
@@ -287,6 +289,8 @@ def family_images(draw):
             "2x2": lambda: rng.integers(0, 256, (n, n)),
             "max_contrast": lambda: np.where((yy + xx) % 2 == 1, 255, 0),
             "random": lambda: rng.integers(0, 256, (n, n)),
+            # n ones among n * n pixels: a DC coefficient of 1.0, a log of about 0
+            "unit_dc": lambda: (rng.permutation(n * n) < n).reshape(n, n),
         }[family]()
         planes.append(plane.astype(np.uint8))
     return ImageRGB(tuple(planes))

@@ -234,7 +234,9 @@ class TestCorrelation:
             np.array([[0.5, 1.0], [2.0, 3.0]]),
             np.array([[np.nan, 1.0], [2.0, 3.0]]),
             np.array([[np.inf, 1.0], [2.0, 3.0]]),
-            np.array([[0, 1], [2, 1 << 26]]),  # 4 * (2**26)**2 > 2**53: no exact sum
+            np.array([[0, 1], [2, 1 << 26]]),  # above 255, and would wrap to 0
+            np.array([[300, 1], [2, 3]], dtype=np.int64),
+            np.array([[-1, 0], [0, 1]], dtype=np.int64),
         ],
     )
     def test_outside_exact_domain_raises(self, c):

@@ -12,6 +12,7 @@ from synthimg import make_image
 import lorenzdct
 from lorenzdct.cli import _build_parser, cli_main
 from lorenzdct.container import read_bundle
+from lorenzdct.lorenz import MAX_STEPS
 from lorenzdct.ppm import load_ppm, save_ppm
 
 KEY_ARGS = ["--key1", "key(A)", "--key2", "key(B)", "--key3", "key(C)"]
@@ -207,6 +208,17 @@ def test_oversized_ppm_header_is_data_error(tmp_path, capsys):
     rc = cli_main(["encrypt", "--in", str(path), "--out", str(tmp_path / "x.ldct")] + KEY_ARGS)
     assert rc == 2
     assert _one_data_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt", [("inf", "0.001"), ("nan", "0.001"), ("1", "1e-300"), (str(MAX_STEPS + 1), "1")]
+)
+def test_lorenz_window_beyond_step_cap_is_data_error(tmp_path, capsys, t_end, dt):
+    csv = tmp_path / "x.csv"
+    rc = cli_main(["lorenz", "--key", "key(A)", "--t-end", t_end, "--dt", dt, "--dump", str(csv)])
+    assert rc == 2
+    assert _one_data_error(capsys)
+    assert not csv.exists()
 
 
 def test_rotations_roundtrip_through_bundle(small_ppm, tmp_path):

@@ -17,8 +17,6 @@ from synthimg import make_two_level_image
 from lorenzdct import dct as dct_module
 from lorenzdct.dct import (
     SparseCoeffs,
-    UNIT_GUARD_EPS,
-    _UNIT_GUARD_TOP,
     dct1,
     dct2,
     energy_select,
@@ -143,14 +141,6 @@ class TestEnergySelect:
         assert (0, 1) not in vals and (1, 0) not in vals
         assert vals[(0, 0)] == 100.0 and vals[(1, 1)] == 3.0
 
-    def test_unit_guard_bucket(self):
-        m = np.array([[50.0, 1.0], [0.0, -1.0]])
-        s = energy_select(m, 1.0)
-        small = sorted(abs(v) for v in s.values)[:2]
-        for v in small:
-            assert v > 1.0 + UNIT_GUARD_EPS
-            assert np.log10(v) > 0.0
-
     def test_row_major_and_unique_positions(self, rng):
         m = rng.uniform(-300, 300, (12, 12))
         s = energy_select(m, 0.99)
@@ -231,9 +221,7 @@ def energy_select_full_sort(F, fraction=0.999):
     picked = order[:k]
     vals = flat[picked]
     keep = np.abs(vals) >= 1.0
-    picked, vals = picked[keep], vals[keep].copy()
-    guard = np.abs(vals) <= 1.0 + UNIT_GUARD_EPS
-    vals[guard] = np.sign(vals[guard]) * _UNIT_GUARD_TOP
+    picked, vals = picked[keep], vals[keep]
     rows, cols = np.divmod(picked, dims[1])
     achieved = float(np.sum(vals * vals)) / total
     return SparseCoeffs(dims, rows, cols, vals, min(achieved, 1.0))
@@ -273,9 +261,9 @@ FAMILIES = {
     "checkerboard": _checkerboard,
     "two_level": _two_level,
     "sub_unit": lambda rng, h, w: rng.uniform(-0.999, 0.999, (h, w)),
-    # values at and inside the unit guard band [1, 1 + UNIT_GUARD_EPS]
+    # values at |v| = 1 and just above it, whose logs are near zero
     "unit_band": lambda rng, h, w: rng.choice(
-        [1.0, -1.0, 1.0 + UNIT_GUARD_EPS / 2, -1.0 - UNIT_GUARD_EPS, 2.0, 0.5], (h, w)
+        [1.0, -1.0, 1.0 + 5e-13, -1.0 - 1e-12, 2.0, 0.5], (h, w)
     ),
     "row": _trajectory_row,
 }

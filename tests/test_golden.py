@@ -25,6 +25,13 @@ coefficients.  A head that large is more than a quarter of the plane, so the
 energy selection sorts the whole plane's magnitudes; both entries were
 recorded while that case still ran a whole-plane stable argsort.
 
+UNIT_DC_CONTAINER was written by an encrypt whose energy_select still
+moved a retained |v| in [1, 1 + 1e-12] to just above that band, so its
+carriers differ from today's for the same image.  Its 16x16 planes are the
+identity, the identity mirrored left to right and a 4x4 block of ones in a
+corner, each with a DC coefficient of 1.0; UNIT_DC_IMAGE is the sha256 of
+their bytes, R then G then B.  Decrypt must still restore them exactly.
+
 REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
 image, its cipher (the bundle's dic planes) and its decrypt, and
 SCATTER_GOLDEN the bytes of the 27 scatter samples (3 images x 3 planes x 3
@@ -37,6 +44,7 @@ REPORT_GOLDEN alone.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +52,7 @@ from synthimg import make_dense_two_level_image, make_image, make_two_level_imag
 
 from lorenzdct.analysis import DIRECTIONS, full_report, scatter_sample
 from lorenzdct.cipher import ImageRGB, _schedules, decrypt_image, encrypt_image
-from lorenzdct.container import write_bundle
+from lorenzdct.container import read_bundle, write_bundle
 
 BUNDLE_GOLDEN = {
     ("natural", 64): "789fc428faaeaf9d4f104526f3928a8af7e6593e8e8c312f6acbc7642e446830",
@@ -61,6 +69,9 @@ GOLDEN = {
     ("two_level", 256): "519d2597db3013d547746e181c52aad9e497bc2a2cee1a99761dd3adfb5481fc",
     ("dense_two_level", 331): "aa2a108e50cd3ffc5c169503c270c2f890a7b04b68f296d7933ccdab63bda82e",
 }
+
+UNIT_DC_CONTAINER = Path(__file__).parent / "data" / "unit_dc_16.ldct"
+UNIT_DC_IMAGE = "ec3f4fadb2e1ab1bc0f3dd6a2c0626a0ea01597828177ae3871bdd0c3c8d71db"
 
 REPORT_GOLDEN = {
     ("natural", 64): "c041bf337d64af8adf159614f8dded1a94edd68b09c3759d89c1f160b868448f",
@@ -98,6 +109,12 @@ def test_container_bytes_pinned(kind, n, keys, tmp_path):
     path = tmp_path / "golden.ldct"
     write_bundle(path, encrypt_image(MAKERS[kind](7, n), keys))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(kind, n)]
+
+
+def test_unit_dc_container_decrypts(keys):
+    out = decrypt_image(read_bundle(UNIT_DC_CONTAINER), keys)
+    digest = hashlib.sha256(b"".join(plane.tobytes() for plane in out.planes))
+    assert digest.hexdigest() == UNIT_DC_IMAGE
 
 
 def _report_triple(kind, n, keys):

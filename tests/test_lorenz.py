@@ -9,6 +9,7 @@ from lorenzdct.errors import (
     NoRealEquilibriaError,
 )
 from lorenzdct.lorenz import (
+    MAX_STEPS,
     LorenzParams,
     SecretKey,
     State3,
@@ -189,10 +190,23 @@ class TestIntegrate:
             integrate(LorenzParams(), State3(1e3, 1e3, 1e3), 50.0, 0.5)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(LorenzParams(), State3(1, 1, 1), 0.0, 0.001)
-        with pytest.raises(ValueError):
-            integrate(LorenzParams(), State3(1, 1, 1), 1.0, 0.0)
+        for t_end, dt in [
+            (0.0, 0.001),
+            (1.0, 0.0),
+            (math.inf, 0.001),
+            (math.nan, 0.001),
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1.0, 1e-300),  # 1e300 steps
+            (MAX_STEPS + 1, 1.0),
+        ]:
+            with pytest.raises(ValueError):
+                integrate(LorenzParams(), State3(1, 1, 1), t_end, dt)
+
+    def test_step_cap_admits_max_steps(self):
+        # a step of 1.0 diverges within a few steps, so the cap is reached cheaply
+        with pytest.raises(IntegrationDivergedError):
+            integrate(LorenzParams(), State3(1, 1, 1), MAX_STEPS, 1.0)
 
     def test_trajectory_immutable(self):
         traj = integrate(LorenzParams(), State3(1, 1, 1), 0.1, 0.01)
