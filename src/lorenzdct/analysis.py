@@ -3,28 +3,28 @@
 All metrics use the full pixel population (no random sampling).  Every
 statistic works on bytes: a plane enters as uint8, any other dtype must
 hold integers in 0..255 and is cast, and anything else raises ValueError.
-Every sum behind the histograms, correlations, NPCR, MAE and MSE is
-therefore exact, so those values are the same on every numpy build by
+Every sum behind the histograms, correlations, NPCR, UACI, MAE and MSE
+is therefore exact, so those values are the same on every numpy build by
 construction: a correlation combines its moments as Python ints, summed
 from a float64 copy of the bytes, and a byte product is at most 255**2, so
 a float64 sum of them over fewer than 2**53 / 255**2 (about 1.4e11) pixels
-is exact in any order.  Entropy and UACI add non-integer terms in numpy's
+is exact in any order.  Entropy adds non-integer terms in numpy's
 reduction order, and entropy and PSNR call log2/log10.  The scatter sampler
 is the one deliberately sampled quantity and therefore runs on a fixed-seed
-linear congruential generator whose seed is recorded in its output.
+linear congruential generator, seeded with DEFAULT_SCATTER_SEED.
 
 `histogram` counts two bytes per bin (one bincount of the plane viewed as
 uint16, folded from a 256x256 table of byte pairs).  NPCR, UACI, MAE, MSE
-and PSNR all come from one uint8 plane |a - b|: NPCR, MAE and MSE from its
-histogram as exact integer sums, and UACI as the mean of that plane divided
-by 255.
+and PSNR all come from the histogram of one uint8 plane |a - b|, as exact
+integer sums each divided once (correctly rounded) by the pixel count.
+`full_report` returns the JSON-ready dict the CLI writes, and
+`scatter_sample` a read-only array of byte pairs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,8 +240,8 @@ def _differences(a, b) -> dict:
     One uint8 plane |a - b| serves all five.  From its histogram, NPCR is
     the count of non-zero differences, and MAE and MSE are the exact
     integer sums of v * count and v**2 * count, each divided (correctly
-    rounded) by the pixel count.  UACI divides each difference by 255
-    before its mean.
+    rounded) by the pixel count.  UACI is 100 * sum |a - b| / (255 * n),
+    rounded once.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
@@ -262,7 +262,7 @@ def _differences(a, b) -> dict:
         peak_ratio = 20.0 * math.log10(peak / math.sqrt(square_mean))
     return {
         "npcr": (n - int(counts[0])) / n * 100.0,
-        "uaci": float(np.mean(absd.ravel() / 255.0)) * 100.0,
+        "uaci": 100 * abs_sum / (255 * n),
         "mae": abs_sum / n,
         "mse": square_mean,
         "psnr": peak_ratio,
@@ -299,31 +299,21 @@ def psnr(f, g) -> float:
     return _differences(f, g)["psnr"]
 
 
-@dataclass(frozen=True)
-class ScatterSample:
-    """Adjacent-pixel pairs for plotting, with the sampling seed recorded."""
+def scatter_sample(plane, direction: str, count: int) -> np.ndarray:
+    """Deterministic sample of at most `count` distinct adjacent-pixel pairs.
 
-    direction: str
-    seed: int
-    pairs: np.ndarray  # k x 2, (value, neighbor)
-
-    def __post_init__(self):
-        self.pairs.setflags(write=False)
-
-
-def scatter_sample(plane, direction: str, count: int) -> ScatterSample:
-    """Deterministic sample of `count` distinct adjacent-pixel pairs.
-
-    Indices are drawn from a fixed linear congruential generator (duplicates
-    rejected); asking for every available pair returns the full population
-    in row-major order.
+    Returns a read-only (k, 2) array of (value, neighbor) rows.  Indices are
+    drawn from a linear congruential generator seeded with
+    DEFAULT_SCATTER_SEED (duplicates rejected); a count that reaches every
+    available pair returns the full population in row-major order.  A
+    negative count raises ValueError.
     """
     plane = np.asarray(plane)
     c, _ = _adjacent_views(plane, direction)
     total = c.size
-    if not 0 <= count <= total:
-        raise ValueError(f"count {count} outside 0..{total} available pairs")
-    if count == total:
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
+    if count >= total:
         idx = np.arange(total)
     else:
         idx = _lcg_distinct(total, count)
@@ -334,25 +324,8 @@ def scatter_sample(plane, direction: str, count: int) -> ScatterSample:
     at = idx + idx // c.shape[1] * dc  # row-major view index -> plane index
     flat = plane.reshape(-1)
     pairs = np.stack([flat[at], flat[at + (dr * width + dc)]], axis=1)
-    return ScatterSample(direction, DEFAULT_SCATTER_SEED, pairs)
-
-
-@dataclass
-class AnalysisReport:
-    """Aggregated metrics for an original / encrypted / decrypted triple."""
-
-    image: str
-    dims: tuple[int, int]
-    components: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "image": self.image,
-            "dims": list(self.dims),
-            "components": self.components,
-            "pairs": self.pairs,
-        }
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _component_entry(label: str, plane) -> dict:
@@ -371,35 +344,35 @@ def _component_entry(label: str, plane) -> dict:
     }
 
 
-def _pair_entry(label_a: str, label_b: str, a, b) -> dict:
-    return {"a": label_a, "b": label_b, **_differences(a, b)}
-
-
 def full_report(
     original: ImageRGB,
     encrypted: ImageRGB | None = None,
     decrypted: ImageRGB | None = None,
     image: str = "image",
-) -> AnalysisReport:
+) -> dict:
     """Every per-component metric plus original-vs-cipher and -vs-decrypted pairs.
 
-    A constant plane has no defined adjacent correlation; its entry is
-    reported as null rather than failing the whole report.
+    Returns the JSON-ready dict {image, dims, components, pairs} that the
+    CLI writes.  A constant plane has no defined adjacent correlation; its
+    entry is reported as null rather than failing the whole report.
     """
-    report = AnalysisReport(image=image, dims=(original.width, original.height))
     images = [("original", original), ("encrypted", encrypted), ("decrypted", decrypted)]
+    components, pairs = [], []
     for label, img in images:
         if img is None:
             continue
         if (img.width, img.height) != (original.width, original.height):
             raise DimensionMismatchError(f"{label} image dims differ from original")
         for comp, plane in zip(COMPONENT_NAMES, img.planes):
-            report.components.append(_component_entry(f"{label}/{comp}", plane))
+            components.append(_component_entry(f"{label}/{comp}", plane))
     for label, img in images[1:]:
         if img is None:
             continue
         for comp, a, b in zip(COMPONENT_NAMES, original.planes, img.planes):
-            report.pairs.append(
-                _pair_entry(f"original/{comp}", f"{label}/{comp}", a, b)
-            )
-    return report
+            pairs.append({"a": f"original/{comp}", "b": f"{label}/{comp}", **_differences(a, b)})
+    return {
+        "image": image,
+        "dims": [original.width, original.height],
+        "components": components,
+        "pairs": pairs,
+    }

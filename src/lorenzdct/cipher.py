@@ -33,7 +33,7 @@ import numpy as np
 from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
 from .errors import DimensionMismatchError, InvalidKeyError
 from .keystream import build_round_keystream
-from .lorenz import SecretKey, check_rotations
+from .lorenz import SecretKey, check_rotations, is_int_in
 
 COMPONENT_NAMES = ("R", "G", "B")
 
@@ -41,11 +41,8 @@ DEFAULT_SHIFTS = (3, 7, 13)
 
 
 def _check_shifts(shifts) -> tuple[int, int, int]:
-    # Three integers (int or np.integer, not bool) in the container's u16 range.
-    if len(shifts) != 3 or not all(
-        isinstance(s, (int, np.integer)) and not isinstance(s, bool) and 0 <= s <= 0xFFFF
-        for s in shifts
-    ):
+    # Three integers (`is_int_in`) in the container's u16 range, as Python ints.
+    if len(shifts) != 3 or not all(is_int_in(s, 0, 0xFFFF) for s in shifts):
         raise InvalidKeyError("shift schedule must be three integers in [0, 65535]")
     return tuple(int(s) for s in shifts)
 
@@ -351,10 +348,14 @@ def encrypt_image(
 def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:
     """Invert encrypt_image given the same keys, under the bundle's shifts.
 
-    A wrong key produces garbage rather than an error: there is no
-    authentication, so the pipeline sanitizes any overflowing coefficient
-    reconstruction and always returns a valid image.
+    Raises InvalidKeyError, before any keystream is built, unless the keys'
+    rotations are the ones the bundle records; those sit in the container
+    in the clear.  A wrong key string produces garbage rather than an
+    error: there is no authentication, so the pipeline sanitizes any
+    overflowing coefficient reconstruction and always returns a valid image.
     """
+    if tuple(k.rotations for k in keys) != bundle.rotations:
+        raise InvalidKeyError("the keys' rotations differ from the bundle's")
     schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
     planes = []
     carriers = zip(bundle.positions, bundle.carriers)

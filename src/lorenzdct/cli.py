@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import selfcheck
-from .analysis import DIRECTIONS, full_report, scatter_sample
+from .analysis import DEFAULT_SCATTER_SEED, DIRECTIONS, full_report, scatter_sample
 from .cipher import DEFAULT_SHIFTS, ImageRGB, decrypt_image, encrypt_image, line_orders
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
@@ -171,13 +171,13 @@ def _cmd_analyze(args) -> int:
     label = os.path.basename(args.original)
     report = full_report(original, encrypted, decrypted, image=label)
     with open(args.json_path, "w", encoding="ascii") as f:
-        json.dump(report.to_dict(), f, indent=2)
+        json.dump(report, f, indent=2)
         f.write("\n")
 
     images = [("original", original), ("encrypted", encrypted), ("decrypted", decrypted)]
     if args.hist_dir:
         os.makedirs(args.hist_dir, exist_ok=True)
-        for entry in report.components:
+        for entry in report["components"]:
             name, comp = entry["name"].split("/")
             _write_csv(
                 os.path.join(args.hist_dir, f"{name}_{comp}_hist.csv"),
@@ -191,18 +191,12 @@ def _cmd_analyze(args) -> int:
                 continue
             for comp, plane in zip("RGB", img.planes):
                 for direction in DIRECTIONS:
-                    total = (plane.shape[0] - (direction != "horizontal")) * (
-                        plane.shape[1] - (direction != "vertical")
-                    )
-                    sample = scatter_sample(
-                        plane, direction, min(args.scatter_count, total)
-                    )
                     _write_csv(
                         os.path.join(
                             args.scatter_dir, f"{name}_{comp}_{direction}.csv"
                         ),
-                        f"# seed={sample.seed}\nvalue,neighbor",
-                        sample.pairs.tolist(),
+                        f"# seed={DEFAULT_SCATTER_SEED}\nvalue,neighbor",
+                        scatter_sample(plane, direction, args.scatter_count).tolist(),
                     )
     return 0
 

@@ -132,7 +132,8 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
     Selected values with |value| < 1 are then discarded.  A 1-D input is
     treated as a 1 x L matrix.  The result is in row-major order (strictly
     ascending flat index); energy_fraction sums the retained squares in
-    descending |value| order.
+    descending |value| order.  A total energy that is not finite (an inf
+    or NaN value, or squares that overflow) raises ValueError.
 
     The head is found by value sorts alone.  Tied magnitudes have equal
     squares, so the sequential cumsum of the sorted squared magnitudes is
@@ -141,10 +142,9 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
     which is every cell above t plus the first cells at t, in row-major
     order, up to i + 1 cells.  The sorted magnitudes are the largest 4096
     (split off with np.partition), then, when those fall short, the largest
-    quarter of the plane (at least 2**17 cells), then the whole plane.  An
-    infinite total sorts the whole plane at once, and a NaN total reaches
-    no target, so every cell is taken.  The result is bit-identical to a
-    full stable argsort of -|value| in every case.
+    quarter of the plane (at least 2**17 cells), then the whole plane.  The
+    result is bit-identical to a full stable argsort of -|value| in every
+    case.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
@@ -157,6 +157,8 @@ def energy_select(F, fraction: float = 0.999) -> SparseCoeffs:
 
     flat = F.ravel()
     total = float(np.sum(flat * flat))
+    if not np.isfinite(total):
+        raise ValueError(f"energy_select needs a finite total energy, got {total}")
     if total == 0.0:
         empty = np.empty(0, dtype=np.int64)
         return SparseCoeffs(dims, empty, empty.copy(), np.empty(0), 1.0)
@@ -176,11 +178,7 @@ def _head_by_magnitude(mags, target):
     whose cumsum of mags**2 reaches target (every cell when none does), and
     the head's magnitudes in descending order."""
     size = mags.size
-    if np.isnan(target):
-        return np.arange(size), mags
-    blocks = ()
-    if np.isfinite(target):
-        blocks = (_FIRST_CANDIDATES, max(size // 4, _DENSE_CANDIDATES))
+    blocks = (_FIRST_CANDIDATES, max(size // 4, _DENSE_CANDIDATES))
     for m in [m for m in blocks if m < size] + [size]:
         top = np.sort(np.partition(mags, size - m)[size - m :] if m < size else mags)[::-1]
         i = int(np.searchsorted(np.cumsum(top * top), target))

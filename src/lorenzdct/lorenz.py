@@ -65,14 +65,27 @@ class State3:
         return (self.x, self.y, self.z)
 
 
+def is_int_in(value, low: int, high: int) -> bool:
+    """Whether value is an int or numpy integer, not a bool, in [low, high].
+
+    The one integer rule of the key rotations and the cipher's shifts.
+    """
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and low <= value <= high
+    )
+
+
 def check_rotations(rotations) -> tuple[int, int, int]:
-    """One key's rotations as a tuple; InvalidKeyError unless three ints in [0, 47]."""
+    """One key's rotations as Python ints; InvalidKeyError unless three
+    integers (`is_int_in`) in [0, 47]."""
     if len(rotations) != 3:
         raise InvalidKeyError("exactly three rotation counts are required")
     for r in rotations:
-        if isinstance(r, bool) or not (isinstance(r, int) and 0 <= r < _KEY_BITS):
+        if not is_int_in(r, 0, _KEY_BITS - 1):
             raise InvalidKeyError(f"rotation {r!r} outside [0, {_KEY_BITS - 1}]")
-    return tuple(rotations)
+    return tuple(int(r) for r in rotations)
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,15 @@ def layout_pairs(draw):
     return layout(a), layout(b)
 
 
+def exact_uaci(a, b):
+    """100 * sum |a - b| / (255 * n) as an exact Fraction, rounded once."""
+    d = np.abs(np.asarray(a, np.int64) - np.asarray(b, np.int64))
+    return float(Fraction(100 * int(d.sum()), 255 * d.size))
+
+
 def textbook_differences(a, b):
-    """The difference metrics from a float64 difference plane in C order."""
+    """The difference metrics from a float64 difference plane in C order,
+    with UACI from exact integers."""
     d = (np.asarray(a, np.float64) - np.asarray(b, np.float64)).ravel()
     mse_ = float(np.mean(d * d))
     peak = float(np.max(a))
@@ -112,7 +119,7 @@ def textbook_differences(a, b):
         psnr_ = 20.0 * math.log10(peak / math.sqrt(mse_))
     return {
         "npcr": float(np.count_nonzero(d)) / d.size * 100.0,
-        "uaci": float(np.mean(np.abs(d) / 255.0)) * 100.0,
+        "uaci": exact_uaci(a, b),
         "mae": float(np.mean(np.abs(d))),
         "mse": mse_,
         "psnr": psnr_,
@@ -248,8 +255,9 @@ class TestCorrelation:
 
 class TestAgainstPlaneSizedReference:
     """The metrics against their textbook forms, which make a float64 copy of
-    each operand and of every intermediate.  mae, uaci and mse do the same
-    arithmetic and must match exactly; correlation sums its products in
+    each operand and of every intermediate.  mae and mse do the same
+    arithmetic and must match exactly, and uaci must equal the exact value
+    rounded once; correlation sums its products in
     another order, so it gets a tolerance of a few hundred ulps."""
 
     @pytest.fixture(params=["uint8", "int64", "float64"])
@@ -261,7 +269,7 @@ class TestAgainstPlaneSizedReference:
     def test_differences_exact(self, planes):
         a, b = (np.asarray(p, np.float64) for p in planes)
         assert mae(*planes) == float(np.mean(np.abs(a - b)))
-        assert uaci(*planes) == float(np.mean(np.abs(a - b) / 255.0)) * 100.0
+        assert uaci(*planes) == exact_uaci(*planes)
         assert mse(*planes) == float(np.mean((a - b) * (a - b)))
 
     def test_correlation_close(self, planes):
@@ -291,6 +299,10 @@ class TestDifferentialMetrics:
         assert npcr(a, b) == 100.0
         assert uaci(a, b) == pytest.approx(100.0)
         assert mae(a, b) == pytest.approx(255.0)
+
+    def test_uaci_correctly_rounded(self):
+        # 100 * 15 / 255 = 100 / 17; a mean of 15 / 255 times 100 misses it by one ulp
+        assert uaci(np.full((2, 2), 15, np.uint8), np.zeros((2, 2), np.uint8)) == 5.882352941176471
 
     def test_uaci_mae_identity(self, rng):
         for _ in range(10):
@@ -381,33 +393,36 @@ class TestScatterSample:
     def test_full_population(self, rng):
         plane = rng.integers(0, 256, (5, 5), dtype=np.uint8)
         s = scatter_sample(plane, "horizontal", 20)
-        assert s.pairs.shape == (20, 2)
-        assert np.array_equal(s.pairs[:, 0], plane[:, :-1].ravel())
-        assert np.array_equal(s.pairs[:, 1], plane[:, 1:].ravel())
+        assert s.shape == (20, 2)
+        assert np.array_equal(s[:, 0], plane[:, :-1].ravel())
+        assert np.array_equal(s[:, 1], plane[:, 1:].ravel())
 
     def test_constant_plane_pairs_equal(self):
         s = scatter_sample(np.full((4, 4), 9, dtype=np.uint8), "vertical", 5)
-        assert np.all(s.pairs[:, 0] == 9) and np.all(s.pairs[:, 1] == 9)
+        assert np.all(s[:, 0] == 9) and np.all(s[:, 1] == 9)
 
     def test_deterministic(self, rng):
         plane = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         a = scatter_sample(plane, "diagonal", 40)
         b = scatter_sample(plane, "diagonal", 40)
-        assert a.seed == b.seed
-        assert np.array_equal(a.pairs, b.pairs)
+        assert np.array_equal(a, b)
 
     def test_pairs_are_true_neighbors(self, rng):
         plane = rng.integers(0, 256, (9, 9), dtype=np.uint8)
         s = scatter_sample(plane, "horizontal", 30)
         c, d = plane[:, :-1].ravel(), plane[:, 1:].ravel()
         population = set(zip(c.tolist(), d.tolist()))
-        assert all((int(v), int(w)) in population for v, w in s.pairs)
+        assert all((int(v), int(w)) in population for v, w in s)
 
     def test_count_limit(self, rng):
+        plane = rng.integers(0, 256, (4, 4))
+        every = np.stack([plane[:, :-1].ravel(), plane[:, 1:].ravel()], axis=1)
+        for count in (12, 13, 10**9):
+            s = scatter_sample(plane, "horizontal", count)
+            assert np.array_equal(s, every)  # every pair, in row-major order
+            assert not s.flags.writeable
         with pytest.raises(ValueError):
-            scatter_sample(rng.integers(0, 256, (4, 4)), "horizontal", 13)
-        with pytest.raises(ValueError):
-            scatter_sample(rng.integers(0, 256, (4, 4)), "horizontal", -1)
+            scatter_sample(plane, "horizontal", -1)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 1024])
     @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -420,7 +435,7 @@ class TestScatterSample:
                 continue  # too many, or the golden case below
             idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
             s = scatter_sample(plane, direction, count)
-            assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
+            assert np.array_equal(s, np.stack([c[idx], d[idx]], axis=1))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 8), (7, 7), (13, 6), (33, 33)])
     @pytest.mark.parametrize("direction", DIRECTIONS)
@@ -432,8 +447,8 @@ class TestScatterSample:
             for count in sorted({1, total // 2, total - 1, total} - {0}):
                 idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
                 s = scatter_sample(source, direction, count)
-                assert s.pairs.dtype == np.uint8
-                assert np.array_equal(s.pairs, np.stack([c[idx], d[idx]], axis=1))
+                assert s.dtype == np.uint8
+                assert np.array_equal(s, np.stack([c[idx], d[idx]], axis=1))
 
     def test_memoized_indices_are_read_only(self):
         idx = _lcg_distinct(1000, 50)
@@ -454,8 +469,7 @@ class TestFullReport:
     def test_structure_and_pairs(self, rng):
         planes = lambda: tuple(rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(3))
         orig, enc, dec = ImageRGB(planes()), ImageRGB(planes()), ImageRGB(planes())
-        report = full_report(orig, enc, dec, image="test")
-        d = report.to_dict()
+        d = full_report(orig, enc, dec, image="test")
         assert d["image"] == "test" and d["dims"] == [8, 8]
         names = [c["name"] for c in d["components"]]
         assert names == [
@@ -476,7 +490,7 @@ class TestFullReport:
     def test_original_only(self, rng):
         orig = ImageRGB(tuple(rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)))
         report = full_report(orig)
-        assert len(report.components) == 3 and report.pairs == []
+        assert len(report["components"]) == 3 and report["pairs"] == []
 
     def test_dim_mismatch(self, rng):
         a = ImageRGB(tuple(rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)))
@@ -489,7 +503,7 @@ class TestFullReport:
         orig, enc = planes(), planes()
         orig = (np.full((9, 7), 5, dtype=np.uint8),) + orig[1:]  # no correlation
         report = full_report(ImageRGB(orig), ImageRGB(enc))
-        for entry, plane in zip(report.components, orig + enc):
+        for entry, plane in zip(report["components"], orig + enc):
             for short, direction in zip("hvd", DIRECTIONS):
                 try:
                     want = adjacent_correlation(plane, direction)
@@ -498,8 +512,8 @@ class TestFullReport:
                 assert entry["correlation"][short] == want
             assert entry["entropy"] == entropy(plane)
             assert entry["histogram"] == histogram(plane).tolist()
-        assert report.components[0]["correlation"] == {"h": None, "v": None, "d": None}
-        for p, a, b in zip(report.pairs, orig, enc):
+        assert report["components"][0]["correlation"] == {"h": None, "v": None, "d": None}
+        for p, a, b in zip(report["pairs"], orig, enc):
             assert p["npcr"] == npcr(a, b) and p["uaci"] == uaci(a, b)
             assert p["mae"] == mae(a, b) and p["mse"] == mse(a, b)
             assert p["psnr"] == psnr(a, b)
@@ -509,5 +523,5 @@ class TestFullReport:
             (np.full((8, 8), 255, dtype=np.uint8),) + (np.zeros((8, 8), dtype=np.uint8),) * 2
         )
         noise = ImageRGB(tuple(rng.integers(1, 256, (8, 8), dtype=np.uint8) for _ in range(3)))
-        psnrs = [p["psnr"] for p in full_report(red, noise).pairs]
+        psnrs = [p["psnr"] for p in full_report(red, noise)["pairs"]]
         assert math.isfinite(psnrs[0]) and psnrs[1:] == [-math.inf, -math.inf]

@@ -27,7 +27,7 @@ from lorenzdct.cipher import (
     make_difference,
 )
 from lorenzdct.dct import SparseCoeffs, dct2, energy_select
-from lorenzdct.errors import DimensionMismatchError
+from lorenzdct.errors import DimensionMismatchError, InvalidKeyError
 from lorenzdct.keystream import _key_vectors, build_round_keystream
 from lorenzdct.lorenz import SecretKey
 
@@ -264,8 +264,15 @@ class TestScheduleCache:
         encrypt_image(image_a, keys)
         out = decrypt_image(bundle, rotated)
         assert all(np.array_equal(a, b) for a, b in zip(image_a.planes, out.planes))
-        wrong = decrypt_image(bundle, keys)
-        assert not all(np.array_equal(a, b) for a, b in zip(image_a.planes, wrong.planes))
+        # the bundle records the rotations in the clear: other ones are refused
+        # before any keystream is built
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cipher, "build_round_keystream", lambda key, n: calls.append(key))
+            _schedules.cache_clear()
+            with pytest.raises(InvalidKeyError, match="rotations"):
+                decrypt_image(bundle, keys)
+        assert calls == []
 
     def test_second_encrypt_builds_no_keystream(self, image_a, keys, monkeypatch):
         calls = []

@@ -301,17 +301,22 @@ PATH_CASES = {
     ),
     # all ties at fraction 1: only the whole plane reaches the target
     "all_ties_100": (lambda rng: np.full((100, 100), 7.0), 1.0),
-    # an infinite total goes straight to the whole-plane sort
+}
+
+# name -> (matrix maker, fraction) whose total energy is not finite
+NON_FINITE_CASES = {
     "with_inf": (
         lambda rng: np.where(rng.random((80, 80)) < 0.01, np.inf, rng.standard_normal((80, 80))),
         0.999,
     ),
     "overflowing_squares": (lambda rng: rng.standard_normal((80, 80)) * 1e200, 0.5),
-    # a NaN total reaches no target: every cell is taken, with no sort
     "with_nan": (
         lambda rng: np.where(rng.random((80, 80)) < 0.01, np.nan, rng.standard_normal((80, 80))),
         0.999,
     ),
+    "inf_2x2": (lambda rng: np.array([[np.inf, 2.0], [3.0, 1.0]]), 0.999),
+    "nan_2x2": (lambda rng: np.array([[np.nan, 2.0], [3.0, 1.0]]), 0.999),
+    "overflow_2x2": (lambda rng: np.array([[1e200, 2.0], [3.0, 5e199]]), 0.999),
 }
 
 
@@ -334,9 +339,14 @@ class TestEnergySelectMatchesFullSort:
     def test_named_cases(self, case):
         make, fraction = PATH_CASES[case]
         F = make(np.random.default_rng(7))
-        with np.errstate(over="ignore"):
-            got, want = energy_select(F, fraction), energy_select_full_sort(F, fraction)
-        assert_same_selection(got, want)
+        assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_non_finite_total_refused(self, case):
+        make, fraction = NON_FINITE_CASES[case]
+        F = make(np.random.default_rng(7))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
+            energy_select(F, fraction)
 
     @pytest.mark.parametrize(
         "case, rounds, full_sort",
@@ -351,9 +361,6 @@ class TestEnergySelectMatchesFullSort:
             ("white_noise_400", 2, True),
             ("ties_past_block_100", 1, False),
             ("all_ties_100", 1, True),
-            ("with_inf", 0, True),
-            ("overflowing_squares", 0, True),
-            ("with_nan", 0, False),
         ],
     )
     def test_named_cases_take_each_path(self, case, rounds, full_sort, monkeypatch):
@@ -379,8 +386,7 @@ class TestEnergySelectMatchesFullSort:
         monkeypatch.setattr(np, "partition", partition)
         monkeypatch.setattr(np, "sort", sort)
         monkeypatch.setattr(np, "argsort", argsort)
-        with np.errstate(over="ignore"):
-            energy_select(F, fraction)
+        energy_select(F, fraction)
         assert partitions == [F.size] * rounds
         assert len(sorts) == rounds + full_sort
         assert (F.size in sorts) == full_sort

@@ -264,11 +264,16 @@ class TestBundleSchedule:
     constructs is written and read back unchanged."""
 
     @settings(max_examples=100, deadline=None)
-    @given(shifts=SHIFTS, rotations=ROTATIONS)
-    def test_valid_schedule_roundtrips(self, shifts, rotations, tmp_path_factory):
-        bundle = random_bundle(np.random.default_rng(0), 2, shifts=shifts, rotations=rotations)
+    @given(shifts=SHIFTS, rotations=ROTATIONS, cast=st.sampled_from([int, np.int64, np.uint8]))
+    def test_valid_schedule_roundtrips(self, shifts, rotations, cast, tmp_path_factory):
+        # rotations, like shifts, may be numpy integers and are held as ints
+        given_rotations = tuple(tuple(map(cast, triple)) for triple in rotations)
+        bundle = random_bundle(
+            np.random.default_rng(0), 2, shifts=shifts, rotations=given_rotations
+        )
         assert bundle.shifts == shifts and bundle.rotations == rotations
         assert all(type(s) is int for s in bundle.shifts)
+        assert all(type(r) is int for triple in bundle.rotations for r in triple)
         path = tmp_path_factory.getbasetemp() / "schedule.ldct"
         write_bundle(path, bundle)
         back = read_bundle(path)

@@ -47,6 +47,17 @@ class TestSecretKey:
         with pytest.raises(InvalidKeyError):  # a bool is not a rotation count
             SecretKey("abcdef", (0, True, 2))
 
+    def test_numpy_integer_rotations(self):
+        # the rule the cipher's shifts follow: numpy integers count, as ints
+        key = SecretKey("key(A)", (np.int64(5), 11, np.uint8(17)))
+        assert key.rotations == (5, 11, 17)
+        assert all(type(r) is int for r in key.rotations)
+        assert key == SecretKey("key(A)") and hash(key) == hash(SecretKey("key(A)"))
+        with pytest.raises(InvalidKeyError):
+            SecretKey("key(A)", (np.int64(48), 11, 17))
+        with pytest.raises(InvalidKeyError):
+            SecretKey("key(A)", (np.bool_(True), 11, 17))
+
     def test_rotations_stored_as_a_tuple(self):
         # a list would make the key unhashable, and the cipher caches by key
         key = SecretKey("abcdef", [1, 2, 3])
