@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import importlib.machinery
 import os
@@ -211,6 +212,8 @@ def energy_select_full_sort(F, fraction=0.999):
     dims = F.shape
     flat = F.ravel()
     total = float(np.sum(flat * flat))
+    if not np.isfinite(total):
+        raise ValueError(f"energy_select needs a finite total energy, got {total}")
     if total == 0.0:
         empty = np.empty(0, dtype=np.int64)
         return SparseCoeffs(dims, empty, empty.copy(), np.empty(0), 1.0)
@@ -319,6 +322,8 @@ NON_FINITE_CASES = {
     "overflow_2x2": (lambda rng: np.array([[1e200, 2.0], [3.0, 5e199]]), 0.999),
 }
 
+NAMED_CASES = {**PATH_CASES, **NON_FINITE_CASES}
+
 
 class TestEnergySelectMatchesFullSort:
     """energy_select must equal the full-argsort reference byte for byte."""
@@ -335,18 +340,17 @@ class TestEnergySelectMatchesFullSort:
         F = FAMILIES[family](np.random.default_rng(seed), h, w)
         assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
 
-    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    @pytest.mark.parametrize("case", sorted(NAMED_CASES))
     def test_named_cases(self, case):
-        make, fraction = PATH_CASES[case]
+        make, fraction = NAMED_CASES[case]
         F = make(np.random.default_rng(7))
-        assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
-
-    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
-    def test_non_finite_total_refused(self, case):
-        make, fraction = NON_FINITE_CASES[case]
-        F = make(np.random.default_rng(7))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
-            energy_select(F, fraction)
+        if case in NON_FINITE_CASES:
+            # the reference refuses a non-finite total as well
+            for select in (energy_select, energy_select_full_sort):
+                with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
+                    select(F, fraction)
+        else:
+            assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
 
     @pytest.mark.parametrize(
         "case, rounds, full_sort",
@@ -361,12 +365,16 @@ class TestEnergySelectMatchesFullSort:
             ("white_noise_400", 2, True),
             ("ties_past_block_100", 1, False),
             ("all_ties_100", 1, True),
+            ("with_inf", 0, False),
+            ("overflowing_squares", 0, False),
+            ("with_nan", 0, False),
         ],
     )
     def test_named_cases_take_each_path(self, case, rounds, full_sort, monkeypatch):
         # rounds: blocks split off with np.partition; full_sort: whether the
-        # whole plane's magnitudes are value-sorted.  No case runs an argsort.
-        make, fraction = PATH_CASES[case]
+        # whole plane's magnitudes are value-sorted.  No case runs an argsort,
+        # and a non-finite total is refused before any partition or sort.
+        make, fraction = NAMED_CASES[case]
         F = make(np.random.default_rng(7))
         partitions, sorts, argsorts = [], [], []
         real_partition, real_sort, real_argsort = np.partition, np.sort, np.argsort
@@ -386,7 +394,13 @@ class TestEnergySelectMatchesFullSort:
         monkeypatch.setattr(np, "partition", partition)
         monkeypatch.setattr(np, "sort", sort)
         monkeypatch.setattr(np, "argsort", argsort)
-        energy_select(F, fraction)
+        refused = (
+            pytest.raises(ValueError, match="finite total")
+            if case in NON_FINITE_CASES
+            else contextlib.nullcontext()
+        )
+        with np.errstate(over="ignore"), refused:
+            energy_select(F, fraction)
         assert partitions == [F.size] * rounds
         assert len(sorts) == rounds + full_sort
         assert (F.size in sorts) == full_sort
