@@ -11,7 +11,10 @@ a float64 sum of them over fewer than 2**53 / 255**2 (about 1.4e11) pixels
 is exact in any order.  Entropy adds non-integer terms in numpy's
 reduction order, and entropy and PSNR call log2/log10.  The scatter sampler
 is the one deliberately sampled quantity and therefore runs on a fixed-seed
-linear congruential generator, seeded with DEFAULT_SCATTER_SEED.
+linear congruential generator, seeded with DEFAULT_SCATTER_SEED, drawn
+4096 states at a time: k steps map s to A**k * s + C * (1 + ... + A**(k-1))
+mod 2**32, and the tables of these coefficients are a running product and a
+running sum in uint64, exact because 2**64 is a multiple of 2**32.
 
 `histogram` counts two bytes per bin (one bincount of the plane viewed as
 uint16, folded from a 256x256 table of byte pairs).  NPCR, UACI, MAE, MSE
@@ -31,35 +34,20 @@ import numpy as np
 from .cipher import COMPONENT_NAMES, ImageRGB
 from .errors import DimensionMismatchError, UndefinedCorrelationError
 
-DIRECTIONS = ("horizontal", "vertical", "diagonal")
+# The (dr, dc) step from a pixel to its neighbor in each direction.
+_STEPS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
+DIRECTIONS = tuple(_STEPS)
 
 _LCG_A = 1664525
 _LCG_C = 1013904223
-_LCG_M = 1 << 32
+_LCG_MASK = np.uint64((1 << 32) - 1)
 _LCG_BLOCK = 4096  # states drawn per vectorized step
 DEFAULT_SCATTER_SEED = 0x5EED
 _BYTE_VALUES = np.arange(256, dtype=np.int64)
 
-
-def _lcg_jumps(steps: int):
-    """(A, C) with state_{t+k} = (A[k-1] * state_t + C[k-1]) mod 2**32, k = 1..steps.
-
-    Built by doubling: k + m steps are k steps after m, A_k * A_m and
-    A_k * C_m + C_k.  Every operand is below 2**32, so each product plus
-    addend stays below 2**64 and the uint64 arithmetic is exact.
-    """
-    mask = np.uint64(_LCG_M - 1)
-    a = np.array([_LCG_A], dtype=np.uint64)
-    c = np.array([_LCG_C], dtype=np.uint64)
-    while a.size < steps:
-        a, c = (
-            np.concatenate([a, (a * a[-1]) & mask]),
-            np.concatenate([c, (a * c[-1] + c) & mask]),
-        )
-    return a[:steps], c[:steps]
-
-
-_JUMP_A, _JUMP_C = _lcg_jumps(_LCG_BLOCK)
+_POWERS = np.cumprod(np.full(_LCG_BLOCK, _LCG_A, dtype=np.uint64))
+_JUMP_A = _POWERS & _LCG_MASK
+_JUMP_C = np.cumsum(np.concatenate([[np.uint64(1)], _POWERS[:-1]])) * np.uint64(_LCG_C) & _LCG_MASK
 
 
 @functools.lru_cache(maxsize=4)
@@ -72,13 +60,12 @@ def _lcg_distinct(total: int, count: int) -> np.ndarray:
     arguments alone, not on the plane sampled, so they are memoized (the 27
     samples of an n=1024 analyze share two sets) and returned read-only.
     """
-    mask = np.uint64(_LCG_M - 1)
     state = np.uint64(DEFAULT_SCATTER_SEED)
     seen = np.zeros(total, dtype=bool)
     chosen = [np.empty(0, dtype=np.intp)]
     need = count
     while need > 0:
-        states = (_JUMP_A * state + _JUMP_C) & mask
+        states = (_JUMP_A * state + _JUMP_C) & _LCG_MASK
         state = states[-1]
         draws = (states % np.uint64(total)).astype(np.intp)
         values, first = np.unique(draws, return_index=True)
@@ -143,25 +130,25 @@ def entropy(plane) -> float:
 
 
 def _adjacent_views(plane, direction):
+    """Views (c, d) of each pixel with a neighbor one `_STEPS` step on and of
+    that neighbor; both are empty when the step leaves a plane one pixel
+    high or wide.  An unknown direction raises ValueError."""
+    if direction not in _STEPS:
+        raise ValueError(f"unknown direction {direction!r}")
+    dr, dc = _STEPS[direction]
     plane = np.asarray(plane)
-    if plane.shape[0] < 2 or plane.shape[1] < 2:
-        raise ValueError("need at least a 2x2 plane for adjacency")
-    if direction == "horizontal":
-        return plane[:, :-1], plane[:, 1:]
-    if direction == "vertical":
-        return plane[:-1, :], plane[1:, :]
-    if direction == "diagonal":
-        return plane[:-1, :-1], plane[1:, 1:]
-    raise ValueError(f"unknown direction {direction!r}")
+    height, width = plane.shape
+    return plane[: height - dr, : width - dc], plane[dr:, dc:]
 
 
-def _dropped_lines(plane, direction):
-    """The cells each of `_adjacent_views(plane, direction)` leaves out, as disjoint lines."""
-    if direction == "horizontal":
-        return (plane[:, -1],), (plane[:, 0],)
-    if direction == "vertical":
-        return (plane[-1],), (plane[0],)
-    return (plane[-1], plane[:-1, -1]), (plane[0], plane[1:, 0])
+def _dropped_lines(plane, dr, dc):
+    """The cells each view of a (dr, dc) step leaves out, as disjoint 1-D lines."""
+    lost_c = [plane[-1]] if dr else []
+    lost_d = [plane[0]] if dr else []
+    if dc:
+        lost_c.append(plane[: plane.shape[0] - dr, -1])
+        lost_d.append(plane[dr:, 0])
+    return lost_c, lost_d
 
 
 def _moments(*lines) -> tuple[int, int]:
@@ -190,7 +177,7 @@ def _pearson(n: int, sc: int, sd: int, scc: int, sdd: int, scd: int) -> float | 
 
 def _defined(r: float | None) -> float:
     if r is None:
-        raise UndefinedCorrelationError("zero variance in a correlation operand")
+        raise UndefinedCorrelationError("no pairs or zero variance in a correlation operand")
     return r
 
 
@@ -214,7 +201,7 @@ def _adjacent(f: np.ndarray, sums: tuple[int, int], direction: str) -> float | N
     the only pass over the plane is the cross term.
     """
     c, d = _adjacent_views(f, direction)
-    lost_c, lost_d = (_moments(*lines) for lines in _dropped_lines(f, direction))
+    lost_c, lost_d = (_moments(*lines) for lines in _dropped_lines(f, *_STEPS[direction]))
     return _pearson(
         c.size,
         sums[0] - lost_c[0],
@@ -306,7 +293,8 @@ def scatter_sample(plane, direction: str, count: int) -> np.ndarray:
     drawn from a linear congruential generator seeded with
     DEFAULT_SCATTER_SEED (duplicates rejected); a count that reaches every
     available pair returns the full population in row-major order.  A
-    negative count raises ValueError.
+    direction with no pairs (a plane one pixel high or wide) gives a (0, 2)
+    array.  A negative count raises ValueError.
     """
     plane = np.asarray(plane)
     c, _ = _adjacent_views(plane, direction)
@@ -319,8 +307,8 @@ def scatter_sample(plane, direction: str, count: int) -> np.ndarray:
         idx = _lcg_distinct(total, count)
     # The view drops the plane's last dr rows and dc columns, and the
     # neighbor of plane cell k is cell k + dr * width + dc.
-    height, width = plane.shape
-    dr, dc = height - c.shape[0], width - c.shape[1]
+    dr, dc = _STEPS[direction]
+    width = plane.shape[1]
     at = idx + idx // c.shape[1] * dc  # row-major view index -> plane index
     flat = plane.reshape(-1)
     pairs = np.stack([flat[at], flat[at + (dr * width + dc)]], axis=1)
@@ -353,7 +341,8 @@ def full_report(
     """Every per-component metric plus original-vs-cipher and -vs-decrypted pairs.
 
     Returns the JSON-ready dict {image, dims, components, pairs} that the
-    CLI writes.  A constant plane has no defined adjacent correlation; its
+    CLI writes.  A constant plane has no defined adjacent correlation, nor
+    has a direction with no pairs (a plane one pixel high or wide); such an
     entry is reported as null rather than failing the whole report.
     """
     images = [("original", original), ("encrypted", encrypted), ("decrypted", decrypted)]

@@ -1,7 +1,8 @@
 """Command-line surface: encrypt, decrypt, analyze, lorenz, keystream, selftest.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 verification
-failure.  All errors go to stderr as a single line with a stable prefix.
+Exit codes: 0 success, 1 usage error, 2 data/format error (running out of
+memory included), 3 verification failure.  All errors go to stderr as a
+single line with a stable prefix.
 """
 
 from __future__ import annotations
@@ -216,9 +217,9 @@ def _cmd_lorenz(args) -> int:
 
 
 def _cmd_keystream(args) -> int:
-    key = _single_key(args)
+    planes = build_round_keystream(_single_key(args), args.size)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, k in zip(("xy", "xz", "yz"), build_round_keystream(key, args.size)):
+    for name, k in zip(("xy", "xz", "yz"), planes):
         row_orders, col_orders = line_orders(k)
         save_pgm(os.path.join(args.out_dir, f"{name}.pgm"), k)
         _write_csv(
@@ -264,6 +265,9 @@ def cli_main(argv) -> int:
         return 1
     except (LorenzDctError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ class DegenerateKeystreamError(LorenzDctError, ValueError):
 
 
 class UndefinedCorrelationError(LorenzDctError, ArithmeticError):
-    """Correlation requested on data with zero variance."""
+    """Correlation requested on data with no pairs or zero variance."""
 
 
 class DimensionMismatchError(LorenzDctError, ValueError):

@@ -53,8 +53,10 @@ def ref_scatter_indices(total, count):
 
 def exact_correlation(c, d):
     """Pearson correlation of two views from centred Fractions, as a Decimal
-    to 50 digits; None when either view has zero variance."""
+    to 50 digits; None when the views are empty or either has zero variance."""
     c, d = [int(v) for v in np.ravel(c)], [int(v) for v in np.ravel(d)]
+    if not c:
+        return None
     mc, md = Fraction(sum(c), len(c)), Fraction(sum(d), len(d))
     cov = sum((x - mc) * (y - md) for x, y in zip(c, d))
     var_c = sum((x - mc) ** 2 for x in c)
@@ -128,9 +130,9 @@ def textbook_differences(a, b):
 
 @st.composite
 def small_planes(draw):
-    """Small uint8 planes, square or not: random, constant rows or columns,
-    or two-level."""
-    h, w = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    """Small uint8 planes, square or not, down to one pixel high or wide:
+    random, constant rows or columns, or two-level."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["random", "rows", "columns", "two-level"]))
     if kind == "random":
         return draw(arrays(np.uint8, (h, w)))
@@ -210,6 +212,7 @@ class TestCorrelation:
     @given(small_planes())
     @example(np.array([[0, 255], [255, 0]], dtype=np.uint8))
     @example(np.array([[0, 0], [0, 255]], dtype=np.uint8))
+    @example(np.array([[0, 255, 7]], dtype=np.uint8))
     def test_within_one_ulp_of_exact(self, plane):
         entry = _component_entry("p", plane)["correlation"]
         for short, direction in zip("hvd", DIRECTIONS):
@@ -437,17 +440,22 @@ class TestScatterSample:
             s = scatter_sample(plane, direction, count)
             assert np.array_equal(s, np.stack([c[idx], d[idx]], axis=1))
 
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 8), (7, 7), (13, 6), (33, 33)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (2, 9), (9, 2), (5, 8), (7, 7), (13, 6), (33, 33), (1, 1), (1, 9), (9, 1)]
+    )
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_matches_ravel_reference(self, rng, shape, direction):
+        # a plane one pixel high or wide has no pairs in some directions:
+        # every count then gives an empty, read-only (0, 2) sample
         plane = rng.integers(0, 256, shape, dtype=np.uint8)
         for source in (plane, plane.T):
             c, d = (v.ravel() for v in _adjacent_views(source, direction))
             total = c.size
-            for count in sorted({1, total // 2, total - 1, total} - {0}):
-                idx = np.arange(total) if count == total else ref_scatter_indices(total, count)
+            for count in sorted({max(k, 0) for k in (1, total // 2, total - 1, total)}):
+                idx = np.arange(total) if count >= total else ref_scatter_indices(total, count)
                 s = scatter_sample(source, direction, count)
-                assert s.dtype == np.uint8
+                assert s.dtype == np.uint8 and s.shape == (idx.size, 2)
+                assert not s.flags.writeable
                 assert np.array_equal(s, np.stack([c[idx], d[idx]], axis=1))
 
     def test_memoized_indices_are_read_only(self):

@@ -116,6 +116,21 @@ def test_analyze_black_component(tmp_path):
         assert [int(r.split(",")[1]) for r in rows[1:]] == entry["histogram"]
 
 
+@pytest.mark.parametrize("width, height, defined", [(16, 1, "h"), (1, 16, "v")])
+def test_analyze_one_pixel_line(tmp_path, width, height, defined):
+    # only the direction along the line has pairs; the others report null
+    # and write a scatter CSV of the two header lines alone
+    line, report, scatter = tmp_path / "line.ppm", tmp_path / "r.json", tmp_path / "s"
+    line.write_bytes(f"P6\n{width} {height}\n255\n".encode() + bytes(range(48)))
+    argv = ["analyze", "--original", str(line), "--json", str(report)]
+    assert cli_main(argv + ["--scatter-csv", str(scatter)]) == 0
+    for entry in json.loads(report.read_text())["components"]:
+        assert {k for k, r in entry["correlation"].items() if r is not None} == {defined}
+    for short, direction in zip("hvd", ("horizontal", "vertical", "diagonal")):
+        rows = (scatter / f"original_R_{direction}.csv").read_text().splitlines()
+        assert len(rows) == (17 if short == defined else 2)
+
+
 def test_encrypt_deterministic_bytes(small_ppm, tmp_path):
     b1, b2 = tmp_path / "a.ldct", tmp_path / "b.ldct"
     assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(b1)] + KEY_ARGS) == 0
@@ -281,6 +296,19 @@ def test_bad_keystream_size_is_usage_error(tmp_path, capsys, size):
     errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("usage error:")]
     message = f"argument --size: must be an integer in [2, 65536], not {size!r}"
     assert errors == [f"usage error: {message}"]
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 32.0 GiB", ""])
+def test_out_of_memory_is_data_error(tmp_path, capsys, monkeypatch, message):
+    def fail(key, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(lorenzdct.cli, "build_round_keystream", fail)
+    outdir = tmp_path / "ks"
+    rc = cli_main(["keystream", "--key", "key(A)", "--size", "4", "--out-dir", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message or 'out of memory'}"]
     assert not outdir.exists()
 
 

@@ -398,12 +398,16 @@ class TestBuildRoundKeystream:
 
     def test_conv_magnitude_headroom(self, keys):
         """n * max|a| * max|b| stays below 2**49 at n=4096 for every pair,
-        a factor of 16 below the 2**53 that circular_conv refuses."""
+        a factor of 16 below the 2**53 that circular_conv refuses.  The
+        largest plane_bytes product, max|a| * max|b| * 2**-4S, stays below
+        2**53 too, where a double still holds every integer and so each
+        byte keeps its low bits (it passes 2**53 above n=12288)."""
         n = 4096
         for key in keys + (SecretKey("q7#Lm2"),):
-            peaks = [
-                int(np.max(np.abs(np.rint(resize_linear(v, n) * 2.0**S))))
-                for v in _key_vectors(key)
-            ]
+            x, y, z = (np.rint(resize_linear(v, n) * 2.0**S) for v in _key_vectors(key))
+            peaks = [int(np.max(np.abs(v))) for v in (x, y, z)]
             for i, j in ((0, 0), (0, 1), (1, 2), (2, 2)):
                 assert n * peaks[i] * peaks[j] < 2**49
+            xx, xy, yz, zz = (circular_conv(a, b) for a, b in ((x, x), (x, y), (y, z), (z, z)))
+            for a, b in ((xx, yz), (xy, zz), (xy, yz)):
+                assert int(np.max(np.abs(a))) * int(np.max(np.abs(b))) < 2 ** (53 + 4 * S)
