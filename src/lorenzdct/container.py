@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic      4 bytes  b"LDCT"
-    version    u16      4
+    version    u16      5
     width      u32
     height     u32
     rounds     u8       3
@@ -11,20 +11,36 @@ Layout (all little-endian):
     shifts     rounds x u16
     rots       rounds x 3 x u8
     counts     3 x u32  retained cell count k of each carrier, R G B
+    escapes    3 x u32  escaped gap count e of each carrier, R G B
     dic        3 planes of width*height raw bytes, row-major, R G B
-    positions  k_R + k_G + k_B u32, each carrier's flat cells, strictly ascending
-    values     k_R + k_G + k_B float64, each carrier's twin + log at those cells
+    gaps       k_R + k_G + k_B u8, each carrier's position gaps
+    escaped    e_R + e_G + e_B u32, each carrier's gaps of 255 or more, in order
+    values     k_R + k_G + k_B float64, each carrier's twin + log at its cells
     crc        u32      CRC-32 (ISO-HDLC) over every preceding byte
+
+so a file is 55 + 3 n**2 + 9 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
+bytes, known from the header before anything is decoded.
 
 A carrier stores only the cells that hold a DCT coefficient; every other
 cell is the keystream twin sum, which the receiver recomputes from the keys.
 A 1024 x 1024 natural image keeps a few hundred cells per carrier, so the
 file is about the size of the image; a two-level document keeps over 100k.
-Positions stay below 2**32 because the cipher's sizes stop at n = 65536.
-The values are raw doubles, so the decoded bundle is bit-identical to the
-encoded one.
 
-Every other version is refused: versions 1 to 3 stored each carrier cell.
+A carrier's flat cells are strictly ascending, so they are written as gaps:
+the first gap is the first cell (it may be 0), each later one the distance
+from the cell before (at least 1).  A gap below 255 is its own byte; a
+larger one is the byte 0xFF and its value in the carrier's escape list.  A
+document's cells are mostly 1 to 4 apart, and a natural carrier's few
+hundred cells cluster at low frequencies, so the positions cost about 1.02
+and 1.3-1.4 bytes per cell, where a bitmap would cost n**2 / 8 bytes for
+either: one code serves both.  The cipher's sizes stop at n = 65536, so
+every gap fits u32.  One bundle has exactly one file: read_bundle refuses a
+carrier whose 0xFF bytes and escape count disagree, an escaped gap below
+255 and one of n**2 or more.  The values are raw doubles, so the decoded
+bundle is bit-identical to the encoded one.
+
+Every other version is refused: versions 1 to 3 stored each carrier cell,
+version 4 each position as a u32.
 """
 
 from __future__ import annotations
@@ -34,16 +50,18 @@ import zlib
 
 import numpy as np
 
-from .cipher import CipherBundle
+from .cipher import COMPONENT_NAMES, CipherBundle
 from .errors import FormatError
 
 MAGIC = b"LDCT"
-VERSION = 4
+VERSION = 5
 ROUNDS = 3
+MAX_SIZE = 65536  # the cipher's largest n; every position fits u32
+ESCAPE = 0xFF
 
 _FIXED = struct.Struct("<4sHIIBB")
 _SCHEDULE = struct.Struct(f"<{ROUNDS}H{3 * ROUNDS}B")  # the shifts, then each key's rotations
-_COUNTS = struct.Struct("<3I")
+_COUNTS = struct.Struct("<6I")  # the position counts, then the escape counts
 _HEAD_LEN = _FIXED.size + _SCHEDULE.size + _COUNTS.size
 
 
@@ -52,13 +70,52 @@ def header_bytes(bundle: CipherBundle) -> bytes:
     return head + _SCHEDULE.pack(*bundle.shifts, *(r for rot in bundle.rotations for r in rot))
 
 
+def encode_positions(positions) -> tuple[np.ndarray, np.ndarray]:
+    """One carrier's strictly ascending cells as (gap bytes, escaped gaps).
+
+    The gap bytes are u8, one per cell, ESCAPE where the gap is 255 or more;
+    the escaped gaps are those gaps as "<u4", in order.
+    """
+    gaps = np.diff(np.asarray(positions, dtype=np.int64), prepend=0)
+    escaped = gaps >= ESCAPE
+    return np.minimum(gaps, ESCAPE).astype(np.uint8), gaps[escaped].astype("<u4")
+
+
+def decode_positions(gaps, escaped, n_px: int, color: str) -> np.ndarray:
+    """Inverse of encode_positions for a plane of n_px cells: uint32 cells.
+
+    Raises FormatError unless the stream is the one encode_positions writes
+    for some cells below n_px: one escaped gap per ESCAPE byte, each in
+    [255, n_px), and a last cell below n_px.  A zero gap after the first
+    decodes to a repeated cell, which CipherBundle refuses.
+    """
+    at = gaps == ESCAPE
+    found = int(np.count_nonzero(at))
+    if found != escaped.size:
+        raise FormatError(
+            f"carrier {color} has {found} escape bytes but {escaped.size} escaped gaps"
+        )
+    if escaped.size and not (escaped.min() >= ESCAPE and escaped.max() < n_px):
+        raise FormatError(f"carrier {color} escaped gaps are not all in [{ESCAPE}, {n_px})")
+    # every gap is below max(255, n_px) <= 2**32 and there are at most
+    # n_px <= 2**32 of them, so the uint64 sum cannot wrap
+    cells = gaps.astype(np.uint64)
+    cells[at] = escaped
+    np.cumsum(cells, out=cells)
+    if cells.size and cells[-1] >= n_px:
+        raise FormatError(f"carrier {color} positions run past the {n_px} cells of a plane")
+    return cells.astype(np.uint32)
+
+
 def write_bundle(path, bundle: CipherBundle):
     """Serialize a bundle; identical bundles produce identical files."""
+    coded = [encode_positions(pos) for pos in bundle.positions]
     parts = [
         header_bytes(bundle),
-        _COUNTS.pack(*(pos.size for pos in bundle.positions)),
+        _COUNTS.pack(*(pos.size for pos in bundle.positions), *(e.size for _, e in coded)),
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
-        *(np.ascontiguousarray(pos, dtype="<u4") for pos in bundle.positions),
+        *(gaps for gaps, _ in coded),
+        *(escaped for _, escaped in coded),
         *(np.ascontiguousarray(values, dtype="<f8") for values in bundle.carriers),
     ]
     crc = 0
@@ -73,10 +130,11 @@ def read_bundle(path) -> CipherBundle:
     """Parse and validate a bundle file; exact inverse of write_bundle.
 
     The header is checked first (magic, version, rounds, flags, a square
-    size of at least 2), then the size against the header and the counts,
-    then the CRC.  `CipherBundle` then checks the key rotations (each below
-    48) and each carrier's positions (strictly ascending, below width *
-    height).  Every failure raises FormatError.
+    size from 2 to MAX_SIZE), then the size against the header and the
+    counts, then the CRC, then each carrier's position stream
+    (decode_positions).  `CipherBundle` then checks the key rotations (each
+    below 48) and each carrier's positions (strictly ascending, below width
+    * height).  Every failure raises FormatError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -94,15 +152,18 @@ def read_bundle(path) -> CipherBundle:
         raise FormatError(f"reserved flags byte is nonzero ({flags})")
     if width != height:
         raise FormatError(f"container image must be square, got {width}x{height}")
-    if width < 2:
-        raise FormatError(f"container image must be at least 2x2, got {width}x{height}")
+    if not 2 <= width <= MAX_SIZE:
+        raise FormatError(
+            f"container image must be from 2x2 to {MAX_SIZE}x{MAX_SIZE}, got {width}x{height}"
+        )
 
     n_px = width * height
-    counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
+    all_counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
+    counts, escapes = all_counts[:3], all_counts[3:]
     for k in counts:
         if k > n_px:
             raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
-    expected = _HEAD_LEN + 3 * n_px + 12 * sum(counts) + 4
+    expected = _HEAD_LEN + 3 * n_px + 9 * sum(counts) + 4 * sum(escapes) + 4
     if len(blob) != expected:
         raise FormatError(
             f"container size {len(blob)} does not match header (expected {expected})"
@@ -125,8 +186,12 @@ def read_bundle(path) -> CipherBundle:
         return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
 
     dic = tuple(take("<u1", n_px).reshape(height, width) for _ in range(3))
-    positions = tuple(take("<u4", k) for k in counts)
+    gaps = tuple(take("<u1", k) for k in counts)
+    escaped = tuple(take("<u4", e) for e in escapes)
     carriers = tuple(take("<f8", k) for k in counts)
+    positions = tuple(
+        decode_positions(g, e, n_px, color) for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
+    )
     try:
         return CipherBundle(
             n=width,

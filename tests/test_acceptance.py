@@ -146,12 +146,12 @@ def test_criterion_7_energy_retention(pipeline_runs):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "Uniform fixed-step sampling (required for bit-reproducible keystream "
-        "regeneration) yields 297/395/252 retained coefficients for the stated "
-        "initial conditions; only adaptive-solver output sampling falls near "
-        "the reference counts 208/228/171, and the two reference reports for "
-        "this construction disagree by 25% themselves. Band unchanged; "
-        "failure expected."
+        "Fixed-step RK4 sampling (required for bit-reproducible keystream "
+        "regeneration) keeps 297/395/252 coefficients for the stated initial "
+        "conditions. scipy's RK45 at ode45's default tolerances (rtol 1e-3, "
+        "atol 1e-6), on its 580 own steps, keeps 267/343/226. Neither is "
+        "within +-15% of the reference 208/228/171 in any component. Band "
+        "unchanged; failure expected."
     ),
 )
 def test_criterion_7_retained_count_band():

@@ -12,13 +12,14 @@ GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 4, re-recorded when the container
-stopped storing the carrier cells that hold no coefficient (the twin sum,
-which the keys give); BUNDLE_GOLDEN was left as version 3 recorded it, which
-shows that the cipher's values did not move.  The keystream is the same on
-every IEEE-754 platform; the image side (scipy's DCT, the energy selection,
-the sign-log carriers) is still floating point, so a different DCT build
-could still move both tables.
+values below are for container version 5, re-recorded when each carrier's
+positions became one-byte gaps with a u32 escape list instead of u32 cells.
+BUNDLE_GOLDEN was left as version 3 recorded it: neither version 4 (which
+stopped storing the carrier cells that hold no coefficient) nor version 5
+moved it, which shows that the cipher's values did not move.  The keystream
+is the same on every IEEE-754 platform; the image side (scipy's DCT, the
+energy selection, the sign-log carriers) is still floating point, so a
+different DCT build could still move both tables.
 
 The n=331 dense two-level planes keep about 90,000 of their 109,561
 coefficients.  A head that large is more than a quarter of the plane, so the
@@ -27,7 +28,9 @@ recorded while that case still ran a whole-plane stable argsort.
 
 UNIT_DC_CONTAINER was written by an encrypt whose energy_select still
 moved a retained |v| in [1, 1 + 1e-12] to just above that band, so its
-carriers differ from today's for the same image.  Its 16x16 planes are the
+carriers differ from today's for the same image.  The file was written as
+version 4 and transcoded to version 5 (read, then written again), never
+re-encrypted, so it keeps that carrier.  Its 16x16 planes are the
 identity, the identity mirrored left to right and a 4x4 block of ones in a
 corner, each with a DC coefficient of 1.0; UNIT_DC_IMAGE is the sha256 of
 their bytes, R then G then B.  Decrypt must still restore them exactly.
@@ -65,11 +68,11 @@ BUNDLE_GOLDEN = {
 }
 
 GOLDEN = {
-    ("natural", 64): "4b7466708a1304607cb2bf3107ad0aba6e5557d66676972c36da0d8f61818e8f",
-    ("natural", 256): "bfe27acc151ec02ebd63ee248203f760726f6b983c2137436033bcb8e28d0962",
-    ("two_level", 64): "5454b253780e78a984ebf8355450ea53515ecd9dab5050980944d07a6e4d2dce",
-    ("two_level", 256): "519d2597db3013d547746e181c52aad9e497bc2a2cee1a99761dd3adfb5481fc",
-    ("dense_two_level", 331): "aa2a108e50cd3ffc5c169503c270c2f890a7b04b68f296d7933ccdab63bda82e",
+    ("natural", 64): "331b63edef917485f2609f449ed8883753e07c4f38ef2dd8246ba86984f76674",
+    ("natural", 256): "81d1223ace63d11080e4f70b09a566e0d2ae184e053e9ab8effbe826111a6f58",
+    ("two_level", 64): "1285735ed9b961c02dc6cc3de98689943ba6ddea855d671e5c667a07cf8ed535",
+    ("two_level", 256): "925424048455f96d3dc2db3ed86916ccb1df5e830aab284c8b3dc28ec457c2f7",
+    ("dense_two_level", 331): "d1a0306e7b555ab38f9fa7454410c7fde832b6ee4bd5c41c3aeb3f4fd33c8174",
 }
 
 UNIT_DC_CONTAINER = Path(__file__).parent / "data" / "unit_dc_16.ldct"

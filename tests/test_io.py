@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from lorenzdct.cipher import CipherBundle, ImageRGB, _schedules, decrypt_image, encrypt_image
 from lorenzdct.cli import cli_main
-from lorenzdct.container import read_bundle, write_bundle
+from lorenzdct.container import decode_positions, encode_positions, read_bundle, write_bundle
+from lorenzdct.dct import idct2
 from lorenzdct.errors import FormatError
 from lorenzdct.lorenz import SecretKey
 from lorenzdct.ppm import load_ppm, save_pgm, save_ppm
@@ -63,7 +64,7 @@ VALUES = st.one_of(
 
 @st.composite
 def carriers(draw):
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 24))  # from n = 16 on, a gap can be 255 or more
     planes = []
     for _ in range(3):
         cells = sorted(draw(st.sets(st.integers(0, n * n - 1))))
@@ -107,7 +108,40 @@ BAD_ROTATIONS = spoiled(
 )
 
 
+PPM_4X4 = b"P6\n# a comment\n4 4\n255\n" + bytes(range(0, 240, 5))
+
+
+@st.composite
+def ppm_mutants(draw):
+    """The 4 x 4 P6 above after 1 to 4 byte edits, inserts or deletes, with
+    the bytes a header is made of drawn often."""
+    blob = bytearray(PPM_4X4)
+    byte = st.one_of(st.sampled_from(b" \t\r\n#0123456789-+P36"), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["edit", "insert", "delete"]))
+        at = draw(st.integers(0, len(blob) - (kind != "insert")))
+        if kind == "edit":
+            blob[at] = draw(byte)
+        elif kind == "insert":
+            blob.insert(at, draw(byte))
+        else:
+            del blob[at]
+    return bytes(blob)
+
+
 class TestPpm:
+    @settings(max_examples=300, deadline=None)
+    @given(blob=ppm_mutants())
+    def test_mutated_ppm_formaterror_or_valid_image(self, blob, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated.ppm"
+        path.write_bytes(blob)
+        try:
+            img = load_ppm(path)
+        except FormatError:
+            return
+        assert isinstance(img, ImageRGB) and img.width >= 1 and img.height >= 1
+        assert 3 * img.width * img.height <= len(blob)
+
     def test_roundtrip(self, rng, tmp_path):
         img = random_image(rng, 17, 11)
         path = tmp_path / "img.ppm"
@@ -202,13 +236,13 @@ class TestContainer:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_2x2_total_size(self, rng, tmp_path):
-        # carriers with 0, 1 and 4 cells: header 31 bytes + 3*4 counts
-        # + 3*4 dic + (0+1+4)*(4+8) positions and values + 4 CRC = 119
+        # carriers with 0, 1 and 4 cells: header 31 bytes + 6*4 counts
+        # + 3*4 dic + (0+1+4)*(1+8) gaps and values + 4 CRC = 116
         planes = [np.arange(k, dtype=np.uint32) for k in (0, 1, 4)]
         carriers = tuple((pos, np.full(pos.size, np.nan)) for pos in planes)
         path = tmp_path / "s.ldct"
         write_bundle(path, random_bundle(rng, 2, carriers))
-        assert path.stat().st_size == 31 + 12 + 12 + 60 + 4
+        assert path.stat().st_size == 31 + 24 + 12 + 45 + 4
 
     def test_flipped_byte_fails_crc(self, rng, tmp_path):
         path = tmp_path / "c.ldct"
@@ -259,6 +293,61 @@ class TestContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _reference_stream(cells):
+    """The v5 position stream of ascending cells, one cell at a time."""
+    gaps, escaped, prev = bytearray(), bytearray(), 0
+    for cell in cells:
+        gap, prev = cell - prev, cell
+        gaps.append(min(gap, 0xFF))
+        if gap >= 0xFF:
+            escaped += struct.pack("<I", gap)
+    return bytes(gaps), bytes(escaped)
+
+
+class TestPositionCodec:
+    """encode_positions and decode_positions on their own, at sizes no image
+    in the suite reaches: the same cells come back, as the same bytes the
+    cell-by-cell reference writes."""
+
+    def _round_trip(self, cells, n):
+        pos = np.array(cells, dtype=np.uint32)
+        gaps, escaped = encode_positions(pos)
+        assert gaps.dtype == np.uint8 and escaped.dtype == np.dtype("<u4")
+        stream = (gaps.tobytes(), escaped.tobytes())
+        assert stream == _reference_stream(cells)
+        again = encode_positions(pos)
+        assert (again[0].tobytes(), again[1].tobytes()) == stream
+        back = decode_positions(gaps, escaped.astype(np.uint32), n * n, "R")
+        assert back.dtype == np.uint32 and back.tobytes() == pos.tobytes()
+        return stream
+
+    def test_empty_carrier(self):
+        assert self._round_trip([], 2) == (b"", b"")
+
+    def test_cell_zero(self):
+        assert self._round_trip([0], 2) == (b"\x00", b"")
+
+    def test_last_cell_of_the_largest_plane(self):
+        # the first gap is the cell itself, and must fit the u32 escape
+        n = 65536
+        assert self._round_trip([n * n - 1], n) == (b"\xff", struct.pack("<I", 2**32 - 1))
+
+    def test_all_escaped_gaps(self):
+        cells = [300 * i for i in range(1, 41)]
+        gaps, escaped = self._round_trip(cells, 110)
+        assert gaps == b"\xff" * 40 and escaped == struct.pack("<40I", *[300] * 40)
+
+    def test_escape_boundary(self):
+        # 254 is a byte, 255 the smallest escaped gap
+        assert self._round_trip([254, 509], 23) == (b"\xfe\xff", struct.pack("<I", 255))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.one_of(st.integers(2, 64), st.integers(2, 65536)))
+    def test_random_ascending_cells(self, data, n):
+        cells = sorted(data.draw(st.sets(st.integers(0, n * n - 1), max_size=300)))
+        self._round_trip(cells, n)
+
+
 class TestBundleSchedule:
     """CipherBundle checks the schedules it carries, so every bundle that
     constructs is written and read back unchanged."""
@@ -294,12 +383,15 @@ class TestBundleSchedule:
             random_bundle(rng, 2, shifts=(3, 7, 70000))
 
 
-# Offsets in a v4 container: the 31-byte header, whose last nine bytes are
-# the key rotations, then three u32 position counts, then the dic planes.
+# Offsets in a v5 container: the 31-byte header, whose last nine bytes are
+# the key rotations, then three u32 position counts k and three u32 escape
+# counts e, then the dic planes, the k gap bytes, the 4e bytes of escaped
+# gaps and the 8k bytes of values.
 SIZE_AT = 6
 ROTATIONS_AT = 22
 COUNTS_AT = 31
-HEAD_LEN = 43
+ESCAPES_AT = 43
+HEAD_LEN = 55
 
 
 def _reseal(blob):
@@ -307,17 +399,35 @@ def _reseal(blob):
     return blob + struct.pack("<I", zlib.crc32(blob))
 
 
-def _positions_at(n):
-    return HEAD_LEN + 3 * n * n
+def _sections(body):
+    """Where each carrier's gap bytes, escaped gaps and values start in a v5
+    body, as three (R, G, B) lists read from its header."""
+    n = struct.unpack_from("<I", body, SIZE_AT)[0]
+    counts = struct.unpack_from("<6I", body, COUNTS_AT)
+    starts, at = [], HEAD_LEN + 3 * n * n
+    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (8, counts[:3])):
+        starts.append([at + width * sum(sizes[:i]) for i in range(3)])
+        at += width * sum(sizes)
+    return starts
+
+
+# 400 cells, so a gap can be escaped.  The gaps are R 0 1 1 (298) 2 97,
+# G 5 1 (255) 1 and B 0 (255) 1: one escaped gap each, in parentheses.
+HOSTILE_N = 20
+HOSTILE_CELLS = ([0, 1, 2, 300, 302, 399], [5, 6, 261, 262], [0, 255, 256])
 
 
 class TestHostileContainer:
-    """Containers with a valid CRC whose v4 structure is inconsistent."""
+    """Containers with a valid CRC whose v5 structure is inconsistent."""
 
     @pytest.fixture()
     def body(self, rng, tmp_path):
+        carriers = tuple(
+            (np.array(cells, np.uint32), rng.uniform(0, 766, len(cells)))
+            for cells in HOSTILE_CELLS
+        )
         path = tmp_path / "h.ldct"
-        write_bundle(path, random_bundle(rng, 4))
+        write_bundle(path, random_bundle(rng, HOSTILE_N, carriers))
         return bytearray(path.read_bytes()[:-4])
 
     def _read(self, tmp_path, blob):
@@ -326,7 +436,10 @@ class TestHostileContainer:
         return read_bundle(path)
 
     def test_intact_body_reads(self, body, tmp_path):
-        assert self._read(tmp_path, body).n == 4
+        # 13 cells and 3 escaped gaps: 55 + 3n² + 9 * 13 + 4 * 3 + 4 bytes
+        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
+        back = self._read(tmp_path, body)
+        assert [p.tolist() for p in back.positions] == list(HOSTILE_CELLS)
 
     @pytest.mark.parametrize("rotation", [48, 200, 255])
     def test_rotation_outside_key_bits(self, body, tmp_path, rotation):
@@ -335,37 +448,77 @@ class TestHostileContainer:
             self._read(tmp_path, body)
 
     def test_count_beyond_plane(self, body, tmp_path):
-        struct.pack_into("<I", body, COUNTS_AT + 4, 4 * 4 + 1)
+        struct.pack_into("<I", body, COUNTS_AT + 4, HOSTILE_N**2 + 1)
         with pytest.raises(FormatError, match="position count"):
             self._read(tmp_path, body)
 
     def test_count_moved_between_planes(self, body, tmp_path):
-        # move one count from G to R: the total size still matches, and R
-        # now ends with G's first position, cell 0
+        # move one count from B to G: the total size still matches, and G
+        # now ends with B's first gap, a zero
         k_r, k_g, k_b = struct.unpack_from("<3I", body, COUNTS_AT)
-        struct.pack_into("<3I", body, COUNTS_AT, k_r + 1, k_g - 1, k_b)
-        with pytest.raises(FormatError, match="carrier R positions are not strictly ascending"):
+        struct.pack_into("<3I", body, COUNTS_AT, k_r, k_g + 1, k_b - 1)
+        with pytest.raises(FormatError, match="carrier G positions are not strictly ascending"):
             self._read(tmp_path, body)
 
     @pytest.mark.parametrize("edit", ["swap", "duplicate", "past_plane", "top"])
     def test_bad_positions(self, body, tmp_path, edit):
-        at = _positions_at(4)
-        k_r = struct.unpack_from("<I", body, COUNTS_AT)[0]
-        assert k_r >= 3  # edits R's first two positions or its last one
-        last = at + 4 * (k_r - 1)
-        first, second = struct.unpack_from("<2I", body, at)
-        if edit in ("swap", "duplicate"):
-            new = (second, first) if edit == "swap" else (first, first)
-            struct.pack_into("<2I", body, at, *new)
-        else:  # still ascending, but past the 16 cells
-            struct.pack_into("<I", body, last, 16 if edit == "past_plane" else 2**32 - 1)
-        with pytest.raises(FormatError, match="carrier R positions are not strictly ascending"):
+        (gaps_at, _, _), (escaped_at, _, _), _ = _sections(body)
+        if edit == "swap":  # R's first two gaps, 0 1: cell 1 twice
+            body[gaps_at], body[gaps_at + 1] = body[gaps_at + 1], body[gaps_at]
+        elif edit == "duplicate":  # a zero gap after the first: R's third gap, 1
+            body[gaps_at + 2] = 0
+        elif edit == "past_plane":  # R's last gap, 97, becomes 98: cell 400
+            body[gaps_at + 5] += 1
+        else:  # R's escaped gap, 298, becomes 399: in range, but cell 401
+            struct.pack_into("<I", body, escaped_at, HOSTILE_N**2 - 1)
+        ascending = edit in ("swap", "duplicate")
+        error = "are not strictly ascending" if ascending else "run past the 400 cells"
+        with pytest.raises(FormatError, match=f"carrier R positions {error}"):
+            self._read(tmp_path, body)
+
+    @pytest.mark.parametrize("edit", ["escape_byte", "count_moved", "count_and_list"])
+    def test_escape_count_disagrees_with_escape_bytes(self, body, tmp_path, edit):
+        (gaps_at, _, _), (escaped_at, _, _), _ = _sections(body)
+        if edit == "escape_byte":  # R's second gap, 1, becomes 0xFF
+            body[gaps_at + 1] = 0xFF
+            found, listed = 2, 1
+        elif edit == "count_moved":  # R's escaped gap counted as G's; same size
+            struct.pack_into("<2I", body, ESCAPES_AT, 0, 2)
+            found, listed = 1, 0
+        else:  # R's escaped gap and its count both gone; same size
+            struct.pack_into("<I", body, ESCAPES_AT, 0)
+            del body[escaped_at : escaped_at + 4]
+            found, listed = 1, 0
+        with pytest.raises(
+            FormatError, match=f"carrier R has {found} escape bytes but {listed} escaped gaps"
+        ):
+            self._read(tmp_path, body)
+
+    @pytest.mark.parametrize("gap", [0, 1, 254, 400, 2**32 - 1])
+    def test_escaped_gap_outside_range(self, body, tmp_path, gap):
+        # below 255 a gap is its own byte, and no gap reaches n²
+        escaped_at = _sections(body)[1][0]
+        struct.pack_into("<I", body, escaped_at, gap)
+        with pytest.raises(FormatError, match=r"R escaped gaps are not all in \[255, 400\)"):
+            self._read(tmp_path, body)
+
+    def test_truncated_escape_list(self, body, tmp_path):
+        escaped_at = _sections(body)[1][0]
+        del body[escaped_at : escaped_at + 4]
+        with pytest.raises(FormatError, match="size"):
             self._read(tmp_path, body)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_size_below_two(self, body, tmp_path, n):
         struct.pack_into("<2I", body, SIZE_AT, n, n)
-        with pytest.raises(FormatError, match="at least 2x2"):
+        with pytest.raises(FormatError, match="from 2x2 to 65536x65536"):
+            self._read(tmp_path, body)
+
+    @pytest.mark.parametrize("n", [65537, 2**32 - 1])
+    def test_size_above_cipher_range(self, body, tmp_path, n):
+        # refused from the header, before a size check that such a file could not pass
+        struct.pack_into("<2I", body, SIZE_AT, n, n)
+        with pytest.raises(FormatError, match="from 2x2 to 65536x65536"):
             self._read(tmp_path, body)
 
     def test_truncated_carrier_values(self, body, tmp_path):
@@ -407,12 +560,26 @@ class TestHostileContainer:
             self._read(tmp_path, blob)
 
 
+def sparse_spectrum_image(n=32, seed=8):
+    """Planes whose DCT holds two full low rows and two lone coefficients in
+    rows 12 and 28, so each carrier has runs of one-byte gaps and two
+    escaped gaps."""
+    rng = np.random.default_rng(seed)
+    planes = []
+    for c in range(3):
+        coeffs = np.zeros((n, n))
+        coeffs[:2] = rng.uniform(-60, 60, (2, n))
+        coeffs[0, 0] = 128 * n
+        coeffs[12, 3 + c], coeffs[28, 10 + c] = 400, -400
+        planes.append(np.clip(np.rint(idct2(coeffs)), 0, 255).astype(np.uint8))
+    return ImageRGB(tuple(planes))
+
+
 @lru_cache(maxsize=1)
 def _valid_container():
-    """A real 8 x 8 container without its CRC, its bundle, and the twin
+    """A real 32 x 32 container without its CRC, its bundle, and the twin
     sums under each carrier's positions."""
-    rng = np.random.default_rng(8)
-    bundle = encrypt_image(random_image(rng, 8), KEYS)
+    bundle = encrypt_image(sparse_spectrum_image(), KEYS)
     schedules = _schedules(KEYS, bundle.shifts, bundle.n)
     twins = tuple(s.twin.ravel()[pos] for s, pos in zip(schedules, bundle.positions))
     fd, path = tempfile.mkstemp(suffix=".ldct")
@@ -426,50 +593,64 @@ def _valid_container():
     return body, bundle, twins
 
 
+MUTATION_KINDS = [
+    "size", "counts", "length", "swap", "duplicate", "gap", "last", "zero_gap",
+    "escape_low", "escape_high", "escape_counts", "escape_cut", "value", "twin",
+]
+
+
 @st.composite
 def mutations(draw):
-    """A valid v4 container body (no CRC) with one hostile edit."""
+    """A valid v5 container body (no CRC) with one hostile edit."""
     body, bundle, twins = _valid_container()
     body = bytearray(body)
     n, counts = bundle.n, [p.size for p in bundle.positions]
-    before = np.cumsum([0] + counts[:2]).tolist()  # cells of the carriers ahead of each
-    starts = [_positions_at(n) + 4 * b for b in before]
-    value_starts = [_positions_at(n) + 4 * sum(counts) + 8 * b for b in before]
+    escapes = list(struct.unpack_from("<3I", body, ESCAPES_AT))
+    assert min(escapes) >= 1  # every carrier has an escaped gap to edit
+    gap_starts, escape_starts, value_starts = _sections(body)
     plane = draw(st.integers(0, 2))
     i = draw(st.integers(0, counts[plane] - 1))
-    kind = draw(
-        st.sampled_from(
-            ["size", "counts", "length", "swap", "duplicate", "position", "last", "value", "twin"]
-        )
-    )
+    escape_at = escape_starts[plane] + 4 * draw(st.integers(0, escapes[plane] - 1))
+    kind = draw(st.sampled_from(MUTATION_KINDS))
     if kind == "size":
-        w = draw(st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1)))
+        w = draw(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)))
         h = draw(st.one_of(st.just(w), st.integers(0, 2**32 - 1)))
         struct.pack_into("<2I", body, SIZE_AT, w, h)
-    elif kind == "counts":
+    elif kind in ("counts", "escape_counts"):
+        at, old = (COUNTS_AT, counts) if kind == "counts" else (ESCAPES_AT, escapes)
         new = draw(
             st.one_of(
-                st.permutations(counts),  # sizes still match
+                st.permutations(old),  # sizes still match
                 st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
             )
         )
-        struct.pack_into("<3I", body, COUNTS_AT, *new)
+        struct.pack_into("<3I", body, at, *new)
     elif kind == "length":
         cut = draw(st.integers(0, len(body) - 1))
         extra = draw(st.binary(max_size=24))
         body = body[:cut] + extra if draw(st.booleans()) else body + extra
     elif kind in ("swap", "duplicate"):
         j = draw(st.integers(0, counts[plane] - 1))
-        a, b = starts[plane] + 4 * i, starts[plane] + 4 * j
+        a, b = gap_starts[plane] + i, gap_starts[plane] + j
         if kind == "swap":
-            body[a : a + 4], body[b : b + 4] = body[b : b + 4], body[a : a + 4]
+            body[a], body[b] = body[b], body[a]
         else:
-            body[a : a + 4] = body[b : b + 4]
-    elif kind in ("position", "last"):
+            body[a] = body[b]
+    elif kind in ("gap", "last", "zero_gap"):
         if kind == "last":  # keeps the order, so only the range can fail
             i = counts[plane] - 1
-        cell = draw(st.one_of(st.integers(0, n * n + 4), st.integers(0, 2**32 - 1)))
-        struct.pack_into("<I", body, starts[plane] + 4 * i, cell)
+        if kind == "zero_gap":  # a repeated cell
+            i = draw(st.integers(1, counts[plane] - 1))
+        byte = 0 if kind == "zero_gap" else draw(st.integers(kind == "last", 0xFF))
+        body[gap_starts[plane] + i] = byte
+    elif kind in ("escape_low", "escape_high"):
+        bounds = (0, 0xFE) if kind == "escape_low" else (n * n, 2**32 - 1)
+        struct.pack_into("<I", body, escape_at, draw(st.integers(*bounds)))
+    elif kind == "escape_cut":  # with or without the count that names it
+        del body[escape_at : escape_at + 4]
+        if draw(st.booleans()):
+            escapes[plane] -= 1
+            struct.pack_into("<3I", body, ESCAPES_AT, *escapes)
     elif kind == "value":
         struct.pack_into("<d", body, value_starts[plane] + 8 * i, draw(VALUES))
     else:  # the bare twin sum: a cell that carries no coefficient
@@ -501,8 +682,8 @@ class TestMutatedContainer:
 
     def test_every_twin_valued_cell_drops_its_coefficient(self, tmp_path):
         body, bundle, twins = _valid_container()
-        n, counts = bundle.n, [p.size for p in bundle.positions]
-        values_at = _positions_at(n) + 4 * sum(counts)
+        n = bundle.n
+        values_at = _sections(body)[2][0]
         bare = np.concatenate(twins).astype("<f8").tobytes()
         blob = body[:values_at] + bare
         path = tmp_path / "bare.ldct"
