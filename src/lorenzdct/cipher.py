@@ -6,12 +6,13 @@ three sequential XOR / permute / rotate rounds keyed by three independent
 keystreams.  The retained DCT coefficients travel separately, as a sparse
 carrier: each coefficient's cell, row-rotated, is a flat position in the
 n x n plane, and its signed base-10 log is added to the integer-valued sum
-of the three keystream planes at that cell (the twin), from which the
-receiver subtracts it back out exactly.  Cells without a coefficient would
-hold the bare twin, which the receiver recomputes from the keys, so they are
-not stored.  The difference plane is taken against the coefficients read
-back out of the carrier, so encrypt and decrypt round one and the same
-reconstruction.
+of the three keystream planes at that cell (the twin) and rounded once to
+float32; the receiver subtracts the twin back out.  Cells without a
+coefficient would hold the bare twin, which the receiver recomputes from the
+keys, so they are not stored.  The difference plane is taken against the
+coefficients read back out of the carrier, so encrypt and decrypt round one
+and the same reconstruction, and the difference plane absorbs whatever the
+float32 rounding drops.
 
 Every pass of a round moves each byte to a fixed cell and XORs it with a
 fixed keystream byte, so a component's three rounds compose into one
@@ -82,13 +83,13 @@ class CipherBundle:
     dic holds the three encrypted difference planes (bytes).  The DCT
     coefficients of each component ride in a sparse carrier: positions, the
     strictly ascending flat cells of the row-rotated n x n plane that hold a
-    coefficient, and carriers, the doubles twin + log10 at those cells.  The
-    shift and rotation schedules ride along; decrypt reads them from here.
-    Raises InvalidKeyError unless shifts are three integers in [0, 65535]
-    and each rotation triple three ints in [0, 47], ValueError unless there
-    are three rotation triples and positions are strictly ascending integers
-    below n * n, and DimensionMismatchError when a plane or a carrier
-    disagrees in shape.
+    coefficient, and carriers, the float32 values twin + log10 at those
+    cells.  The shift and rotation schedules ride along; decrypt reads them
+    from here.  Raises InvalidKeyError unless shifts are three integers in
+    [0, 65535] and each rotation triple three ints in [0, 47], ValueError
+    unless there are three rotation triples, positions are strictly
+    ascending integers below n * n and carriers are float32, and
+    DimensionMismatchError when a plane or a carrier disagrees in shape.
     """
 
     n: int
@@ -113,6 +114,8 @@ class CipherBundle:
                 )
             if not np.issubdtype(pos.dtype, np.integer):
                 raise ValueError(f"carrier {color} positions must be integers")
+            if carried.dtype != np.float32:
+                raise ValueError(f"carrier {color} values must be float32, not {carried.dtype}")
             if pos.size and not (
                 0 <= pos[0] and int(pos[-1]) < self.n * self.n and np.all(pos[1:] > pos[:-1])
             ):
@@ -259,10 +262,9 @@ class Schedule:
     perm (intp) and mask (uint8) are flat over the n x n plane, composed by
     `_push_round` from the component's keystream byte plane of each round;
     twin is the uint16 sum of those three planes, under the carrier.  The
-    sum is at most 765 and a float64 operand promotes each cell to an exact
-    small integer double, so (twin + s) - twin is exactly 0.0 wherever
-    s == 0; carrier extraction depends on that.  A schedule holds 11 bytes
-    per pixel.
+    sum is at most 765, which float32 holds exactly, so a carrier value
+    equals its twin only where it holds no log; carrier extraction depends
+    on that.  A schedule holds 11 bytes per pixel.
     """
 
     perm: np.ndarray
@@ -298,16 +300,23 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     )
 
 
+def _carries(carried, twin_at):
+    # A carrier cell holds a coefficient unless its value is its bare twin.
+    return carried != twin_at
+
+
 def _carried_coeffs(positions, carried, twin) -> SparseCoeffs:
     # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
     # takes its difference plane against these rather than the exact ones,
-    # so both sides round one and the same reconstruction.  A cell whose
-    # value is its bare twin carries no coefficient: this is the one place
-    # where a log that rounds into its twin (a |v| just above 1) is
-    # dropped, on both sides, and the difference plane absorbs it.
-    logs = carried - twin.ravel()[positions]
-    keep = logs != 0.0
-    return log_inverse(positions[keep], logs[keep], twin.shape[0])
+    # so both sides round one and the same reconstruction.  Each side reads
+    # a log as the float64 difference of a float32 value and its twin: one
+    # IEEE operation, exact for any value of magnitude 2**-18 or more.  A
+    # twin-valued cell, which encrypt never writes, is dropped here too.
+    twin_at = twin.ravel()[positions]
+    keep = _carries(carried, twin_at)
+    with np.errstate(invalid="ignore"):  # widening a signalling NaN read from a file
+        logs = carried[keep].astype(np.float64) - twin_at[keep]
+    return log_inverse(positions[keep], logs, twin.shape[0])
 
 
 def encrypt_image(
@@ -329,7 +338,12 @@ def encrypt_image(
     for plane, sched in zip(img.planes, _schedules(tuple(keys), shifts, n)):
         sparse = energy_select(dct2(plane.astype(np.float64)))
         pos, logs = log_forward(sparse, n)
-        carried = sched.twin.ravel()[pos] + logs
+        twin_at = sched.twin.ravel()[pos]
+        # One correctly rounded cast, the same on every IEEE-754 platform; a
+        # log that rounds into its twin (|log| under half its ulp) is not stored.
+        carried = (twin_at + logs).astype(np.float32)
+        keep = _carries(carried, twin_at)
+        pos, carried = pos[keep], carried[keep]
         dic, _ = make_difference(plane, _carried_coeffs(pos, carried, sched.twin))
         dics.append(_gather(dic, sched.perm, sched.mask))
         positions.append(pos)

@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic      4 bytes  b"LDCT"
-    version    u16      5
+    version    u16      6
     width      u32
     height     u32
     rounds     u8       3
@@ -15,10 +15,10 @@ Layout (all little-endian):
     dic        3 planes of width*height raw bytes, row-major, R G B
     gaps       k_R + k_G + k_B u8, each carrier's position gaps
     escaped    e_R + e_G + e_B u32, each carrier's gaps of 255 or more, in order
-    values     k_R + k_G + k_B float64, each carrier's twin + log at its cells
+    values     k_R + k_G + k_B float32, each carrier's twin + log at its cells
     crc        u32      CRC-32 (ISO-HDLC) over every preceding byte
 
-so a file is 55 + 3 n**2 + 9 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
+so a file is 55 + 3 n**2 + 5 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
 bytes, known from the header before anything is decoded.
 
 A carrier stores only the cells that hold a DCT coefficient; every other
@@ -36,11 +36,16 @@ and 1.3-1.4 bytes per cell, where a bitmap would cost n**2 / 8 bytes for
 either: one code serves both.  The cipher's sizes stop at n = 65536, so
 every gap fits u32.  One bundle has exactly one file: read_bundle refuses a
 carrier whose 0xFF bytes and escape count disagree, an escaped gap below
-255 and one of n**2 or more.  The values are raw doubles, so the decoded
-bundle is bit-identical to the encoded one.
+255 and one of n**2 or more.
+
+Each value is the float32 that encrypt rounds twin + log to, once and
+correctly, before it takes the difference plane, so the plane absorbs what
+float32 drops and every IEEE-754 platform writes the same value.  The
+values are raw float32, so the decoded bundle is bit-identical to the
+encoded one.
 
 Every other version is refused: versions 1 to 3 stored each carrier cell,
-version 4 each position as a u32.
+version 4 each position as a u32, version 5 each value as a float64.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .cipher import COMPONENT_NAMES, CipherBundle
 from .errors import FormatError
 
 MAGIC = b"LDCT"
-VERSION = 5
+VERSION = 6
 ROUNDS = 3
 MAX_SIZE = 65536  # the cipher's largest n; every position fits u32
 ESCAPE = 0xFF
@@ -116,7 +121,7 @@ def write_bundle(path, bundle: CipherBundle):
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
         *(gaps for gaps, _ in coded),
         *(escaped for _, escaped in coded),
-        *(np.ascontiguousarray(values, dtype="<f8") for values in bundle.carriers),
+        *(np.ascontiguousarray(values, dtype="<f4") for values in bundle.carriers),
     ]
     crc = 0
     with open(path, "wb") as f:
@@ -163,7 +168,7 @@ def read_bundle(path) -> CipherBundle:
     for k in counts:
         if k > n_px:
             raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
-    expected = _HEAD_LEN + 3 * n_px + 9 * sum(counts) + 4 * sum(escapes) + 4
+    expected = _HEAD_LEN + 3 * n_px + 5 * sum(counts) + 4 * sum(escapes) + 4
     if len(blob) != expected:
         raise FormatError(
             f"container size {len(blob)} does not match header (expected {expected})"
@@ -188,7 +193,7 @@ def read_bundle(path) -> CipherBundle:
     dic = tuple(take("<u1", n_px).reshape(height, width) for _ in range(3))
     gaps = tuple(take("<u1", k) for k in counts)
     escaped = tuple(take("<u4", e) for e in escapes)
-    carriers = tuple(take("<f8", k) for k in counts)
+    carriers = tuple(take("<f4", k) for k in counts)
     positions = tuple(
         decode_positions(g, e, n_px, color) for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
     )

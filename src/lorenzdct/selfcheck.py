@@ -139,7 +139,8 @@ def _check_container():
         dic=tuple(rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)),
         positions=positions,
         carriers=tuple(
-            rng.integers(0, 766, p.size) + rng.uniform(-4.9, 4.9, p.size) for p in positions
+            (rng.integers(0, 766, p.size) + rng.uniform(-4.9, 4.9, p.size)).astype(np.float32)
+            for p in positions
         ),
     )
     fd, path = tempfile.mkstemp(suffix=".ldct")

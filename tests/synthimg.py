@@ -75,3 +75,13 @@ def make_dense_two_level_image(seed: int, n: int = 256) -> ImageRGB:
         paper, dark = int(rng.integers(190, 256)), int(rng.integers(0, 70))
         planes.append(np.where(rng.random((n, n)) < 0.5, dark, paper).astype(np.uint8))
     return ImageRGB(tuple(planes))
+
+
+def make_unit_dc_image() -> ImageRGB:
+    """16 x 16 planes of 16 ones each, so each has a DC coefficient of 1.0, a
+    log of 0: the identity (whose DCT is the identity), the identity
+    mirrored left to right, and a 4 x 4 block of ones in a corner."""
+    eye = np.eye(16, dtype=np.uint8)
+    block = np.zeros((16, 16), dtype=np.uint8)
+    block[:4, :4] = 1
+    return ImageRGB((eye, eye[:, ::-1].copy(), block))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synthimg import make_unit_dc_image
 from test_io import BAD_SHIFTS
 
 import lorenzdct.cipher as cipher
@@ -401,7 +402,7 @@ class TestLogEmbedding:
 
 class TestCarrier:
     """The carrier as the pipeline builds it: at each position, the uint16
-    twin sum plus the log from log_forward."""
+    twin sum plus the log from log_forward, stored as float32."""
 
     def test_zero_log_gives_twin_exactly(self, rng):
         rounds = random_rounds(rng, 16)
@@ -414,6 +415,20 @@ class TestCarrier:
         cells = np.array([0, 3, 255], np.uint32)
         for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
             assert len(_carried_coeffs(cells, bare, twin)) == 0
+            assert len(_carried_coeffs(cells, bare.astype(np.float32), twin)) == 0
+
+    def test_every_stored_value_differs_from_its_twin(self, keys):
+        # each unit-DC plane has a DC log of exactly 0, and so has every
+        # diagonal coefficient of the identity's; none of them is stored
+        img = make_unit_dc_image()
+        bundle = encrypt_image(img, keys)
+        assert sum(pos.size for pos in bundle.positions) > 0
+        schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
+        for pos, carried, sched in zip(bundle.positions, bundle.carriers, schedules):
+            assert carried.dtype == np.float32
+            assert np.all(carried != sched.twin.ravel()[pos])
+        for a, b in zip(img.planes, decrypt_image(bundle, keys).planes):
+            assert np.array_equal(a, b)
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
         rounds = random_rounds(rng, 32)
@@ -430,9 +445,13 @@ class TestCarrier:
         assert np.max(np.abs(back - logm)) < 1e-10
         carried = twin.ravel()[pos] + logs
         assert np.array_equal(carried, (twin + logm).ravel()[pos])
-        got, want = coeff_map(_carried_coeffs(pos, carried, twin)), coeff_map(sel)
+        # the stored float32 moves a log by at most 2**-15, half an ulp below
+        # 1024; 1e-12 more covers log10 and pow rounding
+        stored = carried.astype(np.float32)
+        got, want = coeff_map(_carried_coeffs(pos, stored, twin)), coeff_map(sel)
         assert got.keys() == want.keys()
-        assert all(abs(got[rc] - v) <= 1e-9 * abs(v) for rc, v in want.items())
+        bound = 10.0 ** (2.0**-15 + 1e-12) - 1
+        assert all(abs(got[rc] - v) <= bound * abs(v) for rc, v in want.items())
 
     def test_carrier_range_for_8bit_source(self, rng):
         rounds = random_rounds(rng, 64)
@@ -521,7 +540,7 @@ class TestPipeline:
             rotations=((5, 11, 17),) * 3,
             dic=tuple(rng.integers(0, 256, (dic_n, dic_n), np.uint8) for _ in range(3)),
             positions=positions,
-            carriers=carriers or tuple(np.full(p.size, 2.5) for p in positions),
+            carriers=carriers or tuple(np.full(p.size, 2.5, np.float32) for p in positions),
         )
 
     def test_bundle_shape_validation(self, rng):
@@ -529,7 +548,7 @@ class TestPipeline:
         with pytest.raises(DimensionMismatchError):
             self._bundle(rng, dic_n=3)
         with pytest.raises(DimensionMismatchError, match="one value per position"):
-            self._bundle(rng, carriers=(np.zeros(3), np.zeros(2), np.zeros(3)))
+            self._bundle(rng, carriers=tuple(np.zeros(k, np.float32) for k in (3, 2, 3)))
 
     @pytest.mark.parametrize(
         "pos",

@@ -4,7 +4,7 @@ BUNDLE_GOLDEN pins what encrypt_image computes: the sha256 of the three
 difference planes (uint8) followed by the three dense carrier planes
 ("<f8"), for fixed seeded images and fixed keys.  A dense carrier plane is
 rebuilt from the keys: the component's twin sum as float64, with the
-bundle's carrier doubles written back at its positions.  It does not depend
+bundle's carrier values written back at its positions.  It does not depend
 on the container format, so a new format leaves it alone; only a change to
 the cipher or the keystream definition moves it.
 
@@ -12,28 +12,44 @@ GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 5, re-recorded when each carrier's
-positions became one-byte gaps with a u32 escape list instead of u32 cells.
-BUNDLE_GOLDEN was left as version 3 recorded it: neither version 4 (which
-stopped storing the carrier cells that hold no coefficient) nor version 5
-moved it, which shows that the cipher's values did not move.  The keystream
-is the same on every IEEE-754 platform; the image side (scipy's DCT, the
-energy selection, the sign-log carriers) is still floating point, so a
-different DCT build could still move both tables.
+values below are for container version 6, which stores each carrier value
+as the float32 that encrypt rounds twin + log to before it takes the
+difference plane, and no cell whose value rounds into its bare twin.  That
+changes the cipher on purpose, so all four encrypt-output tables were
+re-recorded with it, after the round trip was shown exact on every image
+here and on the hypothesis families:
+
+- BUNDLE_GOLDEN, because the carrier values are float32 and 0.1-0.7% of
+  each difference plane's cells moved (2.1% of one n=33 plane) to absorb
+  the rounding; no retained coefficient was dropped;
+- GOLDEN, for those values and the version 6 layout;
+- REPORT_GOLDEN and SCATTER_GOLDEN, because each cipher image is the
+  bundle's difference planes.
+
+Neither version 4 (which stopped storing the carrier cells that hold no
+coefficient) nor version 5 (one-byte position gaps) moved BUNDLE_GOLDEN.
+The keystream is the same on every IEEE-754 platform, and so is the float32
+cast; the rest of the image side (scipy's DCT, the energy selection, the
+sign-log carriers) is still floating point, so a different DCT build could
+still move these tables.
 
 The n=331 dense two-level planes keep about 90,000 of their 109,561
 coefficients.  A head that large is more than a quarter of the plane, so the
 energy selection sorts the whole plane's magnitudes; both entries were
 recorded while that case still ran a whole-plane stable argsort.
 
-UNIT_DC_CONTAINER was written by an encrypt whose energy_select still
-moved a retained |v| in [1, 1 + 1e-12] to just above that band, so its
-carriers differ from today's for the same image.  The file was written as
-version 4 and transcoded to version 5 (read, then written again), never
-re-encrypted, so it keeps that carrier.  Its 16x16 planes are the
-identity, the identity mirrored left to right and a 4x4 block of ones in a
-corner, each with a DC coefficient of 1.0; UNIT_DC_IMAGE is the sha256 of
-their bytes, R then G then B.  Decrypt must still restore them exactly.
+UNIT_DC_CONTAINER is a committed version 6 container, decrypted on every
+installation that runs the suite.  Its 16x16 planes are the identity, the
+identity mirrored left to right and a 4x4 block of ones in a corner
+(`make_unit_dc_image`), each with a DC coefficient of 1.0, a log of 0;
+UNIT_DC_IMAGE is the sha256 of their bytes, R then G then B, and has not
+changed since version 4.  The earlier file held 15 cells valued twin +
+4.3-4.5e-13, left by an old unit guard in energy_select; each of those
+rounds to its bare twin in float32, so a transcoded file would have lost
+those coefficients and no longer restored the image.  It was therefore
+re-encrypted with keys key(A)-key(C) at rotations (5, 11, 17), after its
+image was decrypted from the version 5 file.  Version 6 stores none of the
+zero-log cells: 5 cells in all, all in B.
 
 REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
 image, its cipher (the bundle's dic planes) and its decrypt, and
@@ -53,39 +69,44 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from synthimg import make_dense_two_level_image, make_image, make_two_level_image
+from synthimg import (
+    make_dense_two_level_image,
+    make_image,
+    make_two_level_image,
+    make_unit_dc_image,
+)
 
 from lorenzdct.analysis import DIRECTIONS, full_report, scatter_sample
 from lorenzdct.cipher import ImageRGB, _schedules, decrypt_image, encrypt_image
 from lorenzdct.container import read_bundle, write_bundle
 
 BUNDLE_GOLDEN = {
-    ("natural", 64): "789fc428faaeaf9d4f104526f3928a8af7e6593e8e8c312f6acbc7642e446830",
-    ("natural", 256): "11f949f246030706947af357653e9b1ce8799824e2c39b7d2f2b8fb4ddadbc08",
-    ("two_level", 64): "62787ac04f5bcfc1aca652cfd02013539fe51865ddef02936f230fa09bd287f8",
-    ("two_level", 256): "6a26357a96e33c6a9c79a608dd2fd9bc6b028e709a5a908794bd50cae5925e38",
-    ("dense_two_level", 331): "7a8e59621506e5a7f9d0250e52b6d667d015181328c4ebb1581abc2149e6cb1c",
+    ("natural", 64): "e65b200f848e65b61dab02d819c5d138c35ad9ea168c02049095420fc4b7bf2b",
+    ("natural", 256): "a75617da8db97d3e78b0d28b5caf66f3dc33ba525532ef79e1d337cc1d774547",
+    ("two_level", 64): "dfe42e18621dec2e45a07e44364f389f121e5f2e49bd3eccdae3129606b77a24",
+    ("two_level", 256): "c7200166520edcaedfc32abbc1f94a68ff147000ea549001e47342968c748196",
+    ("dense_two_level", 331): "793fc8c498641af1460250b6f4fda1a1e19c3d83f0878c3014cb187e0495d79b",
 }
 
 GOLDEN = {
-    ("natural", 64): "331b63edef917485f2609f449ed8883753e07c4f38ef2dd8246ba86984f76674",
-    ("natural", 256): "81d1223ace63d11080e4f70b09a566e0d2ae184e053e9ab8effbe826111a6f58",
-    ("two_level", 64): "1285735ed9b961c02dc6cc3de98689943ba6ddea855d671e5c667a07cf8ed535",
-    ("two_level", 256): "925424048455f96d3dc2db3ed86916ccb1df5e830aab284c8b3dc28ec457c2f7",
-    ("dense_two_level", 331): "d1a0306e7b555ab38f9fa7454410c7fde832b6ee4bd5c41c3aeb3f4fd33c8174",
+    ("natural", 64): "e34f5458d0c61f57db9dfcbc30360a67093da8ce0c0ab2dd9c5a5bd410f82565",
+    ("natural", 256): "0cfe6c4d2f4f3af986f19033a4e9f4446b49852c0ad78a897519ab72e90c9751",
+    ("two_level", 64): "54e634e3de4381a82466e6baa0261b4ec86f56178103d15ccf9e072c18bece39",
+    ("two_level", 256): "cd00a0ac0db037628b3a05909db29f228dcc126da05ab8f5c770e486da4919b7",
+    ("dense_two_level", 331): "f06292cddb0a1355043300de274f389b28c5ee84828973a5d99e689c8bcda91f",
 }
 
 UNIT_DC_CONTAINER = Path(__file__).parent / "data" / "unit_dc_16.ldct"
 UNIT_DC_IMAGE = "ec3f4fadb2e1ab1bc0f3dd6a2c0626a0ea01597828177ae3871bdd0c3c8d71db"
 
 REPORT_GOLDEN = {
-    ("natural", 64): "9e2b0555b82d88d06714cad64c8199b0206e7481254d78d43a67f3684da5942a",
-    ("two_level", 33): "2a2b3e84fc65789ff25b684fde804ed117eb41455f51331594924e392423fcf0",
+    ("natural", 64): "97596ad515c1150a4d316f0bfd8a36654efe90d662c1b283c333bb9515c87db0",
+    ("two_level", 33): "2adf38e3aaaf768ad0c8af402168820f8c678b182926f2b5fa574dc6b60c1473",
 }
 
 SCATTER_GOLDEN = {
-    300: "f61ce15cb0b13db9b3449560b03b87ca67746c7f368622ba7ced207c577a7e34",
-    "all": "68649783cd66a3c4382875f13fc3f1d93e3cf3b8747fec1f38a354ef0e06802d",
+    300: "4c4f768c97e07abbbe3b636f8c82ab3099d6b90e03d0e0d59d830ea10c6bad72",
+    "all": "10881103ede6fe480e5259f6508ab1a17c6c9adadb1c58dca788e81868618de8",
 }
 
 MAKERS = {
@@ -117,9 +138,9 @@ def test_container_bytes_pinned(kind, n, keys, tmp_path):
 
 
 def test_unit_dc_container_decrypts(keys):
-    out = decrypt_image(read_bundle(UNIT_DC_CONTAINER), keys)
-    digest = hashlib.sha256(b"".join(plane.tobytes() for plane in out.planes))
-    assert digest.hexdigest() == UNIT_DC_IMAGE
+    for image in (decrypt_image(read_bundle(UNIT_DC_CONTAINER), keys), make_unit_dc_image()):
+        digest = hashlib.sha256(b"".join(plane.tobytes() for plane in image.planes))
+        assert digest.hexdigest() == UNIT_DC_IMAGE
 
 
 def _report_triple(kind, n, keys):

@@ -32,7 +32,8 @@ def random_carrier(rng, n):
     picked = rng.random(n * n) < 0.3
     picked[0] = True
     pos = np.flatnonzero(picked).astype(np.uint32)
-    return pos, rng.integers(0, 766, pos.size) + rng.uniform(-4.9, 4.9, pos.size)
+    values = rng.integers(0, 766, pos.size) + rng.uniform(-4.9, 4.9, pos.size)
+    return pos, values.astype(np.float32)
 
 
 def random_bundle(
@@ -49,17 +50,25 @@ def random_bundle(
     )
 
 
-def _bits_to_float(bits):
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+def _float_bits(value):
+    return struct.unpack("<I", struct.pack("<f", value))[0]
 
 
-# Any double: every bit pattern (NaN payloads, subnormals, -0.0, inf), with
-# the special values and plain carrier-like values drawn often.
+# Any float32, as its bit pattern, so a NaN keeps its payload (a signalling
+# one too): every pattern, with -0.0, infinities, NaNs with and without a
+# payload, the smallest and largest subnormals and plain carrier-like values
+# drawn often.
 VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
-    st.floats(-1e6, 1e6),
-    st.integers(0, 2**64 - 1).map(_bits_to_float),
+    st.sampled_from(
+        [0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001, 1, 0x807FFFFF]
+    ),
+    st.floats(-1e6, 1e6, width=32).map(_float_bits),
+    st.integers(0, 2**32 - 1),
 )
+
+
+def float32_values(bits):
+    return np.array(bits, dtype="<u4").view(np.float32)
 
 
 @st.composite
@@ -69,7 +78,7 @@ def carriers(draw):
     for _ in range(3):
         cells = sorted(draw(st.sets(st.integers(0, n * n - 1))))
         values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
-        planes.append((np.array(cells, np.uint32), np.array(values, np.float64)))
+        planes.append((np.array(cells, np.uint32), float32_values(values)))
     return n, tuple(planes)
 
 
@@ -237,12 +246,20 @@ class TestContainer:
 
     def test_2x2_total_size(self, rng, tmp_path):
         # carriers with 0, 1 and 4 cells: header 31 bytes + 6*4 counts
-        # + 3*4 dic + (0+1+4)*(1+8) gaps and values + 4 CRC = 116
+        # + 3*4 dic + (0+1+4)*(1+4) gaps and values + 4 CRC = 96
         planes = [np.arange(k, dtype=np.uint32) for k in (0, 1, 4)]
-        carriers = tuple((pos, np.full(pos.size, np.nan)) for pos in planes)
+        carriers = tuple((pos, np.full(pos.size, np.nan, np.float32)) for pos in planes)
         path = tmp_path / "s.ldct"
         write_bundle(path, random_bundle(rng, 2, carriers))
-        assert path.stat().st_size == 31 + 24 + 12 + 45 + 4
+        assert path.stat().st_size == 31 + 24 + 12 + 5 * 5 + 4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_carriers_must_be_float32(self, rng, dtype):
+        # the dtype states the precision, so nothing is rounded on write
+        planes = [random_carrier(rng, 3) for _ in range(3)]
+        carriers = tuple((pos, values.astype(dtype)) for pos, values in planes)
+        with pytest.raises(ValueError, match="carrier R values must be float32"):
+            random_bundle(rng, 3, carriers)
 
     def test_flipped_byte_fails_crc(self, rng, tmp_path):
         path = tmp_path / "c.ldct"
@@ -294,7 +311,7 @@ class TestContainer:
 
 
 def _reference_stream(cells):
-    """The v5 position stream of ascending cells, one cell at a time."""
+    """The position stream of ascending cells, one cell at a time."""
     gaps, escaped, prev = bytearray(), bytearray(), 0
     for cell in cells:
         gap, prev = cell - prev, cell
@@ -383,10 +400,10 @@ class TestBundleSchedule:
             random_bundle(rng, 2, shifts=(3, 7, 70000))
 
 
-# Offsets in a v5 container: the 31-byte header, whose last nine bytes are
+# Offsets in a v6 container: the 31-byte header, whose last nine bytes are
 # the key rotations, then three u32 position counts k and three u32 escape
 # counts e, then the dic planes, the k gap bytes, the 4e bytes of escaped
-# gaps and the 8k bytes of values.
+# gaps and the 4k bytes of values.
 SIZE_AT = 6
 ROTATIONS_AT = 22
 COUNTS_AT = 31
@@ -400,12 +417,12 @@ def _reseal(blob):
 
 
 def _sections(body):
-    """Where each carrier's gap bytes, escaped gaps and values start in a v5
+    """Where each carrier's gap bytes, escaped gaps and values start in a v6
     body, as three (R, G, B) lists read from its header."""
     n = struct.unpack_from("<I", body, SIZE_AT)[0]
     counts = struct.unpack_from("<6I", body, COUNTS_AT)
     starts, at = [], HEAD_LEN + 3 * n * n
-    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (8, counts[:3])):
+    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (4, counts[:3])):
         starts.append([at + width * sum(sizes[:i]) for i in range(3)])
         at += width * sum(sizes)
     return starts
@@ -418,12 +435,12 @@ HOSTILE_CELLS = ([0, 1, 2, 300, 302, 399], [5, 6, 261, 262], [0, 255, 256])
 
 
 class TestHostileContainer:
-    """Containers with a valid CRC whose v5 structure is inconsistent."""
+    """Containers with a valid CRC whose v6 structure is inconsistent."""
 
     @pytest.fixture()
     def body(self, rng, tmp_path):
         carriers = tuple(
-            (np.array(cells, np.uint32), rng.uniform(0, 766, len(cells)))
+            (np.array(cells, np.uint32), rng.uniform(0, 766, len(cells)).astype(np.float32))
             for cells in HOSTILE_CELLS
         )
         path = tmp_path / "h.ldct"
@@ -436,8 +453,8 @@ class TestHostileContainer:
         return read_bundle(path)
 
     def test_intact_body_reads(self, body, tmp_path):
-        # 13 cells and 3 escaped gaps: 55 + 3n² + 9 * 13 + 4 * 3 + 4 bytes
-        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
+        # 13 cells and 3 escaped gaps: 55 + 3n² + 5 * 13 + 4 * 3 + 4 bytes
+        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 5 * 13 + 4 * 3 + 4
         back = self._read(tmp_path, body)
         assert [p.tolist() for p in back.positions] == list(HOSTILE_CELLS)
 
@@ -523,11 +540,11 @@ class TestHostileContainer:
 
     def test_truncated_carrier_values(self, body, tmp_path):
         with pytest.raises(FormatError, match="size"):
-            self._read(tmp_path, body[:-8])
+            self._read(tmp_path, body[:-4])
 
     def test_trailing_bytes(self, body, tmp_path):
         with pytest.raises(FormatError, match="size"):
-            self._read(tmp_path, body + struct.pack("<d", 1.5))
+            self._read(tmp_path, body + struct.pack("<f", 1.5))
 
     def test_v1_container_rejected(self, body, rng, tmp_path):
         # the v1 layout: raw float64 carrier planes and no exception counts
@@ -557,6 +574,16 @@ class TestHostileContainer:
         cells[0] = 0xFFFF
         blob += cells.tobytes() * 3 + struct.pack("<3d", 1.5, 2.5, 3.5)
         with pytest.raises(FormatError, match="unsupported container version 3"):
+            self._read(tmp_path, blob)
+
+    def test_v5_container_rejected(self, body, tmp_path):
+        # the v5 layout is v6's with each value a float64: 55 + 3n² + 9k + 4e + 4 bytes
+        values_at = _sections(body)[2][0]
+        values = np.frombuffer(bytes(body[values_at:]), dtype="<f4")
+        blob = body[:values_at] + values.astype("<f8").tobytes()
+        struct.pack_into("<H", blob, 4, 5)
+        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
+        with pytest.raises(FormatError, match="unsupported container version 5"):
             self._read(tmp_path, blob)
 
 
@@ -601,7 +628,7 @@ MUTATION_KINDS = [
 
 @st.composite
 def mutations(draw):
-    """A valid v5 container body (no CRC) with one hostile edit."""
+    """A valid v6 container body (no CRC) with one hostile edit."""
     body, bundle, twins = _valid_container()
     body = bytearray(body)
     n, counts = bundle.n, [p.size for p in bundle.positions]
@@ -652,9 +679,10 @@ def mutations(draw):
             escapes[plane] -= 1
             struct.pack_into("<3I", body, ESCAPES_AT, *escapes)
     elif kind == "value":
-        struct.pack_into("<d", body, value_starts[plane] + 8 * i, draw(VALUES))
+        # the float32 as its bits: packing it as "<f" would quieten a signalling NaN
+        struct.pack_into("<I", body, value_starts[plane] + 4 * i, draw(VALUES))
     else:  # the bare twin sum: a cell that carries no coefficient
-        struct.pack_into("<d", body, value_starts[plane] + 8 * i, float(twins[plane][i]))
+        struct.pack_into("<f", body, value_starts[plane] + 4 * i, float(twins[plane][i]))
     return bytes(body)
 
 
@@ -684,7 +712,7 @@ class TestMutatedContainer:
         body, bundle, twins = _valid_container()
         n = bundle.n
         values_at = _sections(body)[2][0]
-        bare = np.concatenate(twins).astype("<f8").tobytes()
+        bare = np.concatenate(twins).astype("<f4").tobytes()
         blob = body[:values_at] + bare
         path = tmp_path / "bare.ldct"
         path.write_bytes(_reseal(blob))
@@ -696,7 +724,7 @@ class TestMutatedContainer:
             rotations=bundle.rotations,
             dic=bundle.dic,
             positions=(np.empty(0, np.uint32),) * 3,
-            carriers=(np.empty(0),) * 3,
+            carriers=(np.empty(0, np.float32),) * 3,
         )
         for a, b in zip(out.planes, decrypt_image(empty, KEYS).planes):
             assert np.array_equal(a, b)
