@@ -418,8 +418,9 @@ class TestCarrier:
             assert len(_carried_coeffs(cells, bare.astype(np.float32), twin)) == 0
 
     def test_every_stored_value_differs_from_its_twin(self, keys):
-        # each unit-DC plane has a DC log of exactly 0, and so has every
-        # diagonal coefficient of the identity's; none of them is stored
+        # each unit-DC plane has a DC coefficient of 1.0, a log of 0, and the
+        # identity's diagonal coefficients lie within 1 ulp of 1.0: each of
+        # those logs rounds into its twin in float32, so none is stored
         img = make_unit_dc_image()
         bundle = encrypt_image(img, keys)
         assert sum(pos.size for pos in bundle.positions) > 0
