@@ -180,30 +180,30 @@ def _push_round(perm, mask, k, shift: int):
     (`line_orders`), rotates data and keystream left by the shift and XORs
     the two: y[f] = x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation
     alone and g the sort order read through it.  After (perm, mask) that
-    gives (perm[g], (mask ^ k)[g] ^ k[r]).  perm is uint32, which halves
-    the traffic of the gathers against intp; mask is uint8.  Returns new
-    arrays.
+    gives (perm[g], (mask ^ k)[g] ^ k[r]).  perm and g are uint32, half
+    the bytes of intp, and each gather widens them in runs (`_take`); mask
+    is uint8.  Returns new arrays, the perm the schedule keeps as it is.
     """
     h, w = k.shape
     row_orders, col_orders = line_orders(k)
-    g = np.empty((h, w), dtype=np.intp)
+    g = np.empty((h, w), dtype=np.uint32)
     for vertical in (False, True):
         if vertical:
             # g[i, j] = col_orders[j, (i + s) % h] * w + j
             s = shift % h
             co = col_orders.T
-            np.multiply(co[s:], w, out=g[: h - s], dtype=np.intp)
-            np.multiply(co[:s], w, out=g[h - s :], dtype=np.intp)
-            g += np.arange(w, dtype=np.intp)
+            np.multiply(co[s:], w, out=g[: h - s], dtype=np.uint32)
+            np.multiply(co[:s], w, out=g[h - s :], dtype=np.uint32)
+            g += np.arange(w, dtype=np.uint32)
         else:
             # g[i, j] = i * w + row_orders[i, (j + s) % w]
             s = shift % w
-            row_starts = np.arange(0, h * w, w, dtype=np.intp)[:, None]
+            row_starts = np.arange(0, h * w, w, dtype=np.uint32)[:, None]
             np.add(row_orders[:, s:], row_starts, out=g[:, : w - s])
             np.add(row_orders[:, :s], row_starts, out=g[:, w - s :])
         flat = g.ravel()
-        perm = perm[flat]
-        mask = (mask ^ k.ravel())[flat]
+        perm = _take(perm, flat)
+        mask = _take(mask ^ k.ravel(), flat)
         m = mask.reshape(h, w)
         if vertical:
             m[: h - s] ^= k[s:]
@@ -214,13 +214,31 @@ def _push_round(perm, mask, k, shift: int):
     return perm, mask
 
 
+# uint32 indices (a schedule's perm, `_push_round`'s g) are widened to the
+# intp that numpy indexes by in runs of this many, 128 KB of intp, rather
+# than in one n**2 copy.
+_CHUNK = 1 << 14
+
+
+def _take(src, idx) -> np.ndarray:
+    # src[idx] for a permutation idx of src's cells, so mode="clip" clips no
+    # index; it lets take write each run straight into out.
+    out = np.empty(idx.size, dtype=src.dtype)
+    for lo in range(0, idx.size, _CHUNK):
+        np.take(src, idx[lo : lo + _CHUNK], out=out[lo : lo + _CHUNK], mode="clip")
+    return out
+
+
 def _gather(plane, perm, mask) -> np.ndarray:
-    return (plane.ravel()[perm] ^ mask).reshape(plane.shape)
+    out = _take(plane.ravel(), perm)
+    out ^= mask
+    return out.reshape(plane.shape)
 
 
 def _scatter(plane, perm, mask) -> np.ndarray:
-    out = np.empty(plane.size, dtype=np.uint8)
-    out[perm] = plane.ravel() ^ mask
+    src, out = plane.ravel() ^ mask, np.empty(perm.size, dtype=np.uint8)
+    for lo in range(0, perm.size, _CHUNK):
+        out[perm[lo : lo + _CHUNK].astype(np.intp)] = src[lo : lo + _CHUNK]
     return out.reshape(plane.shape)
 
 
@@ -259,12 +277,12 @@ def log_inverse(positions, logs, n: int) -> SparseCoeffs:
 class Schedule:
     """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
 
-    perm (intp) and mask (uint8) are flat over the n x n plane, composed by
-    `_push_round` from the component's keystream byte plane of each round;
-    twin is the uint16 sum of those three planes, under the carrier.  The
-    sum is at most 765, which float32 holds exactly, so a carrier value
+    perm (uint32) and mask (uint8) are flat over the n x n plane, composed
+    by `_push_round` from the component's keystream byte plane of each
+    round; twin is the uint16 sum of those three planes, under the carrier.
+    The sum is at most 765, which float32 holds exactly, so a carrier value
     equals its twin only where it holds no log; carrier extraction depends
-    on that.  A schedule holds 11 bytes per pixel.
+    on that.  A schedule holds 7 bytes per pixel.
     """
 
     perm: np.ndarray
@@ -280,11 +298,12 @@ class Schedule:
 def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     """The R, G and B schedules of one key triple, shift schedule and size.
 
-    Memoized for the last (keys, shifts, n), 33 bytes per pixel (35 MB at
+    Memoized for the last (keys, shifts, n), 21 bytes per pixel (22 MB at
     n=1024): a decrypt after an encrypt, or a run of operations with one key
     triple at one size, builds no keystream.  The rounds are composed one
     at a time and dropped, so a miss never holds all three rounds (3 bytes
-    per pixel each) nor an earlier schedule.
+    per pixel each) nor an earlier schedule; a miss peaks near 41 bytes
+    per pixel while it composes.
     """
     if len(keys) != 3:
         raise ValueError("exactly three secret keys are required")
@@ -295,9 +314,7 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
         for comp, k in enumerate(build_round_keystream(key, n)):
             maps[comp] = _push_round(*maps[comp], k, shift)
             twins[comp] += k
-    return tuple(
-        Schedule(perm.astype(np.intp), mask, twin) for (perm, mask), twin in zip(maps, twins)
-    )
+    return tuple(Schedule(perm, mask, twin) for (perm, mask), twin in zip(maps, twins))
 
 
 def _carries(carried, twin_at):
@@ -334,29 +351,34 @@ def encrypt_image(
         raise ValueError("image must be at least 2x2")
     shifts = _check_shifts(shifts)
 
-    dics, positions, carriers = [], [], []
-    for plane, sched in zip(img.planes, _schedules(tuple(keys), shifts, n)):
-        sparse = energy_select(dct2(plane.astype(np.float64)))
-        pos, logs = log_forward(sparse, n)
-        twin_at = sched.twin.ravel()[pos]
-        # One correctly rounded cast, the same on every IEEE-754 platform; a
-        # log that rounds into its twin (|log| under half its ulp) is not stored.
-        carried = (twin_at + logs).astype(np.float32)
-        keep = _carries(carried, twin_at)
-        pos, carried = pos[keep], carried[keep]
-        dic, _ = make_difference(plane, _carried_coeffs(pos, carried, sched.twin))
-        dics.append(_gather(dic, sched.perm, sched.mask))
-        positions.append(pos)
-        carriers.append(carried)
-
+    schedules = _schedules(tuple(keys), shifts, n)
+    dics, positions, carriers = zip(*map(_encrypt_component, img.planes, schedules))
     return CipherBundle(
         n=n,
         shifts=shifts,
         rotations=tuple(k.rotations for k in keys),
-        dic=tuple(dics),
-        positions=tuple(positions),
-        carriers=tuple(carriers),
+        dic=dics,
+        positions=positions,
+        carriers=carriers,
     )
+
+
+def _encrypt_component(plane, sched: Schedule):
+    # One component's (encrypted difference plane, positions, carrier
+    # values).  Its temporaries are freed on return, before the next
+    # component's transform.  dct2 and energy_select overwrite the float64
+    # copy of the plane, which is dropped as soon as the selection is made.
+    n = plane.shape[0]
+    sparse = energy_select(dct2(plane.astype(np.float64), overwrite_x=True), overwrite_x=True)
+    pos, logs = log_forward(sparse, n)
+    twin_at = sched.twin.ravel()[pos]
+    # One correctly rounded cast, the same on every IEEE-754 platform; a
+    # log that rounds into its twin (|log| under half its ulp) is not stored.
+    carried = (twin_at + logs).astype(np.float32)
+    keep = _carries(carried, twin_at)
+    pos, carried = pos[keep], carried[keep]
+    dic, _ = make_difference(plane, _carried_coeffs(pos, carried, sched.twin))
+    return _gather(dic, sched.perm, sched.mask), pos, carried
 
 
 def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:

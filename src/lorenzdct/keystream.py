@@ -31,8 +31,9 @@ each, 32 entries, independent of the image size, so a key seen at a new size
 skips the RK4 integration and the trajectory DCT.  `build_round_keystream`
 recomputes its (R, G, B) byte planes on every call (a round is 3 * n**2
 bytes); the cipher sorts their lines, composes each component's three rounds
-into one schedule and keeps that instead, 33 bytes per pixel for the last
-(keys, shifts, n).
+into one schedule and keeps that instead, 21 bytes per pixel for the last
+(keys, shifts, n).  `plane_bytes` builds a plane in row blocks, so a round
+needs no n**2 float64 or int64 plane.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .lorenz import LorenzParams, SecretKey, Trajectory, derive_initial_conditio
 # The largest truncated values are near 5.4e3 (z), so the largest
 # convolution, z*z at n=4096, stays below 2**49.
 S = 6
+
+# Cells per row block of `plane_bytes`: 128 KB of float64 products.
+_BLOCK_CELLS = 1 << 14
 
 
 def truncated_vectors(traj: Trajectory):
@@ -119,7 +123,14 @@ def plane_bytes(a, b) -> np.ndarray:
     cols = np.abs(np.asarray(b, dtype=np.float64)) * 2.0 ** (-4 * S)
     if np.max(rows) * np.max(cols) >= 2.0**63:
         raise DegenerateKeystreamError("keystream products exceed the int64 range")
-    return np.multiply.outer(rows, cols).astype(np.int64).astype(np.uint8)
+    # Row blocks of about _BLOCK_CELLS products, so the float64 and int64
+    # steps take 16 bytes per cell of a block, not of the plane; assigning
+    # the int64 block keeps each value's low byte, as astype(np.uint8) does.
+    out = np.empty((rows.size, cols.size), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // cols.size)
+    for lo in range(0, rows.size, step):
+        out[lo : lo + step] = np.multiply.outer(rows[lo : lo + step], cols).astype(np.int64)
+    return out
 
 
 @functools.lru_cache(maxsize=32)

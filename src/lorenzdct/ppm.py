@@ -71,10 +71,10 @@ def load_ppm(path) -> ImageRGB:
 
 def save_ppm(path, img: ImageRGB):
     """Write a binary P6 PPM with maxval 255, byte-for-byte deterministic."""
-    pixels = np.stack(img.planes, axis=-1)
+    pixels = np.stack(img.planes, axis=-1)  # written as a buffer, not copied to bytes
     with open(path, "wb") as f:
         f.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        f.write(pixels)
 
 
 def save_pgm(path, plane):

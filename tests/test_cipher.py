@@ -301,7 +301,8 @@ class TestScheduleCache:
                 encrypt_image(image_a, keys, shifts)
         assert calls == []
 
-    def test_held_schedules_within_33_bytes_per_pixel(self, keys):
+    def test_held_schedules_within_21_bytes_per_pixel(self, keys):
+        # uint32 perm, uint8 mask and uint16 twin per component: 3 * 7 bytes
         n = 256
         for k in keys:
             _key_vectors(k)  # their few KB are cached apart from the schedules
@@ -315,8 +316,9 @@ class TestScheduleCache:
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert sum(a.nbytes for s in held for a in (s.perm, s.mask, s.twin)) == 33 * n * n
-        assert after - before <= 33 * n * n + 64 * 1024
+        assert all(s.perm.dtype == np.uint32 for s in held)
+        assert sum(a.nbytes for s in held for a in (s.perm, s.mask, s.twin)) == 21 * n * n
+        assert after - before <= 21 * n * n + 64 * 1024
 
 
 def dense(pos, values, n):

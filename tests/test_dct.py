@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib
 import importlib.machinery
 import os
@@ -338,19 +339,24 @@ class TestEnergySelectMatchesFullSort:
     )
     def test_property(self, family, seed, h, w, fraction):
         F = FAMILIES[family](np.random.default_rng(seed), h, w)
-        assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
+        want = energy_select_full_sort(F, fraction)
+        assert_same_selection(energy_select(F, fraction), want)
+        assert_same_selection(energy_select(F.copy(), fraction, overwrite_x=True), want)
 
     @pytest.mark.parametrize("case", sorted(NAMED_CASES))
     def test_named_cases(self, case):
         make, fraction = NAMED_CASES[case]
         F = make(np.random.default_rng(7))
+        overwriting = functools.partial(energy_select, overwrite_x=True)
         if case in NON_FINITE_CASES:
             # the reference refuses a non-finite total as well
-            for select in (energy_select, energy_select_full_sort):
+            for select in (energy_select, overwriting, energy_select_full_sort):
                 with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
-                    select(F, fraction)
+                    select(F.copy(), fraction)
         else:
-            assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
+            want = energy_select_full_sort(F, fraction)
+            assert_same_selection(energy_select(F, fraction), want)
+            assert_same_selection(overwriting(F.copy(), fraction), want)
 
     @pytest.mark.parametrize(
         "case, rounds, full_sort",
@@ -533,6 +539,7 @@ class TestMatchesScipyFft:
     def test_dct2_and_idct2(self, dims, rng):
         f = rng.uniform(-255.0, 255.0, dims)
         assert np.array_equal(dct2(f), fft.dctn(f, norm="ortho"))
+        assert np.array_equal(dct2(f.copy(), overwrite_x=True), fft.dctn(f, norm="ortho"))
         assert np.array_equal(idct2(f), fft.idctn(f, norm="ortho"))
 
 
