@@ -151,9 +151,10 @@ def energy_select(F, fraction: float = 0.999, overwrite_x: bool = False) -> Spar
     result is bit-identical to a full stable argsort of -|value| in every
     case.
 
-    With overwrite_x, as in dct2, a float64 F may be overwritten (and is,
-    here): the magnitudes take its place and only its sign bits are kept
-    apart, which saves 7 of the 8 bytes per cell that the magnitudes take.
+    The values are rebuilt from the magnitudes and F's sign bits.  With
+    overwrite_x, as in dct2, a float64 F may be overwritten (and is, here):
+    the magnitudes take its place, which saves the 8 bytes per cell that
+    they would take beside F.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
@@ -172,17 +173,15 @@ def energy_select(F, fraction: float = 0.999, overwrite_x: bool = False) -> Spar
         empty = np.empty(0, dtype=np.int64)
         return SparseCoeffs(dims, empty, empty.copy(), np.empty(0), 1.0)
 
-    negative = np.signbit(flat) if overwrite_x else None
+    negative = np.signbit(flat)
     mags = np.abs(flat, out=flat if overwrite_x else None)
     picked, head = _head_by_magnitude(mags, fraction * total)
     picked = picked[mags[picked] >= 1.0]
     head = head[head >= 1.0]
 
     rows, cols = np.divmod(picked, dims[1])
-    if negative is None:
-        values = flat[picked]
-    else:  # negating a magnitude is exact, so these are F's values bit for bit
-        values = np.where(negative[picked], -mags[picked], mags[picked])
+    # negating a magnitude is exact, so these are F's values bit for bit
+    values = np.where(negative[picked], -mags[picked], mags[picked])
     achieved = float(np.sum(head * head)) / total
     return SparseCoeffs(dims, rows, cols, values, min(achieved, 1.0))
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -440,10 +441,12 @@ def test_operation_peak_memory_per_pixel(tmp_path, make):
     n = MEMORY_BUDGET_N
     src, ct, out = tmp_path / "in.ppm", tmp_path / "in.ldct", tmp_path / "out.ppm"
     save_ppm(src, make(5, n))
+    # the subprocess imports the same lorenzdct as this process
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lorenzdct.__file__))}
     for args in (["encrypt", "--in", src, "--out", ct], ["decrypt", "--in", ct, "--out", out]):
         run = subprocess.run(
             [sys.executable, "-c", _PEAK_CHILD, *map(str, args), *KEY_ARGS],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert run.returncode == 0, run.stderr
         code, base_kb, peak_kb = map(int, run.stdout.split())
