@@ -40,6 +40,10 @@ COMPONENT_NAMES = ("R", "G", "B")
 
 DEFAULT_SHIFTS = (3, 7, 13)
 
+# The largest side n: a line fits uint16 sort orders (`line_orders`) and a
+# plane's flat cells fit the uint32 perm and container positions.
+MAX_SIZE = 1 << 16
+
 
 def _check_shifts(shifts) -> tuple[int, int, int]:
     # Three integers (`is_int_in`) in the container's u16 range, as Python ints.
@@ -71,10 +75,6 @@ class ImageRGB:
     def width(self) -> int:
         return self.planes[0].shape[1]
 
-    @property
-    def is_square(self) -> bool:
-        return self.width == self.height
-
 
 @dataclass(frozen=True)
 class CipherBundle:
@@ -87,9 +87,10 @@ class CipherBundle:
     cells.  The shift and rotation schedules ride along; decrypt reads them
     from here.  Raises InvalidKeyError unless shifts are three integers in
     [0, 65535] and each rotation triple three ints in [0, 47], ValueError
-    unless there are three rotation triples, positions are strictly
-    ascending integers below n * n and carriers are float32, and
-    DimensionMismatchError when a plane or a carrier disagrees in shape.
+    unless there are three each of rotation triples, dic, positions and
+    carriers, positions are strictly ascending integers below n * n and
+    carriers are float32, and DimensionMismatchError when a plane or a
+    carrier disagrees in shape.
     """
 
     n: int
@@ -100,8 +101,8 @@ class CipherBundle:
     carriers: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        if len(self.rotations) != 3:
-            raise ValueError("a bundle needs three rotation triples, one per key")
+        if {len(self.rotations), len(self.dic), len(self.positions), len(self.carriers)} != {3}:
+            raise ValueError("a bundle needs three each of rotations, dic, positions and carriers")
         object.__setattr__(self, "shifts", _check_shifts(self.shifts))
         object.__setattr__(self, "rotations", tuple(map(check_rotations, self.rotations)))
         for p in self.dic:
@@ -159,13 +160,13 @@ def line_orders(k):
 
     Returns (row_orders, col_orders): row_orders[i] is the stable ascending
     argsort of row i, col_orders[j] that of column j (ties keep their
-    order).  Both are uint16, which holds lines of up to 65536 cells; that
+    order).  Both are uint16, which holds lines of up to MAX_SIZE cells; that
     bound also keeps a plane's flat indices below 2**32, the range of the
     uint32 perm that `_identity` starts and `_push_round` composes.  Raises
     ValueError for longer lines.
     """
-    if max(k.shape) > 1 << 16:
-        raise ValueError("lines longer than 65536 cells do not fit uint16 sort orders")
+    if max(k.shape) > MAX_SIZE:
+        raise ValueError(f"lines longer than {MAX_SIZE} cells do not fit uint16 sort orders")
     return (
         np.argsort(k, axis=1, kind="stable").astype(np.uint16),
         np.argsort(k.T, axis=1, kind="stable").astype(np.uint16),
@@ -341,14 +342,14 @@ def encrypt_image(
     keys: Sequence[SecretKey],
     shifts: Sequence[int] = DEFAULT_SHIFTS,
 ) -> CipherBundle:
-    """Run the full three-round pipeline on a square image."""
-    if not img.is_square:
-        raise ValueError(
-            f"only square images are supported, got {img.width}x{img.height}"
-        )
+    """Run the full three-round pipeline on a square image from 2x2 to
+    MAX_SIZE x MAX_SIZE; any other shape raises ValueError before a
+    keystream is built."""
     n = img.width
-    if n < 2:
-        raise ValueError("image must be at least 2x2")
+    if img.height != n or not 2 <= n <= MAX_SIZE:
+        raise ValueError(
+            f"image must be square, from 2x2 to {MAX_SIZE}x{MAX_SIZE}, got {n}x{img.height}"
+        )
     shifts = _check_shifts(shifts)
 
     schedules = _schedules(tuple(keys), shifts, n)
@@ -366,10 +367,11 @@ def encrypt_image(
 def _encrypt_component(plane, sched: Schedule):
     # One component's (encrypted difference plane, positions, carrier
     # values).  Its temporaries are freed on return, before the next
-    # component's transform.  dct2 and energy_select overwrite the float64
-    # copy of the plane, which is dropped as soon as the selection is made.
+    # component's transform.  The coefficients (dct2's float64 copy of the
+    # plane, 8 bytes per pixel) are dropped as soon as energy_select, which
+    # works in one scratch plane of the same size, has made its selection.
     n = plane.shape[0]
-    sparse = energy_select(dct2(plane.astype(np.float64), overwrite_x=True), overwrite_x=True)
+    sparse = energy_select(dct2(plane))
     pos, logs = log_forward(sparse, n)
     twin_at = sched.twin.ravel()[pos]
     # One correctly rounded cast, the same on every IEEE-754 platform; a

@@ -14,7 +14,7 @@ import sys
 
 from . import selfcheck
 from .analysis import DEFAULT_SCATTER_SEED, DIRECTIONS, full_report, scatter_sample
-from .cipher import DEFAULT_SHIFTS, ImageRGB, decrypt_image, encrypt_image, line_orders
+from .cipher import DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, decrypt_image, encrypt_image, line_orders
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
 from .keystream import build_round_keystream
@@ -55,14 +55,14 @@ def _count(text):
 
 
 def _keystream_size(text):
-    """keystream --size: an integer in [2, 65536], the line lengths
+    """keystream --size: an integer in [2, MAX_SIZE], the line lengths
     `line_orders` takes, checked while the arguments parse."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if not 2 <= value <= 1 << 16:
-        raise argparse.ArgumentTypeError(f"must be an integer in [2, 65536], not {text!r}")
+    if not 2 <= value <= MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be an integer in [2, {MAX_SIZE}], not {text!r}")
     return value
 
 
@@ -236,7 +236,7 @@ def _cmd_keystream(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    failures = selfcheck.run(print)
+    failures = selfcheck.run()
     if failures:
         print(f"verification failure: {failures} check(s) failed", file=sys.stderr)
         return 3

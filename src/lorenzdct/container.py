@@ -55,13 +55,12 @@ import zlib
 
 import numpy as np
 
-from .cipher import COMPONENT_NAMES, CipherBundle
+from .cipher import COMPONENT_NAMES, MAX_SIZE, CipherBundle
 from .errors import FormatError
 
 MAGIC = b"LDCT"
 VERSION = 6
 ROUNDS = 3
-MAX_SIZE = 65536  # the cipher's largest n; every position fits u32
 ESCAPE = 0xFF
 
 _FIXED = struct.Struct("<4sHIIBB")

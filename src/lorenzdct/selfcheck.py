@@ -182,16 +182,16 @@ CHECKS = (
 )
 
 
-def run(emit=print) -> int:
-    """Run every check; returns the number of failures."""
+def run() -> int:
+    """Run every check, printing one line each; returns the number of failures."""
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            emit(f"FAIL: {name} ({type(exc).__name__}: {exc})")
+            print(f"FAIL: {name} ({type(exc).__name__}: {exc})")
         else:
-            emit(f"PASS: {name}")
-    emit(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+            print(f"PASS: {name}")
+    print(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

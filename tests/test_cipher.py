@@ -519,7 +519,16 @@ class TestPipeline:
 
     def test_non_square_rejected(self, rng, keys):
         img = ImageRGB(tuple(rng.integers(0, 256, (4, 6), dtype=np.uint8) for _ in range(3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be square, .* got 6x4"):
+            encrypt_image(img, keys)
+
+    @pytest.mark.parametrize("n", [1, 65537])
+    def test_size_refused_before_any_schedule(self, n, keys, monkeypatch):
+        # broadcast planes hold one byte each; at 65537 the schedule's maps
+        # alone would take tens of GB
+        img = ImageRGB(tuple(np.broadcast_to(np.uint8(v), (n, n)) for v in range(3)))
+        monkeypatch.setattr(cipher, "_schedules", lambda *args: pytest.fail("built a schedule"))
+        with pytest.raises(ValueError, match=f"from 2x2 to 65536x65536, got {n}x{n}"):
             encrypt_image(img, keys)
 
     def test_bad_shift_schedule_rejected(self, image_a, keys):
@@ -552,6 +561,18 @@ class TestPipeline:
             self._bundle(rng, dic_n=3)
         with pytest.raises(DimensionMismatchError, match="one value per position"):
             self._bundle(rng, carriers=tuple(np.zeros(k, np.float32) for k in (3, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "fields", [("dic",), ("positions", "carriers"), ("dic", "carriers"), ("rotations",)]
+    )
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_bundle_needs_three_of_each_component(self, rng, fields, count):
+        # a bundle short of a component would not pack, or pack a file that
+        # read_bundle refuses
+        bundle = self._bundle(rng)
+        changed = {f: (getattr(bundle, f) * 2)[:count] for f in fields}
+        with pytest.raises(ValueError, match="three each of rotations, dic, positions"):
+            dataclasses.replace(bundle, **changed)
 
     @pytest.mark.parametrize(
         "pos",

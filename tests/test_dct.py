@@ -1,10 +1,10 @@
 import contextlib
-import functools
 import importlib
 import importlib.machinery
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -161,6 +161,32 @@ class TestEnergySelect:
         assert s.dims == (1, 4)
         assert list(s.rows) == [0, 0]
         assert list(s.cols) == [0, 2]
+
+    def test_peak_memory_on_second_block_path(self, monkeypatch):
+        # one float64 scratch plane (8 B/px) and a sorted copy of the second
+        # block, a quarter of the plane (2 B/px); a copy of the whole
+        # plane's magnitudes would read about 19
+        n = 1024
+        F = dct2(make_two_level_image(7, n).planes[0])
+        before = F.copy()
+        sorts = []
+        real_sort = np.sort
+
+        def sort(a, *args, **kw):
+            sorts.append(a.size)
+            return real_sort(a, *args, **kw)
+
+        monkeypatch.setattr(np, "sort", sort)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            energy_select(F)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sorts == [4096, n * n // 4]
+        assert peak <= 12 * n * n
+        assert np.array_equal(F, before)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -339,24 +365,24 @@ class TestEnergySelectMatchesFullSort:
     )
     def test_property(self, family, seed, h, w, fraction):
         F = FAMILIES[family](np.random.default_rng(seed), h, w)
-        want = energy_select_full_sort(F, fraction)
-        assert_same_selection(energy_select(F, fraction), want)
-        assert_same_selection(energy_select(F.copy(), fraction, overwrite_x=True), want)
+        before = F.copy()
+        assert_same_selection(energy_select(F, fraction), energy_select_full_sort(F, fraction))
+        assert np.array_equal(F, before)
 
     @pytest.mark.parametrize("case", sorted(NAMED_CASES))
     def test_named_cases(self, case):
         make, fraction = NAMED_CASES[case]
         F = make(np.random.default_rng(7))
-        overwriting = functools.partial(energy_select, overwrite_x=True)
+        before = F.copy()
         if case in NON_FINITE_CASES:
             # the reference refuses a non-finite total as well
-            for select in (energy_select, overwriting, energy_select_full_sort):
+            for select in (energy_select, energy_select_full_sort):
                 with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
-                    select(F.copy(), fraction)
+                    select(F, fraction)
         else:
             want = energy_select_full_sort(F, fraction)
             assert_same_selection(energy_select(F, fraction), want)
-            assert_same_selection(overwriting(F.copy(), fraction), want)
+        assert np.array_equal(F, before, equal_nan=True)
 
     @pytest.mark.parametrize(
         "case, rounds, full_sort",
@@ -377,17 +403,14 @@ class TestEnergySelectMatchesFullSort:
         ],
     )
     def test_named_cases_take_each_path(self, case, rounds, full_sort, monkeypatch):
-        # rounds: blocks split off with np.partition; full_sort: whether the
-        # whole plane's magnitudes are value-sorted.  No case runs an argsort,
-        # and a non-finite total is refused before any partition or sort.
+        # rounds: blocks split off by a partition; full_sort: whether the
+        # whole plane's magnitudes are value-sorted.  Each round sorts its
+        # block with one np.sort.  No case runs an argsort, and a non-finite
+        # total is refused before any sort.
         make, fraction = NAMED_CASES[case]
         F = make(np.random.default_rng(7))
-        partitions, sorts, argsorts = [], [], []
-        real_partition, real_sort, real_argsort = np.partition, np.sort, np.argsort
-
-        def partition(a, *args, **kw):
-            partitions.append(a.size)
-            return real_partition(a, *args, **kw)
+        sorts, argsorts = [], []
+        real_sort, real_argsort = np.sort, np.argsort
 
         def sort(a, *args, **kw):
             sorts.append(a.size)
@@ -397,7 +420,6 @@ class TestEnergySelectMatchesFullSort:
             argsorts.append(kw.get("kind"))
             return real_argsort(a, *args, **kw)
 
-        monkeypatch.setattr(np, "partition", partition)
         monkeypatch.setattr(np, "sort", sort)
         monkeypatch.setattr(np, "argsort", argsort)
         refused = (
@@ -407,9 +429,8 @@ class TestEnergySelectMatchesFullSort:
         )
         with np.errstate(over="ignore"), refused:
             energy_select(F, fraction)
-        assert partitions == [F.size] * rounds
-        assert len(sorts) == rounds + full_sort
-        assert (F.size in sorts) == full_sort
+        blocks = [4096, max(F.size // 4, 2**17)][:rounds]
+        assert sorts == blocks + [F.size] * full_sort
         assert argsorts == []
 
 
@@ -538,9 +559,10 @@ class TestMatchesScipyFft:
     )
     def test_dct2_and_idct2(self, dims, rng):
         f = rng.uniform(-255.0, 255.0, dims)
+        before = f.copy()
         assert np.array_equal(dct2(f), fft.dctn(f, norm="ortho"))
-        assert np.array_equal(dct2(f.copy(), overwrite_x=True), fft.dctn(f, norm="ortho"))
         assert np.array_equal(idct2(f), fft.idctn(f, norm="ortho"))
+        assert np.array_equal(f, before)
 
 
 class TestPocketfftLoader:
