@@ -21,7 +21,10 @@ uint16, folded from a 256x256 table of byte pairs).  NPCR, UACI, MAE, MSE
 and PSNR all come from the histogram of one uint8 plane |a - b|, as exact
 integer sums each divided once (correctly rounded) by the pixel count.
 `full_report` returns the JSON-ready dict the CLI writes, and
-`scatter_sample` a read-only array of byte pairs.
+`scatter_sample` a read-only array of byte pairs.  In the report, a
+decrypted plane byte-identical to its original reuses that plane's
+statistics (entry and zero differences) instead of recomputing them; the
+equality check costs about 0.16 ms per plane at n=1024 when they differ.
 """
 
 from __future__ import annotations
@@ -256,6 +259,10 @@ def _differences(a, b) -> dict:
     }
 
 
+# What `_differences` gives for two equal planes.
+_EQUAL_PLANES = {"npcr": 0.0, "uaci": 0.0, "mae": 0.0, "mse": 0.0, "psnr": math.inf}
+
+
 def npcr(c1, c2) -> float:
     """Percentage of pixel positions where the two planes differ."""
     return _differences(c1, c2)["npcr"]
@@ -344,21 +351,40 @@ def full_report(
     CLI writes.  A constant plane has no defined adjacent correlation, nor
     has a direction with no pairs (a plane one pixel high or wide); such an
     entry is reported as null rather than failing the whole report.
+
+    A decrypted plane byte-identical to the original plane of its component
+    reuses that plane's statistics: its entry is a fresh copy of the
+    original's under its own name, and its pair is what `_differences`
+    gives for equal planes (zero differences, PSNR inf).  One
+    `np.array_equal` per component decides this; when the planes differ it
+    costs about 0.16 ms at n=1024 and the plane takes the full path.
     """
-    images = [("original", original), ("encrypted", encrypted), ("decrypted", decrypted)]
-    components, pairs = [], []
-    for label, img in images:
+    originals = [
+        _component_entry(f"original/{comp}", plane)
+        for comp, plane in zip(COMPONENT_NAMES, original.planes)
+    ]
+    components, pairs = list(originals), []
+    for label, img in (("encrypted", encrypted), ("decrypted", decrypted)):
         if img is None:
             continue
         if (img.width, img.height) != (original.width, original.height):
             raise DimensionMismatchError(f"{label} image dims differ from original")
-        for comp, plane in zip(COMPONENT_NAMES, img.planes):
-            components.append(_component_entry(f"{label}/{comp}", plane))
-    for label, img in images[1:]:
-        if img is None:
-            continue
-        for comp, a, b in zip(COMPONENT_NAMES, original.planes, img.planes):
-            pairs.append({"a": f"original/{comp}", "b": f"{label}/{comp}", **_differences(a, b)})
+        for comp, a, b, entry in zip(COMPONENT_NAMES, original.planes, img.planes, originals):
+            name = f"{label}/{comp}"
+            if label == "decrypted" and np.array_equal(a, b):
+                components.append(
+                    {
+                        **entry,
+                        "name": name,
+                        "correlation": dict(entry["correlation"]),
+                        "histogram": list(entry["histogram"]),
+                    }
+                )
+                differences = _EQUAL_PLANES
+            else:
+                components.append(_component_entry(name, b))
+                differences = _differences(a, b)
+            pairs.append({"a": f"original/{comp}", "b": name, **differences})
     return {
         "image": image,
         "dims": [original.width, original.height],

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lorenzdct import analysis
 from lorenzdct.analysis import (
     DEFAULT_SCATTER_SEED,
     DIRECTIONS,
@@ -473,6 +474,34 @@ class TestScatterSample:
         assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == GOLDEN_ALL_BUT_ONE_1024
 
 
+@pytest.fixture()
+def histogram_calls(monkeypatch):
+    """The planes `analysis.histogram` is called with, in call order."""
+    calls = []
+    real = analysis.histogram
+    monkeypatch.setattr(analysis, "histogram", lambda plane: calls.append(plane) or real(plane))
+    return calls
+
+
+def assert_entry_is_public(entry, plane):
+    """A report entry holds what the public statistics give for its plane."""
+    for short, direction in zip("hvd", DIRECTIONS):
+        try:
+            want = adjacent_correlation(plane, direction)
+        except UndefinedCorrelationError:
+            want = None
+        assert entry["correlation"][short] == want
+    assert entry["entropy"] == entropy(plane)
+    assert entry["histogram"] == histogram(plane).tolist()
+
+
+def assert_pair_is_public(pair, a, b):
+    """A report pair holds what the public difference metrics give for a, b."""
+    assert pair["npcr"] == npcr(a, b) and pair["uaci"] == uaci(a, b)
+    assert pair["mae"] == mae(a, b) and pair["mse"] == mse(a, b)
+    assert pair["psnr"] == psnr(a, b)
+
+
 class TestFullReport:
     def test_structure_and_pairs(self, rng):
         planes = lambda: tuple(rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(3))
@@ -512,19 +541,51 @@ class TestFullReport:
         orig = (np.full((9, 7), 5, dtype=np.uint8),) + orig[1:]  # no correlation
         report = full_report(ImageRGB(orig), ImageRGB(enc))
         for entry, plane in zip(report["components"], orig + enc):
-            for short, direction in zip("hvd", DIRECTIONS):
-                try:
-                    want = adjacent_correlation(plane, direction)
-                except UndefinedCorrelationError:
-                    want = None
-                assert entry["correlation"][short] == want
-            assert entry["entropy"] == entropy(plane)
-            assert entry["histogram"] == histogram(plane).tolist()
+            assert_entry_is_public(entry, plane)
         assert report["components"][0]["correlation"] == {"h": None, "v": None, "d": None}
         for p, a, b in zip(report["pairs"], orig, enc):
-            assert p["npcr"] == npcr(a, b) and p["uaci"] == uaci(a, b)
-            assert p["mae"] == mae(a, b) and p["mse"] == mse(a, b)
-            assert p["psnr"] == psnr(a, b)
+            assert_pair_is_public(p, a, b)
+
+    def test_exact_decrypt_reuses_original_statistics(self, rng, histogram_calls):
+        planes = lambda: tuple(rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(3))
+        orig, enc = planes(), planes()
+        dec = tuple(p.copy() for p in orig)
+        report = full_report(ImageRGB(orig), ImageRGB(enc), ImageRGB(dec))
+        # 6 entries and 3 pairs; the decrypted entries and pairs reuse the original's
+        assert len(histogram_calls) == 9
+        originals, decrypted = report["components"][:3], report["components"][6:]
+        for entry, original, plane, comp in zip(decrypted, originals, dec, "RGB"):
+            assert entry["name"] == f"decrypted/{comp}"
+            assert_entry_is_public(entry, plane)
+            assert entry["histogram"] is not original["histogram"]
+            assert entry["correlation"] is not original["correlation"]
+        for p, a, b, comp in zip(report["pairs"][3:], orig, dec, "RGB"):
+            assert (p["a"], p["b"]) == (f"original/{comp}", f"decrypted/{comp}")
+            assert_pair_is_public(p, a, b)
+            assert (p["npcr"], p["uaci"], p["mae"], p["mse"]) == (0.0, 0.0, 0.0, 0.0)
+            assert p["psnr"] == math.inf
+
+    @pytest.mark.parametrize("changed", range(3))
+    def test_decrypt_off_by_one_pixel_in_one_plane(self, rng, histogram_calls, changed):
+        planes = lambda: tuple(rng.integers(0, 256, (9, 7), dtype=np.uint8) for _ in range(3))
+        orig, enc = planes(), planes()
+        orig = (np.full((9, 7), 5, dtype=np.uint8),) + orig[1:]  # no correlation
+        dec = [p.copy() for p in orig]
+        dec[changed][-1, -1] ^= 1  # the odd last byte of an odd pixel count
+        report = full_report(ImageRGB(orig), ImageRGB(enc), ImageRGB(tuple(dec)))
+        # the changed plane's entry and pair take the full path
+        assert len(histogram_calls) == 11
+        if changed:  # the constant plane is reused, nulls and all
+            assert report["components"][6]["correlation"] == {"h": None, "v": None, "d": None}
+        for entry, plane in zip(report["components"][6:], dec):
+            assert_entry_is_public(entry, plane)
+        for k, (p, a, b) in enumerate(zip(report["pairs"][3:], orig, dec)):
+            assert_pair_is_public(p, a, b)
+            if k == changed:
+                assert p["npcr"] > 0.0 and math.isfinite(p["psnr"])
+            else:
+                assert (p["npcr"], p["uaci"], p["mae"], p["mse"]) == (0.0, 0.0, 0.0, 0.0)
+                assert p["psnr"] == math.inf
 
     def test_black_component(self, rng):
         red = ImageRGB(

@@ -61,6 +61,13 @@ so a numpy build that rounds those differently would move REPORT_GOLDEN
 alone.  Both REPORT_GOLDEN entries were re-recorded when UACI became the
 exact 100 * sum |a - b| / (255 * n) rounded once, which moved one UACI of
 each report by one ulp and no other value.
+
+Every REPORT_GOLDEN triple passes an exact decrypt, so these digests pin the
+path where `full_report` reuses each original plane's statistics for its
+byte-identical decrypted plane; they were recorded before that reuse
+existed and did not move with it.  The path that computes every decrypted
+entry and pair is pinned by `TestFullReport::test_structure_and_pairs` and
+the one-pixel-off cases in tests/test_analysis.py.
 """
 
 import hashlib
