@@ -23,7 +23,6 @@ from .cipher import (
     ImageRGB,
     decrypt_image,
     encrypt_image,
-    make_difference,
 )
 from .container import read_bundle, write_bundle
 from .dct import SparseCoeffs, dct1, dct2, energy_select, idct2, reconstruct_sparse
@@ -69,7 +68,6 @@ __all__ = [
     "load_ppm",
     "lorenz_derivative",
     "mae",
-    "make_difference",
     "mse",
     "npcr",
     "psnr",

@@ -12,7 +12,9 @@ coefficient would hold the bare twin, which the receiver recomputes from the
 keys, so they are not stored.  The difference plane is taken against the
 coefficients read back out of the carrier, so encrypt and decrypt round one
 and the same reconstruction, and the difference plane absorbs whatever the
-float32 rounding drops.
+float32 rounding drops.  One decoder, `_decode`, serves both: it reads a
+carrier chunk by chunk straight into the n x n plane that the inverse DCT
+then transforms in place.
 
 Every pass of a round moves each byte to a fixed cell and XORs it with a
 fixed keystream byte, so a component's three rounds compose into one
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dct import SparseCoeffs, dct2, energy_select, reconstruct_sparse
+from .dct import SparseCoeffs, _idct2_leading, dct2, energy_select
 from .errors import DimensionMismatchError, InvalidKeyError
 from .keystream import build_round_keystream
 from .lorenz import SecretKey, check_rotations, is_int_in
@@ -89,8 +91,8 @@ class CipherBundle:
     [0, 65535] and each rotation triple three ints in [0, 47], ValueError
     unless there are three each of rotation triples, dic, positions and
     carriers, positions are strictly ascending integers below n * n and
-    carriers are float32, and DimensionMismatchError when a plane or a
-    carrier disagrees in shape.
+    carriers are float32 and dic planes uint8, and DimensionMismatchError
+    when a plane or a carrier disagrees in shape.
     """
 
     n: int
@@ -108,6 +110,8 @@ class CipherBundle:
         for p in self.dic:
             if p.shape != (self.n, self.n):
                 raise DimensionMismatchError("bundle plane shape disagrees with header")
+            if p.dtype != np.uint8:
+                raise ValueError(f"dic planes must be uint8, not {p.dtype}")
         for color, pos, carried in zip(COMPONENT_NAMES, self.positions, self.carriers):
             if pos.ndim != 1 or pos.shape != carried.shape:
                 raise DimensionMismatchError(
@@ -126,28 +130,6 @@ class CipherBundle:
                 )
         for p in self.dic + self.positions + self.carriers:
             p.setflags(write=False)
-
-
-def _reconstruct_u8(sparse: SparseCoeffs) -> np.ndarray:
-    # Shared by encrypt and decrypt so both round the same values the same
-    # way; non-finite cells (a wrong key can overflow 10**|log|) become 0.
-    recon = reconstruct_sparse(sparse)
-    recon[~np.isfinite(recon)] = 0.0
-    return np.clip(np.rint(recon, out=recon), 0, 255, out=recon).astype(np.uint8)
-
-
-def make_difference(component, sparse: SparseCoeffs):
-    """Difference plane between a component and its sparse reconstruction.
-
-    Returns (dic, recon_u8) with dic = component - recon_u8 in uint8, which
-    wraps mod 256, so recon_u8 + dic (in uint8 too) recovers the component
-    exactly.
-    """
-    component = np.asarray(component, dtype=np.uint8)
-    recon_u8 = _reconstruct_u8(sparse)
-    if recon_u8.shape != component.shape:
-        raise DimensionMismatchError("sparse dims disagree with component shape")
-    return component - recon_u8, recon_u8
 
 
 def _identity(size: int):
@@ -217,7 +199,8 @@ def _push_round(perm, mask, k, shift: int):
 
 # uint32 indices (a schedule's perm, `_push_round`'s g) are widened to the
 # intp that numpy indexes by in runs of this many, 128 KB of intp, rather
-# than in one n**2 copy.
+# than in one n**2 copy; `_carried_plane` reads a carrier in runs of this
+# many cells too.
 _CHUNK = 1 << 14
 
 
@@ -261,19 +244,6 @@ def log_forward(s: SparseCoeffs, n: int):
     return pos[order].astype(np.uint32), logs[order]
 
 
-def log_inverse(positions, logs, n: int) -> SparseCoeffs:
-    """Undo log_forward: roll each row right, then sign(v) * 10**|v|.
-
-    Every log must be nonzero (a zero carries no coefficient).  Coefficients
-    come back in position order, not sorted by magnitude: the reconstruction
-    scatters them into zeros, where order does not matter.
-    """
-    i, j = np.divmod(np.asarray(positions, dtype=np.intp), n)
-    with np.errstate(over="ignore"):
-        values = np.sign(logs) * np.power(10.0, np.abs(logs))
-    return SparseCoeffs((n, n), i, (i + j) % n, values, 1.0)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One component's three rounds: E(d) = d.ravel()[perm] ^ mask.
@@ -282,8 +252,8 @@ class Schedule:
     by `_push_round` from the component's keystream byte plane of each
     round; twin is the uint16 sum of those three planes, under the carrier.
     The sum is at most 765, which float32 holds exactly, so a carrier value
-    equals its twin only where it holds no log; carrier extraction depends
-    on that.  A schedule holds 7 bytes per pixel.
+    equals its twin only where it holds no log; the decoder
+    (`_carried_plane`) depends on that.  A schedule holds 7 bytes per pixel.
     """
 
     perm: np.ndarray
@@ -318,23 +288,43 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     return tuple(Schedule(perm, mask, twin) for (perm, mask), twin in zip(maps, twins))
 
 
-def _carries(carried, twin_at):
-    # A carrier cell holds a coefficient unless its value is its bare twin.
-    return carried != twin_at
+def _carried_plane(positions, carried, twin):
+    """The coefficients a carrier holds, scattered into an n x n float64
+    plane, and one past the largest column that holds one (at least 1).
+
+    The carrier is read _CHUNK cells at a time.  A cell whose value is its
+    bare twin holds no coefficient and is dropped; encrypt never stores one.
+    Each log is the float64 difference of the stored value and its twin, one
+    IEEE operation, exact for any value of magnitude 2**-18 or more.  The
+    cell's row roll is undone and sign(log) * 10**|log| written in place; a
+    wrong key can overflow that to inf.  The largest column is taken over
+    every chunk, for the column pass of `_idct2_leading`.
+    """
+    n = twin.shape[0]
+    plane, m = np.zeros((n, n)), 1
+    twin = twin.ravel()
+    for lo in range(0, positions.size, _CHUNK):
+        pos, values = positions[lo : lo + _CHUNK], carried[lo : lo + _CHUNK]
+        twin_at = twin[pos]
+        keep = values != twin_at
+        # invalid: widening a signalling NaN read from a file
+        with np.errstate(invalid="ignore", over="ignore"):
+            logs = values[keep].astype(np.float64) - twin_at[keep]
+            values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        i, j = np.divmod(pos[keep].astype(np.intp), n)
+        j = (i + j) % n
+        plane[i, j] = values
+        m = max(m, int(np.max(j, initial=0)) + 1)
+    return plane, m
 
 
-def _carried_coeffs(positions, carried, twin) -> SparseCoeffs:
-    # The coefficients a carrier holds, as decrypt reads them back.  Encrypt
-    # takes its difference plane against these rather than the exact ones,
-    # so both sides round one and the same reconstruction.  Each side reads
-    # a log as the float64 difference of a float32 value and its twin: one
-    # IEEE operation, exact for any value of magnitude 2**-18 or more.  A
-    # twin-valued cell, which encrypt never writes, is dropped here too.
-    twin_at = twin.ravel()[positions]
-    keep = _carries(carried, twin_at)
-    with np.errstate(invalid="ignore"):  # widening a signalling NaN read from a file
-        logs = carried[keep].astype(np.float64) - twin_at[keep]
-    return log_inverse(positions[keep], logs, twin.shape[0])
+def _decode(positions, carried, twin) -> np.ndarray:
+    # The uint8 reconstruction of a carrier.  Encrypt takes its difference
+    # plane against it and decrypt adds the difference plane back, so both
+    # round one and the same values the same way; non-finite cells become 0.
+    recon = _idct2_leading(*_carried_plane(positions, carried, twin))
+    recon[~np.isfinite(recon)] = 0.0
+    return np.clip(np.rint(recon, out=recon), 0, 255, out=recon).astype(np.uint8)
 
 
 def encrypt_image(
@@ -377,9 +367,9 @@ def _encrypt_component(plane, sched: Schedule):
     # One correctly rounded cast, the same on every IEEE-754 platform; a
     # log that rounds into its twin (|log| under half its ulp) is not stored.
     carried = (twin_at + logs).astype(np.float32)
-    keep = _carries(carried, twin_at)
+    keep = carried != twin_at
     pos, carried = pos[keep], carried[keep]
-    dic, _ = make_difference(plane, _carried_coeffs(pos, carried, sched.twin))
+    dic = plane - _decode(pos, carried, sched.twin)  # uint8 wraps mod 256
     return _gather(dic, sched.perm, sched.mask), pos, carried
 
 
@@ -395,10 +385,8 @@ def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:
     if tuple(k.rotations for k in keys) != bundle.rotations:
         raise InvalidKeyError("the keys' rotations differ from the bundle's")
     schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
-    planes = []
-    carriers = zip(bundle.positions, bundle.carriers)
-    for dic, (pos, carried), sched in zip(bundle.dic, carriers, schedules):
-        recon_u8 = _reconstruct_u8(_carried_coeffs(pos, carried, sched.twin))
-        planes.append(recon_u8 + _scatter(dic, sched.perm, sched.mask))  # uint8 wraps mod 256
-
-    return ImageRGB(tuple(planes))
+    parts = zip(bundle.dic, bundle.positions, bundle.carriers, schedules)
+    # the uint8 sum wraps mod 256
+    return ImageRGB(
+        tuple(_decode(p, c, s.twin) + _scatter(d, s.perm, s.mask) for d, p, c, s in parts)
+    )

@@ -24,6 +24,7 @@ from lorenzdct.analysis import adjacent_correlation, entropy, mae, npcr, psnr, u
 from lorenzdct.cipher import (
     DEFAULT_SHIFTS,
     ImageRGB,
+    _carried_plane,
     _gather,
     _identity,
     _push_round,
@@ -32,7 +33,6 @@ from lorenzdct.cipher import (
     decrypt_image,
     encrypt_image,
     log_forward,
-    log_inverse,
 )
 from lorenzdct.container import read_bundle, write_bundle
 from lorenzdct.dct import dct1, dct2, energy_select, idct2
@@ -191,11 +191,10 @@ def test_criterion_8_invertibility_properties(rng):
     ) * rng.choice([-1.0, 1.0], k)
     sel = energy_select(mat, 1.0)
     pos, logs = log_forward(sel, 32)
-    back = log_inverse(pos, logs, 32)
-    got = {(r, c): v for r, c, v in zip(back.rows, back.cols, back.values)}
-    ok &= len(back) == len(sel)
-    for r, c, v in zip(sel.rows, sel.cols, sel.values):
-        ok &= (r, c) in got and abs(got[(r, c)] - v) <= 1e-12 * abs(v)
+    # float64 logs over a zero twin: the decoder reads each log as it is
+    back, _ = _carried_plane(pos, logs, np.zeros((32, 32), np.uint16))
+    ok &= np.count_nonzero(back) == len(sel)
+    ok &= bool(np.all(np.abs(back[sel.rows, sel.cols] - sel.values) <= 1e-12 * np.abs(sel.values)))
 
     logm = np.zeros(32 * 32)
     logm[pos] = logs

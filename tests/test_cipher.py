@@ -12,10 +12,12 @@ from test_io import BAD_SHIFTS
 import lorenzdct.cipher as cipher
 from lorenzdct.analysis import adjacent_correlation, correlation
 from lorenzdct.cipher import (
+    _CHUNK,
     DEFAULT_SHIFTS,
     CipherBundle,
     ImageRGB,
-    _carried_coeffs,
+    _carried_plane,
+    _decode,
     _gather,
     _identity,
     _push_round,
@@ -24,10 +26,8 @@ from lorenzdct.cipher import (
     decrypt_image,
     encrypt_image,
     log_forward,
-    log_inverse,
-    make_difference,
 )
-from lorenzdct.dct import SparseCoeffs, dct2, energy_select
+from lorenzdct.dct import SparseCoeffs, _idct2_leading, dct2, energy_select, reconstruct_sparse
 from lorenzdct.errors import DimensionMismatchError, InvalidKeyError
 from lorenzdct.keystream import _key_vectors, build_round_keystream
 from lorenzdct.lorenz import SecretKey
@@ -55,9 +55,13 @@ def round_trip(plane, ks, shift):
     return _scatter(_gather(plane, perm, mask), perm, mask)
 
 
-def coeff_map(s):
-    """A SparseCoeffs as {(row, col): value}, which ignores entry order."""
-    return dict(zip(zip(s.rows.tolist(), s.cols.tolist()), s.values.tolist()))
+def zero_twin(n):
+    return np.zeros((n, n), dtype=np.uint16)
+
+
+def decoded(sparse, n):
+    # the decoder reads float64 logs over a zero twin as they are
+    return _decode(*log_forward(sparse, n), zero_twin(n))
 
 
 # Reference shuffle: the paper's passes run literally, one line gather and
@@ -120,37 +124,34 @@ def shuffle_cases(draw):
 
 
 class TestMakeDifference:
+    """The difference plane, component - _decode(carrier) in uint8, as
+    encrypt takes it."""
+
     def test_full_selection_zero_difference(self):
         component = np.full((8, 8), 7, dtype=np.uint8)
-        sparse = energy_select(dct2(component.astype(float)), 1.0)
-        dic, recon_u8 = make_difference(component, sparse)
+        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 1.0), 8)
         assert np.array_equal(recon_u8, component)
-        assert np.all(dic == 0)
+        assert np.all(component - recon_u8 == 0)
 
     def test_empty_selection_identity(self, rng):
         component = random_plane(rng, 8)
-        empty = energy_select(np.zeros((8, 8)), 0.999)
-        dic, recon_u8 = make_difference(component, empty)
-        assert np.all(recon_u8 == 0)
-        assert np.array_equal(dic, component)
+        recon_u8 = decoded(energy_select(np.zeros((8, 8)), 0.999), 8)
+        assert recon_u8.dtype == np.uint8 and np.all(recon_u8 == 0)
+        assert np.array_equal(component - recon_u8, component)
 
     def test_mod256_reconstruction_guarantee(self, rng):
         component = random_plane(rng, 16)
-        sparse = energy_select(dct2(component.astype(float)), 0.9)
-        dic, recon_u8 = make_difference(component, sparse)
+        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 0.9), 16)
+        dic = component - recon_u8
         back = (recon_u8.astype(np.int16) + dic.astype(np.int16)) % 256
         assert np.array_equal(back.astype(np.uint8), component)
 
-    def test_dim_mismatch(self, rng):
-        with pytest.raises(DimensionMismatchError):
-            make_difference(random_plane(rng, 8), energy_select(np.ones((4, 4)), 1.0))
-
     def test_non_finite_reconstruction_becomes_zero(self, rng):
         component = random_plane(rng, 4)
-        overflow = SparseCoeffs((4, 4), np.array([0]), np.array([0]), np.array([np.inf]), 1.0)
-        dic, recon_u8 = make_difference(component, overflow)
+        # 10**400 overflows to inf
+        recon_u8 = _decode(np.array([0], np.uint32), np.array([400.0]), zero_twin(4))
         assert np.all(recon_u8 == 0)
-        assert np.array_equal(dic, component)
+        assert np.array_equal(component - recon_u8, component)
 
 
 class TestShuffle:
@@ -349,14 +350,14 @@ class TestLogEmbedding:
         pos, logs = log_forward(s, 4)
         assert pos.size == logs.size == 0
 
-    def test_log_inverse_of_zero_matrix(self):
-        assert len(log_inverse(np.empty(0, np.uint32), np.empty(0), 6)) == 0
+    def test_decode_empty_carrier(self):
+        plane, m = _carried_plane(np.empty(0, np.uint32), np.empty(0), zero_twin(6))
+        assert plane.shape == (6, 6) and not plane.any() and m == 1
 
-    def test_log_inverse_single_cell(self):
-        s = log_inverse(np.array([0], np.uint32), np.array([2.0]), 3)
-        assert len(s) == 1
-        assert (s.rows[0], s.cols[0]) == (0, 0)
-        assert abs(s.values[0] - 100.0) < 1e-9
+    def test_decode_single_cell(self):
+        plane, m = _carried_plane(np.array([0], np.uint32), np.array([2.0]), zero_twin(3))
+        assert np.flatnonzero(plane).tolist() == [0] and m == 1
+        assert abs(plane[0, 0] - 100.0) < 1e-9
 
     def test_roundtrip_exact_positions_tight_values(self, rng):
         mat = np.zeros((16, 16))
@@ -365,12 +366,9 @@ class TestLogEmbedding:
             1.5, 1e5, k
         ) * rng.choice([-1.0, 1.0], k)
         s = energy_select(mat, 1.0)
-        back = log_inverse(*log_forward(s, 16), 16)
-        assert len(back) == len(s)
-        got = {(r, c): v for r, c, v in zip(back.rows, back.cols, back.values)}
-        for r, c, v in zip(s.rows, s.cols, s.values):
-            assert (r, c) in got
-            assert abs(got[(r, c)] - v) <= 1e-12 * abs(v)
+        back, _ = _carried_plane(*log_forward(s, 16), zero_twin(16))
+        assert np.count_nonzero(back) == len(s)
+        assert np.all(np.abs(back[s.rows, s.cols] - s.values) <= 1e-12 * np.abs(s.values))
 
     def test_dims_must_match(self):
         s = energy_select(np.ones((4, 4)) * 5.0, 1.0)
@@ -381,8 +379,9 @@ class TestLogEmbedding:
     @pytest.mark.parametrize("sign", [-1, +1])
     def test_roll_rows_matches_per_row_roll(self, sign, n, rng):
         """log_forward rolls row i of the scattered logs left by i (sign -1)
-        and lists the nonzero cells in ascending flat order; log_inverse
-        rolls them right again (+1), in that order."""
+        and lists the nonzero cells in ascending flat order; the decoder
+        rolls them right again (+1) and sizes its column pass by the
+        largest column."""
         mat = rng.choice([-300.0, -7.0, 0.0, 0.0, 7.0, 41.5, 300.0], (n, n))
         sel = energy_select(mat, 1.0)
         scattered = np.zeros((n, n))
@@ -394,12 +393,10 @@ class TestLogEmbedding:
             assert np.array_equal(pos, nonzero)
             assert np.array_equal(dense(pos, logs, n), rolled)
             return
-        back = log_inverse(nonzero.astype(np.uint32), rolled.ravel()[nonzero], n)
+        back, m = _carried_plane(nonzero.astype(np.uint32), rolled.ravel()[nonzero], zero_twin(n))
         unrolled = np.stack([np.roll(rolled[i], sign * i) for i in range(n)])
-        logs = unrolled[sel.rows, sel.cols]
-        values = np.sign(logs) * np.power(10.0, np.abs(logs))
-        assert coeff_map(back) == coeff_map(SparseCoeffs((n, n), sel.rows, sel.cols, values))
-        assert np.array_equal(back.rows, np.nonzero(rolled)[0])
+        assert np.array_equal(back, np.sign(unrolled) * np.power(10.0, np.abs(unrolled)))
+        assert m == int(np.max(sel.cols, initial=0)) + 1
 
 
 class TestCarrier:
@@ -416,8 +413,9 @@ class TestCarrier:
         # a stored value equal to its twin (a zero log) carries no coefficient
         cells = np.array([0, 3, 255], np.uint32)
         for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
-            assert len(_carried_coeffs(cells, bare, twin)) == 0
-            assert len(_carried_coeffs(cells, bare.astype(np.float32), twin)) == 0
+            for stored in (bare, bare.astype(np.float32)):
+                plane, m = _carried_plane(cells, stored, twin)
+                assert not plane.any() and m == 1
 
     def test_every_stored_value_differs_from_its_twin(self, keys):
         # each unit-DC plane has a DC coefficient of 1.0, a log of 0, and the
@@ -451,10 +449,10 @@ class TestCarrier:
         # the stored float32 moves a log by at most 2**-15, half an ulp below
         # 1024; 1e-12 more covers log10 and pow rounding
         stored = carried.astype(np.float32)
-        got, want = coeff_map(_carried_coeffs(pos, stored, twin)), coeff_map(sel)
-        assert got.keys() == want.keys()
+        got, _ = _carried_plane(pos, stored, twin)
+        assert np.array_equal(np.flatnonzero(got), sel.rows * 32 + sel.cols)
         bound = 10.0 ** (2.0**-15 + 1e-12) - 1
-        assert all(abs(got[rc] - v) <= bound * abs(v) for rc, v in want.items())
+        assert np.all(np.abs(got[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values))
 
     def test_carrier_range_for_8bit_source(self, rng):
         rounds = random_rounds(rng, 64)
@@ -467,6 +465,83 @@ class TestCarrier:
         bound = np.log10(255.0 * 64)
         assert carried.size == 2
         assert np.all(carried >= -bound) and np.all(carried <= 3 * 255 + bound)
+
+
+class TestDecoder:
+    """The chunked decoder against the SparseCoeffs path it replaces: the
+    float plane it transforms, before rounding, is reconstruct_sparse of the
+    carrier's coefficients bit for bit."""
+
+    N = 256
+
+    @staticmethod
+    def reference(pos, carried, twin):
+        # the coefficients of the given cells, one by one, as a SparseCoeffs
+        n = twin.shape[0]
+        pos = pos.astype(np.int64)
+        logs = carried.astype(np.float64) - twin.ravel()[pos]
+        with np.errstate(over="ignore"):
+            values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        rows = pos // n
+        return SparseCoeffs((n, n), rows, (pos % n + rows) % n, values)
+
+    def carrier(self, rng, size):
+        """size ascending positions and their logs.  The final cell is in
+        column 0 (row n-1); from 3 cells on, the first two are row 0's
+        columns 0 and n-1, and the rest lie between."""
+        n = self.N
+        middle = np.sort(rng.choice(np.arange(n + 1, (n - 1) * n + 1), max(size - 3, 0), False))
+        pos = np.concatenate(([0, n - 1], middle, [(n - 1) * n + 1]))[3 - min(size, 3) :]
+        logs = rng.uniform(0.01, 4.8, size) * rng.choice([-1.0, 1.0], size)
+        return pos.astype(np.uint32), logs
+
+    def noise_carrier(self, rng):
+        # a uniform-noise plane keeps about 80% of its coefficients
+        plane = rng.integers(0, 256, (self.N, self.N)).astype(float)
+        pos, logs = log_forward(energy_select(dct2(plane)), self.N)
+        big = np.abs(logs) > 1e-3  # none rounds into its twin in float32
+        return pos[big], logs[big]
+
+    @pytest.mark.parametrize("size", [0, 1, _CHUNK, _CHUNK + 1, "noise"])
+    def test_float_plane_matches_reconstruct_sparse(self, size, rng):
+        n = self.N
+        pos, logs = self.noise_carrier(rng) if size == "noise" else self.carrier(rng, size)
+        if size == "noise":
+            assert pos.size > 3 * _CHUNK
+        twin = twin_of(random_rounds(rng, n), 0)
+        carried = (twin.ravel()[pos] + logs).astype(np.float32)
+        # bare twins on both sides of every chunk edge, never the final cell
+        edges = [e for c in range(0, pos.size, _CHUNK) for e in (c - 1, c) if 0 <= e < pos.size - 1]
+        carried[edges] = twin.ravel()[pos[edges]]
+        keep = np.ones(pos.size, bool)
+        keep[edges] = False
+        plane, m = _carried_plane(pos, carried, twin)
+        want = reconstruct_sparse(self.reference(pos[keep], carried[keep], twin))
+        got = _idct2_leading(plane, m)
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            _decode(pos, carried, twin), np.clip(np.rint(want), 0, 255).astype(np.uint8)
+        )
+
+    def test_column_pass_spans_every_chunk(self, rng):
+        # the last chunk's one cell sits in column 0, the widest column in
+        # the first chunk
+        pos, logs = self.carrier(rng, _CHUNK + 1)
+        _, m = _carried_plane(pos, logs, zero_twin(self.N))
+        assert m == self.N
+
+    def test_overflowing_log_decodes_to_zero(self, rng):
+        n = self.N
+        pos, logs = self.carrier(rng, _CHUNK + 1)
+        logs[_CHUNK // 2] = 400.0  # 10**400 overflows to inf
+        twin = twin_of(random_rounds(rng, n), 1)
+        carried = (twin.ravel()[pos] + logs).astype(np.float32)
+        plane, m = _carried_plane(pos, carried, twin)
+        want = reconstruct_sparse(self.reference(pos, carried, twin))
+        assert not np.all(np.isfinite(want))
+        assert np.array_equal(_idct2_leading(plane, m), want, equal_nan=True)
+        assert np.array_equal(_decode(pos, carried, twin), np.zeros((n, n), np.uint8))
 
 
 class TestPipeline:
@@ -561,6 +636,14 @@ class TestPipeline:
             self._bundle(rng, dic_n=3)
         with pytest.raises(DimensionMismatchError, match="one value per position"):
             self._bundle(rng, carriers=tuple(np.zeros(k, np.float32) for k in (3, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.uint16])
+    def test_bundle_dic_must_be_uint8(self, rng, dtype):
+        # otherwise a float64 plane would construct and fail only in
+        # decrypt's scatter, with a numpy TypeError
+        bundle = self._bundle(rng)
+        with pytest.raises(ValueError, match="dic planes must be uint8"):
+            dataclasses.replace(bundle, dic=tuple(p.astype(dtype) for p in bundle.dic))
 
     @pytest.mark.parametrize(
         "fields", [("dic",), ("positions", "carriers"), ("dic", "carriers"), ("rotations",)]
