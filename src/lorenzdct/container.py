@@ -101,14 +101,14 @@ def decode_positions(gaps, escaped, n_px: int, color: str) -> np.ndarray:
         )
     if escaped.size and not (escaped.min() >= ESCAPE and escaped.max() < n_px):
         raise FormatError(f"carrier {color} escaped gaps are not all in [{ESCAPE}, {n_px})")
-    # every gap is below max(255, n_px) <= 2**32 and there are at most
-    # n_px <= 2**32 of them, so the uint64 sum cannot wrap
-    cells = gaps.astype(np.uint64)
+    cells = gaps.astype(np.uint32)
     cells[at] = escaped
-    np.cumsum(cells, out=cells)
-    if cells.size and cells[-1] >= n_px:
+    # every gap is below max(255, n_px) <= 2**32 and there are at most
+    # n_px <= 2**32 of them, so their uint64 sum cannot wrap; once it is
+    # below n_px, neither can the uint32 cumsum
+    if int(cells.sum(dtype=np.uint64)) >= n_px:
         raise FormatError(f"carrier {color} positions run past the {n_px} cells of a plane")
-    return cells.astype(np.uint32)
+    return np.cumsum(cells, out=cells)
 
 
 def write_bundle(path, bundle: CipherBundle):

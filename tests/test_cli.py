@@ -92,7 +92,7 @@ def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
     dec_pairs = [p for p in data["pairs"] if p["b"].startswith("decrypted")]
     assert len(dec_pairs) == 3
     for p in dec_pairs:
-        assert p["npcr"] == 0.0 and p["psnr"] == math.inf
+        assert (p["npcr"], p["mse"], p["psnr"]) == (0.0, 0.0, math.inf)
 
     assert (tmp_path / "hist" / "original_R_hist.csv").exists()
     scatter = (tmp_path / "scatter" / "encrypted_G_diagonal.csv").read_text().splitlines()
@@ -103,15 +103,21 @@ def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
 
 def test_analyze_black_component(tmp_path):
     red, bundle, report = tmp_path / "red.ppm", tmp_path / "red.ldct", tmp_path / "r.json"
+    dec = tmp_path / "dec.ppm"
     red.write_bytes(b"P6\n16 16\n255\n" + b"\xff\x00\x00" * 256)
     assert cli_main(["encrypt", "--in", str(red), "--out", str(bundle)] + KEY_ARGS) == 0
-    argv = ["analyze", "--original", str(red), "--bundle", str(bundle), "--json", str(report)]
-    assert cli_main(argv + ["--hist-csv", str(tmp_path / "hist")]) == 0
+    assert cli_main(["decrypt", "--in", str(bundle), "--out", str(dec)] + KEY_ARGS) == 0
+    argv = ["analyze", "--original", str(red), "--bundle", str(bundle), "--decrypted", str(dec)]
+    assert cli_main(argv + ["--json", str(report), "--hist-csv", str(tmp_path / "hist")]) == 0
     text = report.read_text()
     data = json.loads(text)
     assert "-Infinity" in text
-    assert [p["psnr"] for p in data["pairs"][1:]] == [-math.inf, -math.inf]
+    psnr = [p["psnr"] for p in data["pairs"][1:]]
+    assert psnr == [-math.inf, -math.inf, math.inf, math.inf, math.inf]
     assert data["components"][0]["correlation"] == {"h": None, "v": None, "d": None}
+    # the exact decrypt reports the original's histograms, here one per component
+    histograms = [entry["histogram"] for entry in data["components"]]
+    assert histograms[6:] == histograms[:3]
     for entry in data["components"]:
         name, comp = entry["name"].split("/")
         rows = (tmp_path / "hist" / f"{name}_{comp}_hist.csv").read_text().splitlines()
@@ -119,19 +125,28 @@ def test_analyze_black_component(tmp_path):
         assert [int(r.split(",")[1]) for r in rows[1:]] == entry["histogram"]
 
 
-@pytest.mark.parametrize("width, height, defined", [(16, 1, "h"), (1, 16, "v")])
+@pytest.mark.parametrize("width, height, defined", [(16, 1, "h"), (1, 16, "v"), (16, 16, "hvd")])
 def test_analyze_one_pixel_line(tmp_path, width, height, defined):
-    # only the direction along the line has pairs; the others report null
-    # and write a scatter CSV of the two header lines alone
-    line, report, scatter = tmp_path / "line.ppm", tmp_path / "r.json", tmp_path / "s"
-    line.write_bytes(f"P6\n{width} {height}\n255\n".encode() + bytes(range(48)))
+    # A line has pairs only along itself: the other directions report null
+    # and write a scatter CSV of the two header lines alone.  Every plane
+    # here has fewer pairs than the default --scatter-count (4096) asks
+    # for, so each CSV holds all of them in row-major order, and a far
+    # larger count writes the same files.
+    line, report = tmp_path / "line.ppm", tmp_path / "r.json"
+    pixels = (bytes(range(256)) * 3)[: 3 * width * height]
+    line.write_bytes(f"P6\n{width} {height}\n255\n".encode() + pixels)
+    plane = np.frombuffer(pixels[::3], np.uint8).reshape(height, width)
     argv = ["analyze", "--original", str(line), "--json", str(report)]
-    assert cli_main(argv + ["--scatter-csv", str(scatter)]) == 0
-    for entry in json.loads(report.read_text())["components"]:
-        assert {k for k, r in entry["correlation"].items() if r is not None} == {defined}
-    for short, direction in zip("hvd", ("horizontal", "vertical", "diagonal")):
-        rows = (scatter / f"original_R_{direction}.csv").read_text().splitlines()
-        assert len(rows) == (17 if short == defined else 2)
+    steps = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
+    for count in ([], ["--scatter-count", "100000"]):
+        scatter = tmp_path / f"s{len(count)}"
+        assert cli_main(argv + ["--scatter-csv", str(scatter)] + count) == 0
+        for entry in json.loads(report.read_text())["components"]:
+            assert {k for k, r in entry["correlation"].items() if r is not None} == set(defined)
+        for direction, (dr, dc) in steps.items():
+            rows = (scatter / f"original_R_{direction}.csv").read_text().splitlines()
+            pairs = zip(plane[: height - dr, : width - dc].ravel(), plane[dr:, dc:].ravel())
+            assert rows == ["# seed=24301", "value,neighbor"] + [f"{a},{b}" for a, b in pairs]
 
 
 def test_encrypt_deterministic_bytes(small_ppm, tmp_path):
@@ -195,12 +210,16 @@ def test_non_square_image_is_data_error(tmp_path, capsys, rng):
 def test_corrupt_bundle_is_data_error(small_ppm, tmp_path, capsys):
     bundle = tmp_path / "img.ldct"
     assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(bundle)] + KEY_ARGS) == 0
-    blob = bytearray(bundle.read_bytes())
-    blob[60] ^= 0xFF
-    bundle.write_bytes(bytes(blob))
-    rc = cli_main(["decrypt", "--in", str(bundle), "--out", str(tmp_path / "y.ppm")] + KEY_ARGS)
-    assert rc == 2
-    assert "data error" in capsys.readouterr().err
+    blob = bundle.read_bytes()
+    flipped = bytearray(blob)
+    flipped[60] ^= 0xFF
+    dec = ["decrypt", "--in", str(bundle), "--out", str(tmp_path / "y.ppm")] + KEY_ARGS
+    # a flipped byte fails the CRC, a cut last byte the size from the header
+    for corrupt in (bytes(flipped), blob[:-1]):
+        bundle.write_bytes(corrupt)
+        capsys.readouterr()
+        assert cli_main(dec) == 2
+        assert _one_data_error(capsys)
 
 
 def _one_data_error(capsys):

@@ -358,6 +358,15 @@ class TestPositionCodec:
         # 254 is a byte, 255 the smallest escaped gap
         assert self._round_trip([254, 509], 23) == (b"\xfe\xff", struct.pack("<I", 255))
 
+    def test_gaps_summing_past_u32_run_past(self):
+        # 16385 escaped gaps of 262143 sum to 2**32 + 245759: each gap is
+        # valid at n = 512, but a uint32 running sum wraps back into the plane
+        count, gap, n = 16385, 262143, 512
+        escaped = np.full(count, gap, dtype=np.uint32)
+        gaps = np.full(count, 0xFF, dtype=np.uint8)
+        with pytest.raises(FormatError, match="carrier R positions run past the 262144 cells"):
+            decode_positions(gaps, escaped, n * n, "R")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(2, 64), st.integers(2, 65536)))
     def test_random_ascending_cells(self, data, n):
