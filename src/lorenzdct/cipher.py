@@ -12,9 +12,10 @@ coefficient would hold the bare twin, which the receiver recomputes from the
 keys, so they are not stored.  The difference plane is taken against the
 coefficients read back out of the carrier, so encrypt and decrypt round one
 and the same reconstruction, and the difference plane absorbs whatever the
-float32 rounding drops.  One decoder, `_decode`, serves both: it reads a
-carrier chunk by chunk straight into the n x n plane that the inverse DCT
-then transforms in place.
+float32 rounding drops.  One encoder, `log_forward`, builds the carrier
+that encrypt stores, and one decoder, `_decode`, serves both encrypt and
+decrypt: it reads a carrier chunk by chunk straight into the n x n plane
+that the inverse DCT then transforms in place.
 
 Every pass of a round moves each byte to a fixed cell and XORs it with a
 fixed keystream byte, so a component's three rounds compose into one
@@ -52,6 +53,14 @@ def _check_shifts(shifts) -> tuple[int, int, int]:
     if len(shifts) != 3 or not all(is_int_in(s, 0, 0xFFFF) for s in shifts):
         raise InvalidKeyError("shift schedule must be three integers in [0, 65535]")
     return tuple(int(s) for s in shifts)
+
+
+def _key_rotations(keys) -> tuple[tuple[int, int, int], ...]:
+    # The rotation triples of exactly three keys, the rule of both encrypt
+    # and decrypt, checked before any keystream is built.
+    if len(keys) != 3:
+        raise InvalidKeyError("exactly three secret keys are required")
+    return tuple(k.rotations for k in keys)
 
 
 @dataclass(frozen=True)
@@ -226,18 +235,21 @@ def _scatter(plane, perm, mask) -> np.ndarray:
     return out.reshape(plane.shape)
 
 
-def log_forward(s: SparseCoeffs, n: int):
-    """Carrier positions and signed log10 of each coefficient.
+def log_forward(s: SparseCoeffs, twin):
+    """The carrier encrypt stores for a selection under a schedule's twin
+    plane, which `_carried_plane` reads back.
 
     Row i of the n x n plane is rolled left by i, so coefficient (i, j)
-    sits at flat position i * n + (j - i) % n.  Returns (positions, logs):
-    positions uint32 and strictly ascending, logs in the same order.  The
-    positions are unique, so any sort gives the same order; on
-    energy_select's row-major output each rolled row is two ascending runs
-    (the columns j < i, then j >= i), which the stable sort merges as runs.
+    sits at flat position i * n + (j - i) % n.  Returns (positions,
+    carried): positions uint32 and strictly ascending, carried the float32
+    values twin + sign(v) * log10|v|, each rounded once.  A value that
+    rounds into its twin (|log| under half its ulp) is dropped: the decoder
+    reads a bare twin as an empty cell.  The positions are unique, so any
+    sort gives the same order; on energy_select's row-major output each
+    rolled row is two ascending runs (the columns j < i, then j >= i),
+    which the stable sort merges as runs.
     """
-    if s.dims != (n, n):
-        raise DimensionMismatchError(f"sparse dims {s.dims} do not match ({n}, {n})")
+    n = twin.shape[0]
     # in place where it can be: a noise-like plane keeps 80% of its cells,
     # so each per-cell temporary is most of a plane
     pos = (s.cols - s.rows) % n
@@ -245,7 +257,11 @@ def log_forward(s: SparseCoeffs, n: int):
     order = np.argsort(pos, kind="stable")
     logs = np.log10(np.abs(s.values))
     logs *= np.sign(s.values)
-    return pos[order].astype(np.uint32), logs[order]
+    pos = pos[order].astype(np.uint32)
+    twin_at = twin.ravel()[pos]
+    carried = (twin_at + logs[order]).astype(np.float32)
+    keep = carried != twin_at
+    return pos[keep], carried[keep]
 
 
 @dataclass(frozen=True)
@@ -280,8 +296,6 @@ def _schedules(keys: tuple[SecretKey, ...], shifts: tuple[int, ...], n: int):
     per pixel each) nor an earlier schedule; a miss peaks near 41 bytes
     per pixel while it composes.
     """
-    if len(keys) != 3:
-        raise ValueError("exactly three secret keys are required")
     _schedules.cache_clear()  # free the previous schedules before building
     maps = [_identity(n * n) for _ in range(3)]
     twins = [np.zeros((n, n), dtype=np.uint16) for _ in range(3)]
@@ -337,8 +351,10 @@ def encrypt_image(
     shifts: Sequence[int] = DEFAULT_SHIFTS,
 ) -> CipherBundle:
     """Run the full three-round pipeline on a square image from 2x2 to
-    MAX_SIZE x MAX_SIZE; any other shape raises ValueError before a
-    keystream is built."""
+    MAX_SIZE x MAX_SIZE.  Before any keystream is built, raises
+    InvalidKeyError unless there are three keys and three valid shifts,
+    and ValueError for any other image shape."""
+    rotations = _key_rotations(keys)
     n = img.width
     if img.height != n or not 2 <= n <= MAX_SIZE:
         raise ValueError(
@@ -351,7 +367,7 @@ def encrypt_image(
     return CipherBundle(
         n=n,
         shifts=shifts,
-        rotations=tuple(k.rotations for k in keys),
+        rotations=rotations,
         dic=dics,
         positions=positions,
         carriers=carriers,
@@ -364,15 +380,7 @@ def _encrypt_component(plane, sched: Schedule):
     # component's transform.  The coefficients (dct2's float64 copy of the
     # plane, 8 bytes per pixel) are dropped as soon as energy_select, which
     # works in one scratch plane of the same size, has made its selection.
-    n = plane.shape[0]
-    sparse = energy_select(dct2(plane))
-    pos, logs = log_forward(sparse, n)
-    twin_at = sched.twin.ravel()[pos]
-    # One correctly rounded cast, the same on every IEEE-754 platform; a
-    # log that rounds into its twin (|log| under half its ulp) is not stored.
-    carried = (twin_at + logs).astype(np.float32)
-    keep = carried != twin_at
-    pos, carried = pos[keep], carried[keep]
+    pos, carried = log_forward(energy_select(dct2(plane)), sched.twin)
     dic = plane - _decode(pos, carried, sched.twin)  # uint8 wraps mod 256
     return _gather(dic, sched.perm, sched.mask), pos, carried
 
@@ -380,13 +388,14 @@ def _encrypt_component(plane, sched: Schedule):
 def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:
     """Invert encrypt_image given the same keys, under the bundle's shifts.
 
-    Raises InvalidKeyError, before any keystream is built, unless the keys'
-    rotations are the ones the bundle records; those sit in the container
-    in the clear.  A wrong key string produces garbage rather than an
-    error: there is no authentication, so the pipeline sanitizes any
-    overflowing coefficient reconstruction and always returns a valid image.
+    Raises InvalidKeyError, before any keystream is built, unless there are
+    three keys and their rotations are the ones the bundle records; those
+    sit in the container in the clear.  A wrong key string produces garbage
+    rather than an error: there is no authentication, so the pipeline
+    sanitizes any overflowing coefficient reconstruction and always returns
+    a valid image.
     """
-    if tuple(k.rotations for k in keys) != bundle.rotations:
+    if _key_rotations(keys) != bundle.rotations:
         raise InvalidKeyError("the keys' rotations differ from the bundle's")
     schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
     parts = zip(bundle.dic, bundle.positions, bundle.carriers, schedules)

@@ -117,14 +117,15 @@ def _check_shuffle():
 
 def _check_log_embedding():
     rng = np.random.default_rng(14)
-    mat = np.zeros((8, 8))
-    mat[rng.integers(0, 8, 10), rng.integers(0, 8, 10)] = rng.uniform(1.5, 9e4, 10)
-    mat[0, 3] = -1234.5
-    sel = energy_select(mat, 1.0)
-    # float64 logs over a zero twin: the decoder reads each log as it is
-    plane, _ = _carried_plane(*log_forward(sel, 8), np.zeros((8, 8), np.uint16))
+    sel = energy_select(dct2(rng.integers(0, 256, (8, 8))), 1.0)
+    # the carrier encrypt stores, over a nonzero twin
+    twin = rng.integers(1, 766, (8, 8), dtype=np.uint16)
+    plane, _ = _carried_plane(*log_forward(sel, twin), twin)
     assert np.count_nonzero(plane) == len(sel)
-    assert np.all(np.abs(plane[sel.rows, sel.cols] - sel.values) <= 1e-12 * np.abs(sel.values))
+    # float32 holds twin + log to 2**-15 below 1024; 1e-12 more covers the
+    # float64 sum, log10 and pow
+    bound = 10.0 ** (2.0**-15 + 1e-12) - 1
+    assert np.all(np.abs(plane[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values))
 
 
 def _check_container():

@@ -59,9 +59,9 @@ def zero_twin(n):
     return np.zeros((n, n), dtype=np.uint16)
 
 
-def decoded(sparse, n):
-    # the decoder reads float64 logs over a zero twin as they are
-    return _decode(*log_forward(sparse, n), zero_twin(n))
+def decoded(sparse, twin):
+    # the reconstruction encrypt takes its difference plane against
+    return _decode(*log_forward(sparse, twin), twin)
 
 
 # Reference shuffle: the paper's passes run literally, one line gather and
@@ -127,21 +127,24 @@ class TestMakeDifference:
     """The difference plane, component - _decode(carrier) in uint8, as
     encrypt takes it."""
 
-    def test_full_selection_zero_difference(self):
+    def test_full_selection_zero_difference(self, rng):
         component = np.full((8, 8), 7, dtype=np.uint8)
-        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 1.0), 8)
+        twin = twin_of(random_rounds(rng, 8), 0)
+        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 1.0), twin)
         assert np.array_equal(recon_u8, component)
         assert np.all(component - recon_u8 == 0)
 
     def test_empty_selection_identity(self, rng):
         component = random_plane(rng, 8)
-        recon_u8 = decoded(energy_select(np.zeros((8, 8)), 0.999), 8)
+        twin = twin_of(random_rounds(rng, 8), 1)
+        recon_u8 = decoded(energy_select(np.zeros((8, 8)), 0.999), twin)
         assert recon_u8.dtype == np.uint8 and np.all(recon_u8 == 0)
         assert np.array_equal(component - recon_u8, component)
 
     def test_mod256_reconstruction_guarantee(self, rng):
         component = random_plane(rng, 16)
-        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 0.9), 16)
+        twin = twin_of(random_rounds(rng, 16), 2)
+        recon_u8 = decoded(energy_select(dct2(component.astype(float)), 0.9), twin)
         dic = component - recon_u8
         back = (recon_u8.astype(np.int16) + dic.astype(np.int16)) % 256
         assert np.array_equal(back.astype(np.uint8), component)
@@ -302,6 +305,19 @@ class TestScheduleCache:
                 encrypt_image(image_a, keys, shifts)
         assert calls == []
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_three_keys_required_before_any_keystream(self, image_a, bundle_a, keys, count):
+        some = (keys * 2)[:count]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cipher, "build_round_keystream", lambda key, n: calls.append(key))
+            _schedules.cache_clear()
+            with pytest.raises(InvalidKeyError, match="exactly three secret keys"):
+                encrypt_image(image_a, some)
+            with pytest.raises(InvalidKeyError, match="exactly three secret keys"):
+                decrypt_image(bundle_a, some)
+        assert calls == []
+
     def test_held_schedules_within_21_bytes_per_pixel(self, keys):
         # uint32 perm, uint8 mask and uint16 twin per component: 3 * 7 bytes
         n = 256
@@ -322,33 +338,27 @@ class TestScheduleCache:
         assert after - before <= 21 * n * n + 64 * 1024
 
 
-def dense(pos, values, n):
-    """Scatter carrier values at flat positions into an n x n zero plane."""
-    m = np.zeros(n * n)
-    m[pos] = values
-    return m.reshape(n, n)
-
-
 class TestLogEmbedding:
     def test_positive_value_row_zero(self):
         s = energy_select(np.array([[100.0, 0.0], [0.0, 0.0]]), 1.0)
-        pos, logs = log_forward(s, 2)
-        assert pos.dtype == np.uint32
-        assert pos.tolist() == [0] and logs.tolist() == [2.0]
+        pos, carried = log_forward(s, np.array([[10, 0], [0, 0]], np.uint16))
+        assert pos.dtype == np.uint32 and carried.dtype == np.float32
+        assert pos.tolist() == [0] and carried.tolist() == [12.0]
 
     def test_negative_value_shifted_row(self):
         n = 5
         mat = np.zeros((n, n))
         mat[1, 0] = -1000.0
         s = energy_select(mat, 1.0)
-        pos, logs = log_forward(s, n)
+        pos, carried = log_forward(s, np.full((n, n), 700, np.uint16))
         # row 1 rotates left by 1: column 0 lands at column n-1
-        assert pos.tolist() == [1 * n + n - 1] and logs.tolist() == [-3.0]
+        assert pos.tolist() == [1 * n + n - 1] and carried.tolist() == [697.0]
 
     def test_empty_gives_zero_matrix(self):
         s = energy_select(np.zeros((4, 4)), 0.999)
-        pos, logs = log_forward(s, 4)
-        assert pos.size == logs.size == 0
+        pos, carried = log_forward(s, zero_twin(4))
+        assert pos.size == carried.size == 0
+        assert pos.dtype == np.uint32 and carried.dtype == np.float32
 
     def test_decode_empty_carrier(self):
         plane, m = _carried_plane(np.empty(0, np.uint32), np.empty(0), zero_twin(6))
@@ -359,57 +369,47 @@ class TestLogEmbedding:
         assert np.flatnonzero(plane).tolist() == [0] and m == 1
         assert abs(plane[0, 0] - 100.0) < 1e-9
 
-    def test_roundtrip_exact_positions_tight_values(self, rng):
-        mat = np.zeros((16, 16))
-        k = 40
-        mat[rng.integers(0, 16, k), rng.integers(0, 16, k)] = rng.uniform(
-            1.5, 1e5, k
-        ) * rng.choice([-1.0, 1.0], k)
-        s = energy_select(mat, 1.0)
-        back, _ = _carried_plane(*log_forward(s, 16), zero_twin(16))
-        assert np.count_nonzero(back) == len(s)
-        assert np.all(np.abs(back[s.rows, s.cols] - s.values) <= 1e-12 * np.abs(s.values))
-
-    def test_dims_must_match(self):
-        s = energy_select(np.ones((4, 4)) * 5.0, 1.0)
-        with pytest.raises(DimensionMismatchError):
-            log_forward(s, 8)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
     @pytest.mark.parametrize("sign", [-1, +1])
     def test_roll_rows_matches_per_row_roll(self, sign, n, rng):
-        """log_forward rolls row i of the scattered logs left by i (sign -1)
-        and lists the nonzero cells in ascending flat order; the decoder
-        rolls them right again (+1) and sizes its column pass by the
-        largest column."""
+        """log_forward rolls row i of the selection left by i (sign -1) and
+        lists its cells in ascending flat order; the decoder rolls them
+        right again (+1) and sizes its column pass by the largest column."""
         mat = rng.choice([-300.0, -7.0, 0.0, 0.0, 7.0, 41.5, 300.0], (n, n))
         sel = energy_select(mat, 1.0)
         scattered = np.zeros((n, n))
-        scattered[sel.rows, sel.cols] = np.sign(sel.values) * np.log10(np.abs(sel.values))
-        rolled = np.stack([np.roll(scattered[i], -i) for i in range(n)])
-        nonzero = np.flatnonzero(rolled)
+        scattered[sel.rows, sel.cols] = sel.values
+        twin = twin_of(random_rounds(rng, n), 0)
+        pos, carried = log_forward(sel, twin)
         if sign < 0:
-            pos, logs = log_forward(sel, n)
-            assert np.array_equal(pos, nonzero)
-            assert np.array_equal(dense(pos, logs, n), rolled)
+            rolled = np.stack([np.roll(scattered[i], -i) for i in range(n)]).ravel()
+            assert np.array_equal(pos, np.flatnonzero(rolled))
+            logs = np.sign(rolled[pos]) * np.log10(np.abs(rolled[pos]))
+            assert np.all(np.abs(carried - twin.ravel()[pos] - logs) <= 2.0**-15 + 1e-12)
             return
-        back, m = _carried_plane(nonzero.astype(np.uint32), rolled.ravel()[nonzero], zero_twin(n))
-        unrolled = np.stack([np.roll(rolled[i], sign * i) for i in range(n)])
-        assert np.array_equal(back, np.sign(unrolled) * np.power(10.0, np.abs(unrolled)))
+        back, m = _carried_plane(pos, carried, twin)
+        assert np.array_equal(np.sign(back), np.sign(scattered))
+        assert np.allclose(back, scattered, rtol=1e-4, atol=0)
         assert m == int(np.max(sel.cols, initial=0)) + 1
 
 
 class TestCarrier:
     """The carrier as the pipeline builds it: at each position, the uint16
-    twin sum plus the log from log_forward, stored as float32."""
+    twin sum plus the log, stored by log_forward as float32."""
 
     def test_zero_log_gives_twin_exactly(self, rng):
         rounds = random_rounds(rng, 16)
         twin = twin_of(rounds, 1)
         assert np.array_equal(twin, sum(r[1].astype(np.float64) for r in rounds))
-        pos, logs = log_forward(energy_select(np.zeros((16, 16)), 0.999), 16)
-        carried = twin.ravel()[pos] + logs
-        assert carried.dtype == np.float64 and carried.size == 0
+        # the logs of +-1 are +-0.0, and 1 + 1e-7's rounds into a twin of 1
+        # or more in float32: log_forward stores only the cell of 100
+        twin[0, :3] = (0, 1, 765)
+        mat = np.zeros((16, 16))
+        mat[0, :3] = (1.0, -1.0, 1 + 1e-7)
+        mat[5, 7] = 100.0
+        pos, carried = log_forward(energy_select(mat, 1.0), twin)
+        assert pos.tolist() == [5 * 16 + 2]
+        assert (carried - twin.ravel()[pos]).tolist() == [2.0]
         # a stored value equal to its twin (a zero log) carries no coefficient
         cells = np.array([0, 3, 255], np.uint32)
         for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
@@ -432,24 +432,13 @@ class TestCarrier:
             assert np.array_equal(a, b)
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
-        rounds = random_rounds(rng, 32)
-        twin = twin_of(rounds, 0)
+        # at 765, the largest twin, float32 is coarsest: 2**-15 either side
+        twin = np.full((32, 32), 765, np.uint16)
         mat = np.zeros((32, 32))
         cells = (rng.integers(0, 32, 50), rng.integers(0, 32, 50))
         mat[cells] = 10.0 ** rng.uniform(0.01, 4.8, 50) * rng.choice([-1.0, 1.0], 50)
         sel = energy_select(mat, 1.0)
-        pos, logs = log_forward(sel, 32)
-        logm = dense(pos, logs, 32)
-        back = (twin + logm) - twin
-        assert np.all(back[logm == 0.0] == 0.0)
-        assert np.all(back[logm != 0.0] != 0.0)
-        assert np.max(np.abs(back - logm)) < 1e-10
-        carried = twin.ravel()[pos] + logs
-        assert np.array_equal(carried, (twin + logm).ravel()[pos])
-        # the stored float32 moves a log by at most 2**-15, half an ulp below
-        # 1024; 1e-12 more covers log10 and pow rounding
-        stored = carried.astype(np.float32)
-        got, _ = _carried_plane(pos, stored, twin)
+        got, _ = _carried_plane(*log_forward(sel, twin), twin)
         assert np.array_equal(np.flatnonzero(got), sel.rows * 32 + sel.cols)
         bound = 10.0 ** (2.0**-15 + 1e-12) - 1
         assert np.all(np.abs(got[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values))
@@ -460,8 +449,7 @@ class TestCarrier:
         # largest possible 8-bit dct2 magnitude is 255*64 here
         mat[0, 0] = 255.0 * 64
         mat[1, 1] = -255.0 * 64
-        pos, logs = log_forward(energy_select(mat, 1.0), 64)
-        carried = twin_of(rounds, 2).ravel()[pos] + logs
+        _, carried = log_forward(energy_select(mat, 1.0), twin_of(rounds, 2))
         bound = np.log10(255.0 * 64)
         assert carried.size == 2
         assert np.all(carried >= -bound) and np.all(carried <= 3 * 255 + bound)
@@ -470,7 +458,8 @@ class TestCarrier:
 class TestDecoder:
     """The chunked decoder against the SparseCoeffs path it replaces: the
     float plane it transforms, before rounding, is reconstruct_sparse of the
-    carrier's coefficients bit for bit."""
+    carrier's coefficients bit for bit; and the decoder against the encoder,
+    log_forward."""
 
     N = 256
 
@@ -485,31 +474,33 @@ class TestDecoder:
         rows = pos // n
         return SparseCoeffs((n, n), rows, (pos % n + rows) % n, values)
 
-    def carrier(self, rng, size):
-        """size ascending positions and their logs.  The final cell is in
-        column 0 (row n-1); from 3 cells on, the first two are row 0's
-        columns 0 and n-1, and the rest lie between."""
+    def carrier(self, rng, size, twin):
+        """log_forward's carrier of size coefficients, |log| from 0.01 to
+        4.8, at ascending positions.  The final cell is in column 0 (row
+        n-1); from 3 cells on, the first two are row 0's columns 0 and n-1,
+        and the rest lie between."""
         n = self.N
         middle = np.sort(rng.choice(np.arange(n + 1, (n - 1) * n + 1), max(size - 3, 0), False))
         pos = np.concatenate(([0, n - 1], middle, [(n - 1) * n + 1]))[3 - min(size, 3) :]
         logs = rng.uniform(0.01, 4.8, size) * rng.choice([-1.0, 1.0], size)
-        return pos.astype(np.uint32), logs
+        # over a zero twin, the float64 logs read as the coefficients 10**logs
+        return log_forward(self.reference(pos, logs, zero_twin(n)), twin)
 
-    def noise_carrier(self, rng):
+    def noise_carrier(self, rng, twin):
         # a uniform-noise plane keeps about 80% of its coefficients
         plane = rng.integers(0, 256, (self.N, self.N)).astype(float)
-        pos, logs = log_forward(energy_select(dct2(plane)), self.N)
-        big = np.abs(logs) > 1e-3  # none rounds into its twin in float32
-        return pos[big], logs[big]
+        return log_forward(energy_select(dct2(plane)), twin)
 
     @pytest.mark.parametrize("size", [0, 1, _CHUNK, _CHUNK + 1, "noise"])
     def test_float_plane_matches_reconstruct_sparse(self, size, rng):
         n = self.N
-        pos, logs = self.noise_carrier(rng) if size == "noise" else self.carrier(rng, size)
-        if size == "noise":
-            assert pos.size > 3 * _CHUNK
         twin = twin_of(random_rounds(rng, n), 0)
-        carried = (twin.ravel()[pos] + logs).astype(np.float32)
+        if size == "noise":
+            pos, carried = self.noise_carrier(rng, twin)
+            assert pos.size > 3 * _CHUNK
+        else:
+            pos, carried = self.carrier(rng, size, twin)
+            assert pos.size == size
         # bare twins on both sides of every chunk edge, never the final cell
         edges = [e for c in range(0, pos.size, _CHUNK) for e in (c - 1, c) if 0 <= e < pos.size - 1]
         carried[edges] = twin.ravel()[pos[edges]]
@@ -527,21 +518,59 @@ class TestDecoder:
     def test_column_pass_spans_every_chunk(self, rng):
         # the last chunk's one cell sits in column 0, the widest column in
         # the first chunk
-        pos, logs = self.carrier(rng, _CHUNK + 1)
-        _, m = _carried_plane(pos, logs, zero_twin(self.N))
+        twin = twin_of(random_rounds(rng, self.N), 2)
+        _, m = _carried_plane(*self.carrier(rng, _CHUNK + 1, twin), twin)
         assert m == self.N
 
     def test_overflowing_log_decodes_to_zero(self, rng):
+        # as a wrong key does: the carrier was made over a twin of 765 and
+        # one cell is read over 0, so its log gains 765 and 10**log is inf
         n = self.N
-        pos, logs = self.carrier(rng, _CHUNK + 1)
-        logs[_CHUNK // 2] = 400.0  # 10**400 overflows to inf
-        twin = twin_of(random_rounds(rng, n), 1)
-        carried = (twin.ravel()[pos] + logs).astype(np.float32)
-        plane, m = _carried_plane(pos, carried, twin)
-        want = reconstruct_sparse(self.reference(pos, carried, twin))
+        twin = np.full((n, n), 765, np.uint16)
+        pos, carried = self.carrier(rng, _CHUNK + 1, twin)
+        wrong = twin.copy()
+        wrong.ravel()[pos[_CHUNK // 2]] = 0
+        plane, m = _carried_plane(pos, carried, wrong)
+        want = reconstruct_sparse(self.reference(pos, carried, wrong))
         assert not np.all(np.isfinite(want))
         assert np.array_equal(_idct2_leading(plane, m), want, equal_nan=True)
-        assert np.array_equal(_decode(pos, carried, twin), np.zeros((n, n), np.uint8))
+        assert np.array_equal(_decode(pos, carried, wrong), np.zeros((n, n), np.uint8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        fraction=st.sampled_from([0.5, 0.999, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decodes_what_log_forward_encodes(self, n, fraction, seed):
+        """Over random selections and random twins in 0..765, the decoder
+        reads log_forward's carrier back as exactly the cells it keeps,
+        each within float32's bound of its coefficient, with m one past
+        the largest kept column.  log_forward keeps every selected cell
+        but those whose log rounds into their twin."""
+        rng = np.random.default_rng(seed)
+        # |values| from 1 to 1e5, a fifth of them 1 exactly (a zero log) or
+        # within float32's resolution of it
+        near_one = rng.choice([1.0, 1 + 1e-7, 1 + 1e-4], (n, n))
+        mags = np.where(rng.random((n, n)) < 0.2, near_one, 10.0 ** rng.uniform(0, 5, (n, n)))
+        signed = mags * rng.choice([-1.0, 1.0], (n, n))
+        sel = energy_select(np.where(rng.random((n, n)) < rng.random(), signed, 0.0), fraction)
+        twin = rng.integers(0, 766, (n, n), dtype=np.uint16)
+        pos, carried = log_forward(sel, twin)
+        assert pos.dtype == np.uint32 and carried.dtype == np.float32
+        assert np.all(pos[1:] > pos[:-1]) and np.all(carried != twin.ravel()[pos])
+        plane, m = _carried_plane(pos, carried, twin)
+        cells = self.reference(pos, carried, twin)
+        assert np.array_equal(np.flatnonzero(plane), np.sort(cells.rows * n + cells.cols))
+        got = plane[sel.rows, sel.cols]
+        kept = got != 0
+        assert np.count_nonzero(kept) == pos.size
+        # float32 holds twin + log to 2**-15 below 1024; 1e-12 more covers
+        # the float64 sum, log10 and pow
+        bound = 10.0 ** (2.0**-15 + 1e-12) - 1
+        assert np.all(np.abs(got[kept] - sel.values[kept]) <= bound * np.abs(sel.values[kept]))
+        assert np.all(np.abs(np.log10(np.abs(sel.values[~kept]))) <= 2.0**-15 + 1e-12)
+        assert m == int(np.max(cells.cols, initial=0)) + 1
 
 
 class TestPipeline:

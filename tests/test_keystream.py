@@ -6,7 +6,8 @@ import pytest
 from scipy import fft
 
 import lorenzdct.cipher as cipher
-from lorenzdct.cipher import DEFAULT_SHIFTS, _schedules, line_orders
+from lorenzdct.cipher import DEFAULT_SHIFTS, _carried_plane, _schedules, line_orders, log_forward
+from lorenzdct.dct import energy_select
 from lorenzdct.errors import DegenerateKeystreamError
 import lorenzdct.keystream as keystream
 from lorenzdct.keystream import (
@@ -277,16 +278,19 @@ class TestRealTwin:
             _schedules.cache_clear()
 
     def test_add_subtract_exact_zero(self, keys, rng):
-        """(twin + s) - twin == 0 exactly where s == 0.
+        """Under each real schedule's twin, the decoder reads log_forward's
+        carrier back as exact zeros at every cell outside the selection.
 
         Load-bearing for carrier extraction: empty cells must come back as
         exact zeros, not tiny residues.
         """
         s = np.zeros((32, 32))
-        s[rng.integers(0, 32, 40), rng.integers(0, 32, 40)] = rng.uniform(-5, 5, 40)
+        cells = rng.integers(0, 32, 40), rng.integers(0, 32, 40)
+        s[cells] = 10.0 ** rng.uniform(0.01, 5, 40) * rng.choice([-1.0, 1.0], 40)
+        sel = energy_select(s, 1.0)
         for sched in _schedules(keys, DEFAULT_SHIFTS, 32):
-            back = (sched.twin + s) - sched.twin
-            assert np.all(back[s == 0.0] == 0.0)
+            back, _ = _carried_plane(*log_forward(sel, sched.twin), sched.twin)
+            assert np.array_equal(np.flatnonzero(back), sel.rows * 32 + sel.cols)
 
 
 class TestBuildRoundKeystream:
@@ -343,7 +347,7 @@ class TestBuildRoundKeystream:
                 assert np.count_nonzero(p1 != p2) / p1.size >= 0.99
 
     def test_reference_retained_counts_frozen(self):
-        from lorenzdct.dct import dct1, energy_select
+        from lorenzdct.dct import dct1
 
         traj = integrate(LorenzParams(), State3(0.84063, 0.13859, 0.05934))
         counts = tuple(
