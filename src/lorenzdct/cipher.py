@@ -47,18 +47,36 @@ DEFAULT_SHIFTS = (3, 7, 13)
 # plane's flat cells fit the uint32 perm and container positions.
 MAX_SIZE = 1 << 16
 
+# The rounds of the shuffle: one key, one shift and one rotation triple each.
+ROUNDS = 3
+
+
+def check_size(width, height) -> int:
+    """The side n of a width x height image the cipher takes, as an int.
+
+    The one size rule of encrypt, `CipherBundle`, the container reader and
+    the CLI: raises ValueError unless the image is square and n is an
+    integer (`is_int_in`) from 2 to MAX_SIZE.
+    """
+    if not is_int_in(width, 2, MAX_SIZE) or width != height:
+        raise ValueError(
+            f"image must be square, from 2x2 to {MAX_SIZE}x{MAX_SIZE}, got {width}x{height}"
+        )
+    return int(width)
+
 
 def _check_shifts(shifts) -> tuple[int, int, int]:
-    # Three integers (`is_int_in`) in the container's u16 range, as Python ints.
-    if len(shifts) != 3 or not all(is_int_in(s, 0, 0xFFFF) for s in shifts):
+    # One integer (`is_int_in`) per round in the container's u16 range, as
+    # Python ints.
+    if len(shifts) != ROUNDS or not all(is_int_in(s, 0, 0xFFFF) for s in shifts):
         raise InvalidKeyError("shift schedule must be three integers in [0, 65535]")
     return tuple(int(s) for s in shifts)
 
 
 def _key_rotations(keys) -> tuple[tuple[int, int, int], ...]:
-    # The rotation triples of exactly three keys, the rule of both encrypt
+    # The rotation triples of one key per round, the rule of both encrypt
     # and decrypt, checked before any keystream is built.
-    if len(keys) != 3:
+    if len(keys) != ROUNDS:
         raise InvalidKeyError("exactly three secret keys are required")
     return tuple(k.rotations for k in keys)
 
@@ -96,12 +114,14 @@ class CipherBundle:
     strictly ascending flat cells of the row-rotated n x n plane that hold a
     coefficient, and carriers, the float32 values twin + log10 at those
     cells.  The shift and rotation schedules ride along; decrypt reads them
-    from here.  Raises InvalidKeyError unless shifts are three integers in
-    [0, 65535] and each rotation triple three ints in [0, 47], ValueError
-    unless there are three each of rotation triples, dic, positions and
-    carriers, positions are strictly ascending integers below n * n and
-    carriers are float32 and dic planes uint8, and DimensionMismatchError
-    when a plane or a carrier disagrees in shape.
+    from here.  n is checked first, by the size rule (`check_size`), and
+    held as an int.  Raises ValueError for a size outside that rule,
+    InvalidKeyError unless shifts are three integers in [0, 65535] and each
+    rotation triple three ints in [0, 47], ValueError unless there are
+    three each of rotation triples, dic, positions and carriers, positions
+    are strictly ascending integers below n * n and carriers are float32
+    and dic planes uint8, and DimensionMismatchError when a plane or a
+    carrier disagrees in shape.
     """
 
     n: int
@@ -112,6 +132,7 @@ class CipherBundle:
     carriers: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_size(self.n, self.n))
         if {len(self.rotations), len(self.dic), len(self.positions), len(self.carriers)} != {3}:
             raise ValueError("a bundle needs three each of rotations, dic, positions and carriers")
         object.__setattr__(self, "shifts", _check_shifts(self.shifts))
@@ -350,16 +371,12 @@ def encrypt_image(
     keys: Sequence[SecretKey],
     shifts: Sequence[int] = DEFAULT_SHIFTS,
 ) -> CipherBundle:
-    """Run the full three-round pipeline on a square image from 2x2 to
-    MAX_SIZE x MAX_SIZE.  Before any keystream is built, raises
+    """Run the full three-round pipeline on an image the size rule
+    (`check_size`) takes.  Before any keystream is built, raises
     InvalidKeyError unless there are three keys and three valid shifts,
     and ValueError for any other image shape."""
     rotations = _key_rotations(keys)
-    n = img.width
-    if img.height != n or not 2 <= n <= MAX_SIZE:
-        raise ValueError(
-            f"image must be square, from 2x2 to {MAX_SIZE}x{MAX_SIZE}, got {n}x{img.height}"
-        )
+    n = check_size(img.width, img.height)
     shifts = _check_shifts(shifts)
 
     schedules = _schedules(tuple(keys), shifts, n)

@@ -14,7 +14,9 @@ import sys
 
 from . import selfcheck
 from .analysis import DEFAULT_SCATTER_SEED, DIRECTIONS, full_report, scatter_sample
-from .cipher import DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, decrypt_image, encrypt_image, line_orders
+from .cipher import (
+    DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, check_size, decrypt_image, encrypt_image, line_orders
+)
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
 from .keystream import build_round_keystream
@@ -55,15 +57,12 @@ def _count(text):
 
 
 def _keystream_size(text):
-    """keystream --size: an integer in [2, MAX_SIZE], the line lengths
-    `line_orders` takes, checked while the arguments parse."""
+    """keystream --size: a side n the cipher's size rule (`check_size`)
+    takes, checked while the arguments parse."""
     try:
-        value = int(text)
+        return check_size(int(text), int(text))
     except ValueError:
-        value = 0
-    if not 2 <= value <= MAX_SIZE:
         raise argparse.ArgumentTypeError(f"must be an integer in [2, {MAX_SIZE}], not {text!r}")
-    return value
 
 
 def _rotation_schedule(text):
@@ -225,12 +224,12 @@ def _cmd_keystream(args) -> int:
         _write_csv(
             os.path.join(args.out_dir, f"{name}_row_perm.csv"),
             ",".join(f"c{i}" for i in range(args.size)),
-            row_orders.tolist(),
+            (row.tolist() for row in row_orders),
         )
         _write_csv(
             os.path.join(args.out_dir, f"{name}_col_perm.csv"),
             ",".join(f"r{i}" for i in range(args.size)),
-            col_orders.tolist(),
+            (col.tolist() for col in col_orders),
         )
     return 0
 

@@ -55,12 +55,11 @@ import zlib
 
 import numpy as np
 
-from .cipher import COMPONENT_NAMES, MAX_SIZE, CipherBundle
+from .cipher import COMPONENT_NAMES, ROUNDS, CipherBundle, check_size
 from .errors import FormatError
 
 MAGIC = b"LDCT"
 VERSION = 6
-ROUNDS = 3
 ESCAPE = 0xFF
 
 _FIXED = struct.Struct("<4sHIIBB")
@@ -133,77 +132,73 @@ def write_bundle(path, bundle: CipherBundle):
 def read_bundle(path) -> CipherBundle:
     """Parse and validate a bundle file; exact inverse of write_bundle.
 
-    The header is checked first (magic, version, rounds, flags, a square
-    size from 2 to MAX_SIZE), then the size against the header and the
-    counts, then the CRC, then each carrier's position stream
+    The header is checked first (magic, version, rounds, flags, and the
+    cipher's size rule, `check_size`), then the size against the header and
+    the counts, then the CRC, then each carrier's position stream
     (decode_positions).  `CipherBundle` then checks the key rotations (each
-    below 48) and each carrier's positions (strictly ascending, below width
-    * height).  Every failure raises FormatError.
+    below 48) and each carrier's positions (strictly ascending, below
+    n * n).  Every failure raises FormatError.
     """
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < _HEAD_LEN + 4:
-        raise FormatError("container too short for a header")
-
-    magic, version, width, height, rounds, flags = _FIXED.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad container magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    if rounds != ROUNDS:
-        raise FormatError(f"unsupported round count {rounds}")
-    if flags != 0:
-        raise FormatError(f"reserved flags byte is nonzero ({flags})")
-    if width != height:
-        raise FormatError(f"container image must be square, got {width}x{height}")
-    if not 2 <= width <= MAX_SIZE:
-        raise FormatError(
-            f"container image must be from 2x2 to {MAX_SIZE}x{MAX_SIZE}, got {width}x{height}"
-        )
-
-    n_px = width * height
-    all_counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
-    counts, escapes = all_counts[:3], all_counts[3:]
-    for k in counts:
-        if k > n_px:
-            raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
-    expected = _HEAD_LEN + 3 * n_px + 5 * sum(counts) + 4 * sum(escapes) + 4
-    if len(blob) != expected:
-        raise FormatError(
-            f"container size {len(blob)} does not match header (expected {expected})"
-        )
-
-    crc_stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    crc_actual = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
-    if crc_stored != crc_actual:
-        raise FormatError(
-            f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
-        )
-
-    schedule = _SCHEDULE.unpack_from(blob, _FIXED.size)
-    off = _HEAD_LEN
-
-    def take(dtype, count):
-        nonlocal off
-        a = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
-        off += a.nbytes
-        return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
-
-    dic = tuple(take("<u1", n_px).reshape(height, width) for _ in range(3))
-    gaps = tuple(take("<u1", k) for k in counts)
-    escaped = tuple(take("<u4", e) for e in escapes)
-    carriers = tuple(take("<f4", k) for k in counts)
-    positions = tuple(
-        decode_positions(g, e, n_px, color) for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
-    )
     try:
+        if len(blob) < _HEAD_LEN + 4:
+            raise FormatError("container too short for a header")
+
+        magic, version, width, height, rounds, flags = _FIXED.unpack_from(blob, 0)
+        if magic != MAGIC:
+            raise FormatError(f"bad container magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported container version {version}")
+        if rounds != ROUNDS:
+            raise FormatError(f"unsupported round count {rounds}")
+        if flags != 0:
+            raise FormatError(f"reserved flags byte is nonzero ({flags})")
+        n = check_size(width, height)
+
+        n_px = n * n
+        all_counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
+        counts, escapes = all_counts[:3], all_counts[3:]
+        for k in counts:
+            if k > n_px:
+                raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
+        expected = _HEAD_LEN + 3 * n_px + 5 * sum(counts) + 4 * sum(escapes) + 4
+        if len(blob) != expected:
+            raise FormatError(
+                f"container size {len(blob)} does not match header (expected {expected})"
+            )
+
+        crc_stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
+        crc_actual = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
+        if crc_stored != crc_actual:
+            raise FormatError(
+                f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
+            )
+
+        schedule = _SCHEDULE.unpack_from(blob, _FIXED.size)
+        off = _HEAD_LEN
+
+        def take(dtype, count):
+            nonlocal off
+            a = np.frombuffer(blob, dtype=dtype, count=count, offset=off)
+            off += a.nbytes
+            return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
+
+        dic = tuple(take("<u1", n_px).reshape(n, n) for _ in range(3))
+        gaps = tuple(take("<u1", k) for k in counts)
+        escaped = tuple(take("<u4", e) for e in escapes)
+        carriers = tuple(take("<f4", k) for k in counts)
+        positions = tuple(
+            decode_positions(g, e, n_px, color)
+            for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
+        )
         return CipherBundle(
-            n=width,
+            n=n,
             shifts=schedule[:ROUNDS],
             rotations=tuple(schedule[i : i + 3] for i in range(ROUNDS, 4 * ROUNDS, 3)),
             dic=dic,
             positions=positions,
             carriers=carriers,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError included: one type for every failure
         raise FormatError(str(exc)) from None

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -695,3 +696,27 @@ class TestPipeline:
         bad = np.array(pos)
         with pytest.raises(ValueError, match="positions"):
             self._bundle(rng, positions=(np.array([0], np.uint32), bad, bad[:0]))
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2.0, True, np.bool_(True), "4", 65537],
+        ids=["0", "1", "float", "bool", "numpy_bool", "str", "65537"],
+    )
+    def test_bundle_size_rule_checked_first(self, rng, n):
+        # side-2 planes and two rotation triples: the size is refused before
+        # any count or plane check (2.0 would pass the plane shapes), so a
+        # size write_bundle cannot pack or read_bundle refuses never constructs
+        with pytest.raises(ValueError, match=re.escape(f"from 2x2 to 65536x65536, got {n}x{n}")):
+            CipherBundle(
+                n=n,
+                shifts=(1, 2, 3),
+                rotations=((5, 11, 17),) * 2,
+                dic=tuple(rng.integers(0, 256, (2, 2), np.uint8) for _ in range(3)),
+                positions=(np.array([0], np.uint32),) * 3,
+                carriers=(np.array([2.5], np.float32),) * 3,
+            )
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint16, np.int8])
+    def test_bundle_holds_numpy_size_as_int(self, rng, cast):
+        bundle = self._bundle(rng, n=cast(4))
+        assert bundle.n == 4 and type(bundle.n) is int

@@ -473,3 +473,27 @@ def test_operation_peak_memory_per_pixel(tmp_path, make):
         per_pixel = (peak_kb - base_kb) * 1024 / n**2
         assert per_pixel <= MEMORY_BUDGET_BYTES_PER_PIXEL, (args[0], per_pixel)
     assert out.read_bytes() == src.read_bytes()
+
+
+# `keystream --size 1024` above the same baseline: the three byte planes and
+# one plane's sort orders, which line_orders argsorts as int64.  Measured
+# 25.2-25.3 B/px (Python 3.11, numpy 2.4, Linux) with each CSV written one
+# line at a time, against 50.7-50.8 B/px when each dump first built its n**2
+# Python ints with `tolist()`.
+KEYSTREAM_BUDGET_BYTES_PER_PIXEL = 32
+
+
+@pytest.mark.skipif(not _has_process_peak(), reason="needs /proc/self/status VmHWM (Linux)")
+def test_keystream_dump_peak_memory_per_pixel(tmp_path):
+    n = MEMORY_BUDGET_N
+    args = ["keystream", "--key", "key(A)", "--size", str(n), "--out-dir", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lorenzdct.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    code, base_kb, peak_kb = map(int, run.stdout.split())
+    assert code == 0, run.stderr
+    per_pixel = (peak_kb - base_kb) * 1024 / n**2
+    assert per_pixel <= KEYSTREAM_BUDGET_BYTES_PER_PIXEL, per_pixel

@@ -375,24 +375,32 @@ class TestPositionCodec:
 
 
 class TestBundleSchedule:
-    """CipherBundle checks the schedules it carries, so every bundle that
-    constructs is written and read back unchanged."""
+    """CipherBundle checks the size and the schedules it carries, so every
+    bundle that constructs is written and read back unchanged."""
 
     @settings(max_examples=100, deadline=None)
-    @given(shifts=SHIFTS, rotations=ROTATIONS, cast=st.sampled_from([int, np.int64, np.uint8]))
-    def test_valid_schedule_roundtrips(self, shifts, rotations, cast, tmp_path_factory):
-        # rotations, like shifts, may be numpy integers and are held as ints
+    @given(
+        n=st.integers(2, 16),
+        shifts=SHIFTS,
+        rotations=ROTATIONS,
+        cast=st.sampled_from([int, np.int64, np.uint16]),
+    )
+    def test_valid_schedule_roundtrips(self, n, shifts, rotations, cast, tmp_path_factory):
+        # n and the rotations, like shifts, may be numpy integers and are held as ints
         given_rotations = tuple(tuple(map(cast, triple)) for triple in rotations)
         bundle = random_bundle(
-            np.random.default_rng(0), 2, shifts=shifts, rotations=given_rotations
+            np.random.default_rng(0), cast(n), shifts=shifts, rotations=given_rotations
         )
-        assert bundle.shifts == shifts and bundle.rotations == rotations
-        assert all(type(s) is int for s in bundle.shifts)
+        assert bundle.n == n and bundle.shifts == shifts and bundle.rotations == rotations
+        assert type(bundle.n) is int and all(type(s) is int for s in bundle.shifts)
         assert all(type(r) is int for triple in bundle.rotations for r in triple)
         path = tmp_path_factory.getbasetemp() / "schedule.ldct"
         write_bundle(path, bundle)
         back = read_bundle(path)
-        assert back.shifts == bundle.shifts and back.rotations == bundle.rotations
+        assert (back.n, back.shifts, back.rotations) == (n, bundle.shifts, bundle.rotations)
+        for field in ("dic", "positions", "carriers"):
+            for a, b in zip(getattr(bundle, field), getattr(back, field)):
+                assert np.array_equal(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(schedule=st.one_of(st.tuples(BAD_SHIFTS, ROTATIONS), st.tuples(SHIFTS, BAD_ROTATIONS)))

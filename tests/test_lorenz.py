@@ -9,6 +9,7 @@ from lorenzdct.errors import (
     NoRealEquilibriaError,
 )
 from lorenzdct.lorenz import (
+    DEFAULT_ROTATIONS,
     MAX_STEPS,
     LorenzParams,
     SecretKey,
@@ -95,6 +96,18 @@ class TestDeriveInitialConditions:
                 assert 0.1 <= v <= 0.9
                 # at most 14 decimal digits: re-rounding is a no-op
                 assert round(v * 1e14) / 1e14 == v
+
+    @pytest.mark.parametrize(
+        "rotations, distinct",
+        [((0, 0, 0), 28), (DEFAULT_ROTATIONS, 95)],
+        ids=["no_rotation", "default"],
+    )
+    def test_keys_differing_only_in_last_character(self, rotations, distinct):
+        # rounding to 14 places keeps about 2**46.2 levels of a 48-bit word:
+        # with no rotation the last character's low bits are lost, and 95
+        # keys share 28 starting states; the default rotations keep all 95
+        keys = (SecretKey("key(A" + chr(c), rotations) for c in range(32, 127))
+        assert len(set(map(derive_initial_conditions, keys))) == distinct
 
 
 class TestDerivative:
