@@ -188,42 +188,31 @@ def line_orders(k):
 def _push_round(perm, mask, k, shift: int):
     """Compose one round, keystream plane k, onto d -> d.ravel()[perm] ^ mask.
 
-    A round is a horizontal then a vertical pass.  A pass XORs the data
-    with the keystream bytes k, gathers each line through its sort order
-    (`line_orders`), rotates data and keystream left by the shift and XORs
-    the two: y[f] = x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation
-    alone and g the sort order read through it.  After (perm, mask) that
-    gives (perm[g], (mask ^ k)[g] ^ k[r]).  perm and g are uint32, half
-    the bytes of intp, and each gather widens them in runs (`_take`); mask
-    is uint8.  Returns new arrays, the perm the schedule keeps as it is.
+    A round is a horizontal then a vertical pass, and one loop body runs
+    both, each along its axis.  A pass XORs the data with the keystream
+    bytes k, gathers each line through its sort order (`line_orders`),
+    rotates data and keystream left by the shift and XORs the two: y[f] =
+    x[g[f]] ^ k[g[f]] ^ k[r[f]], where r is the rotation alone and g the
+    sort order read through it.  After (perm, mask) that gives (perm[g],
+    (mask ^ k)[g] ^ k[r]).  Both rotations are `np.roll` along the axis:
+    of the line orders, which become g's flat cells (times the stride along
+    the line, plus each line's first cell), and of k, which is k[r].  perm
+    and g are uint32, half the bytes of intp, and each gather widens them
+    in runs (`_take`); mask is uint8.  Returns new arrays, the perm the
+    schedule keeps as it is.
     """
     h, w = k.shape
     row_orders, col_orders = line_orders(k)
     g = np.empty((h, w), dtype=np.uint32)
-    for vertical in (False, True):
-        if vertical:
-            # g[i, j] = col_orders[j, (i + s) % h] * w + j
-            s = shift % h
-            co = col_orders.T
-            np.multiply(co[s:], w, out=g[: h - s], dtype=np.uint32)
-            np.multiply(co[:s], w, out=g[h - s :], dtype=np.uint32)
-            g += np.arange(w, dtype=np.uint32)
-        else:
-            # g[i, j] = i * w + row_orders[i, (j + s) % w]
-            s = shift % w
-            row_starts = np.arange(0, h * w, w, dtype=np.uint32)[:, None]
-            np.add(row_orders[:, s:], row_starts, out=g[:, : w - s])
-            np.add(row_orders[:, :s], row_starts, out=g[:, w - s :])
-        flat = g.ravel()
-        perm = _take(perm, flat)
-        mask = _take(mask ^ k.ravel(), flat)
-        m = mask.reshape(h, w)
-        if vertical:
-            m[: h - s] ^= k[s:]
-            m[h - s :] ^= k[:s]
-        else:
-            m[:, : w - s] ^= k[:, s:]
-            m[:, w - s :] ^= k[:, :s]
+    for axis, orders, step, starts in (
+        (1, row_orders, 1, np.arange(0, h * w, w, dtype=np.uint32)[:, None]),
+        (0, col_orders.T, w, np.arange(w, dtype=np.uint32)),
+    ):
+        np.multiply(np.roll(orders, -shift, axis), step, out=g, dtype=np.uint32)
+        g += starts
+        perm = _take(perm, g.ravel())
+        mask = _take(mask ^ k.ravel(), g.ravel())
+        mask ^= np.roll(k, -shift, axis).ravel()
     return perm, mask
 
 

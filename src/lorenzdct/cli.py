@@ -15,7 +15,8 @@ import sys
 from . import selfcheck
 from .analysis import DEFAULT_SCATTER_SEED, DIRECTIONS, full_report, scatter_sample
 from .cipher import (
-    DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, check_size, decrypt_image, encrypt_image, line_orders
+    COMPONENT_NAMES, DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, check_size, decrypt_image, encrypt_image,
+    line_orders,
 )
 from .container import read_bundle, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
@@ -189,7 +190,7 @@ def _cmd_analyze(args) -> int:
         for name, img in images:
             if img is None:
                 continue
-            for comp, plane in zip("RGB", img.planes):
+            for comp, plane in zip(COMPONENT_NAMES, img.planes):
                 for direction in DIRECTIONS:
                     _write_csv(
                         os.path.join(

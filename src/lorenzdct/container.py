@@ -68,11 +68,6 @@ _COUNTS = struct.Struct("<6I")  # the position counts, then the escape counts
 _HEAD_LEN = _FIXED.size + _SCHEDULE.size + _COUNTS.size
 
 
-def header_bytes(bundle: CipherBundle) -> bytes:
-    head = _FIXED.pack(MAGIC, VERSION, bundle.n, bundle.n, ROUNDS, 0)
-    return head + _SCHEDULE.pack(*bundle.shifts, *(r for rot in bundle.rotations for r in rot))
-
-
 def encode_positions(positions) -> tuple[np.ndarray, np.ndarray]:
     """One carrier's strictly ascending cells as (gap bytes, escaped gaps).
 
@@ -114,7 +109,8 @@ def write_bundle(path, bundle: CipherBundle):
     """Serialize a bundle; identical bundles produce identical files."""
     coded = [encode_positions(pos) for pos in bundle.positions]
     parts = [
-        header_bytes(bundle),
+        _FIXED.pack(MAGIC, VERSION, bundle.n, bundle.n, ROUNDS, 0),
+        _SCHEDULE.pack(*bundle.shifts, *(r for rot in bundle.rotations for r in rot)),
         _COUNTS.pack(*(pos.size for pos in bundle.positions), *(e.size for _, e in coded)),
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
         *(gaps for gaps, _ in coded),

@@ -15,28 +15,21 @@ from .errors import FormatError
 
 
 def _read_header_tokens(f, count):
-    """Yield `count` whitespace-separated header tokens, skipping # comments."""
-    tokens = []
+    """`count` whitespace-separated header tokens; a # starts a comment that
+    runs to the end of its line and ends any token before it."""
+    tokens, tok = [], b""
     while len(tokens) < count:
         ch = f.read(1)
-        if not ch:
-            raise FormatError("unexpected end of file in PPM header")
-        if ch in b" \t\r\n":
-            continue
         if ch == b"#":
-            while ch and ch not in b"\r\n":
+            while ch not in b"\r\n":  # b"" (end of file) is in every bytes
                 ch = f.read(1)
-            continue
-        tok = bytearray()
-        while ch and ch not in b" \t\r\n":
-            if ch == b"#":
-                break
+        if ch and ch not in b" \t\r\n":
             tok += ch
-            ch = f.read(1)
-        tokens.append(bytes(tok))
-        if ch == b"#":
-            while ch and ch not in b"\r\n":
-                ch = f.read(1)
+        elif tok:
+            tokens.append(tok)
+            tok = b""
+        elif not ch:
+            raise FormatError("unexpected end of file in PPM header")
     return tokens
 
 

@@ -34,8 +34,8 @@ from lorenzdct.keystream import _key_vectors, build_round_keystream
 from lorenzdct.lorenz import SecretKey
 
 
-def random_plane(rng, n):
-    return rng.integers(0, 256, (n, n), dtype=np.uint8)
+def random_plane(rng, n, w=None):
+    return rng.integers(0, 256, (n, w or n), dtype=np.uint8)
 
 
 def random_rounds(rng, n):
@@ -108,20 +108,27 @@ def composed(planes, shifts):
 
 @st.composite
 def shuffle_cases(draw):
-    """(n, keystream planes, shifts, seed) for one or three rounds."""
-    n = draw(st.integers(2, 64) | st.sampled_from([2, 3, 5, 7, 31, 61]))
+    """(shape, keystream planes, shifts, seed) for one or three rounds.
+
+    Squares and rectangles: on a square plane a pass that rolls the wrong
+    axis, or swaps the stride and the line starts, can go unseen.
+    """
+    side = st.integers(1, 64) | st.sampled_from([1, 2, 3, 5, 7, 31, 61])
+    h = draw(side)
+    w = draw(st.just(h) | side)
     rounds = draw(st.sampled_from([1, 3]))
-    shifts = [draw(st.sampled_from([0, 1, n - 1, n, n + 5, 65535])) for _ in range(rounds)]
+    edges = [0, 1, h - 1, w - 1, h, w, max(h, w) + 5, 65535]
+    shifts = [draw(st.sampled_from(edges)) for _ in range(rounds)]
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     planes = []
     for _ in range(rounds):
         if draw(st.booleans()):
-            plane = random_plane(rng, n)
+            plane = random_plane(rng, h, w)
         else:  # tie-heavy: a few byte values, so sorts keep long runs in order
-            plane = rng.choice(np.array([0, 91, 255], dtype=np.uint8), (n, n))
+            plane = rng.choice(np.array([0, 91, 255], dtype=np.uint8), (h, w))
         planes.append(plane)
-    return n, planes, shifts, seed
+    return (h, w), planes, shifts, seed
 
 
 class TestMakeDifference:
@@ -228,9 +235,9 @@ class TestComposedShuffle:
     @settings(max_examples=300, deadline=None)
     @given(case=shuffle_cases())
     def test_matches_reference_passes(self, case):
-        n, planes, shifts, seed = case
+        (h, w), planes, shifts, seed = case
         rng = np.random.default_rng(seed + 1)
-        d, c = random_plane(rng, n), random_plane(rng, n)
+        d, c = random_plane(rng, h, w), random_plane(rng, h, w)
         perm, mask = composed(planes, shifts)
         enc = _gather(d, perm, mask)
         assert np.array_equal(enc, ref_encrypt(d, planes, shifts))

@@ -58,15 +58,20 @@ def small_ppm(tmp_path_factory):
     return path
 
 
-def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
+# make_image's components share one uniform histogram; the two-level
+# image's do not, so an entry taken from the wrong component shows on it
+@pytest.mark.parametrize("make", [make_image, make_two_level_image], ids=["natural", "document"])
+def test_encrypt_decrypt_analyze_flow(make, tmp_path, capsys):
+    image_ppm = tmp_path / "orig.ppm"
+    save_ppm(image_ppm, make(7, n=64))
     bundle = tmp_path / "img.ldct"
     dec = tmp_path / "dec.ppm"
     report = tmp_path / "report.json"
 
-    assert cli_main(["encrypt", "--in", str(small_ppm), "--out", str(bundle)] + KEY_ARGS) == 0
+    assert cli_main(["encrypt", "--in", str(image_ppm), "--out", str(bundle)] + KEY_ARGS) == 0
     assert cli_main(["decrypt", "--in", str(bundle), "--out", str(dec)] + KEY_ARGS) == 0
 
-    orig = load_ppm(small_ppm)
+    orig = load_ppm(image_ppm)
     back = load_ppm(dec)
     for a, b in zip(orig.planes, back.planes):
         assert np.array_equal(a, b)
@@ -75,7 +80,7 @@ def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
         cli_main(
             [
                 "analyze",
-                "--original", str(small_ppm),
+                "--original", str(image_ppm),
                 "--bundle", str(bundle),
                 "--decrypted", str(dec),
                 "--json", str(report),
@@ -93,6 +98,11 @@ def test_encrypt_decrypt_analyze_flow(small_ppm, tmp_path, capsys):
     assert len(dec_pairs) == 3
     for p in dec_pairs:
         assert (p["npcr"], p["mse"], p["psnr"]) == (0.0, 0.0, math.inf)
+    entries = {entry["name"]: entry for entry in data["components"]}
+    for comp in "RGB":
+        original, decrypted = entries[f"original/{comp}"], entries[f"decrypted/{comp}"]
+        assert decrypted["histogram"] == original["histogram"]
+        assert decrypted["correlation"] == original["correlation"]
 
     assert (tmp_path / "hist" / "original_R_hist.csv").exists()
     scatter = (tmp_path / "scatter" / "encrypted_G_diagonal.csv").read_text().splitlines()

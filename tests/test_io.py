@@ -172,6 +172,29 @@ class TestPpm:
         img = load_ppm(path)
         assert img.width == 2 and img.height == 2
 
+    @pytest.mark.parametrize(
+        "header, width",
+        [
+            (b"P6\n2 2\n255#c\n", 2),  # comment right after maxval: payload after the LF
+            (b"P6 1 1 255#c\r", 1),  # comment ended by CR alone: payload after the CR
+            (b"P6\n2#x\n2 255\n", 2),  # comment right after a token ends that token
+        ],
+        ids=["after_maxval", "cr_only", "after_token"],
+    )
+    def test_comment_edges(self, header, width, tmp_path):
+        path = tmp_path / "edge.ppm"
+        payload = bytes(range(3 * width * width))
+        path.write_bytes(header + payload)
+        img = load_ppm(path)
+        assert img.width == img.height == width
+        assert np.stack(img.planes, axis=-1).tobytes() == payload
+
+    def test_end_of_file_inside_comment_rejected(self, tmp_path):
+        path = tmp_path / "eof.ppm"
+        path.write_bytes(b"P6\n1 1 #c")
+        with pytest.raises(FormatError, match="end of file"):
+            load_ppm(path)
+
     def test_ascii_p3_rejected(self, tmp_path):
         path = tmp_path / "a.ppm"
         path.write_bytes(b"P3\n1 1\n255\n255 255 255\n")
