@@ -282,8 +282,8 @@ class Schedule:
     by `_push_round` from the component's keystream byte plane of each
     round; twin is the uint16 sum of those three planes, under the carrier.
     The sum is at most 765, which float32 holds exactly, so a carrier value
-    equals its twin only where it holds no log; the decoder
-    (`_carried_plane`) depends on that.  A schedule holds 7 bytes per pixel.
+    equals its twin only where it holds no log.  A schedule holds 7 bytes
+    per pixel.
     """
 
     perm: np.ndarray
@@ -320,29 +320,28 @@ def _carried_plane(positions, carried, twin):
     """The coefficients a carrier holds, scattered into an n x n float64
     plane, and one past the largest column that holds one (at least 1).
 
-    The carrier is read _CHUNK cells at a time.  A cell whose value is its
-    bare twin holds no coefficient and is dropped; encrypt never stores one.
-    Each log is the float64 difference of the stored value and its twin, one
-    IEEE operation, exact for any value of magnitude 2**-18 or more.  The
-    cell's row roll is undone and sign(log) * 10**|log| written in place; a
-    wrong key can overflow that to inf.  The largest column is taken over
-    every chunk, for the column pass of `_idct2_leading`.
+    The carrier is read _CHUNK cells at a time.  Each log is the float64
+    difference of the stored value and its twin, one IEEE operation, exact
+    for any value of magnitude 2**-18 or more.  The cell's row roll is
+    undone and sign(log) * 10**|log| written in place, so a cell that holds
+    its bare twin (a log of 0, whose sign is 0) stays empty; encrypt never
+    stores one.  A wrong key can overflow a value to inf.  The largest
+    column is taken over every chunk, for the column pass of
+    `_idct2_leading`.
     """
     n = twin.shape[0]
     plane, m = np.zeros((n, n)), 1
     twin = twin.ravel()
     for lo in range(0, positions.size, _CHUNK):
-        pos, values = positions[lo : lo + _CHUNK], carried[lo : lo + _CHUNK]
-        twin_at = twin[pos]
-        keep = values != twin_at
+        pos = positions[lo : lo + _CHUNK]
         # invalid: widening a signalling NaN read from a file
         with np.errstate(invalid="ignore", over="ignore"):
-            logs = values[keep].astype(np.float64) - twin_at[keep]
+            logs = carried[lo : lo + _CHUNK].astype(np.float64) - twin[pos]
             values = np.sign(logs) * np.power(10.0, np.abs(logs))
-        i, j = np.divmod(pos[keep].astype(np.intp), n)
+        i, j = np.divmod(pos.astype(np.intp), n)
         j = (i + j) % n
         plane[i, j] = values
-        m = max(m, int(np.max(j, initial=0)) + 1)
+        m = max(m, int(j.max()) + 1)
     return plane, m
 
 

@@ -1,8 +1,8 @@
 """Built-in invariant suite behind the `selftest` CLI subcommand.
 
 Each check re-derives its expectation from first principles (direct-sum
-transforms, brute-force convolution, algebraic identities), so a pass means
-the optimized paths agree with the definitions on this machine.
+transforms, brute-force convolution, algebraic identities, round trips), so
+a pass means the optimized paths agree with the definitions on this machine.
 """
 
 from __future__ import annotations
@@ -12,18 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .cipher import (
-    CipherBundle,
-    _carried_plane,
-    _gather,
-    _identity,
-    _push_round,
-    _scatter,
-    decrypt_image,
-    encrypt_image,
-    ImageRGB,
-    log_forward,
-)
+from .cipher import ImageRGB, _carried_plane, decrypt_image, encrypt_image, log_forward
 from .container import read_bundle, write_bundle
 from .dct import dct1, dct2, energy_select, idct2
 from .keystream import S, circular_conv, plane_bytes, resize_linear
@@ -106,15 +95,6 @@ def _check_conv_and_resize():
     assert resize_linear([1.0, 3.0, 9.0], 5).tolist() == [1.0, 2.0, 3.0, 6.0, 9.0]
 
 
-def _check_shuffle():
-    rng = np.random.default_rng(13)
-    k = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-    for shift in (0, 1, 5, 16, 21):
-        plane = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        perm, mask = _push_round(*_identity(16 * 16), k, shift)
-        assert np.array_equal(_scatter(_gather(plane, perm, mask), perm, mask), plane)
-
-
 def _check_log_embedding():
     rng = np.random.default_rng(14)
     sel = energy_select(dct2(rng.integers(0, 256, (8, 8))), 1.0)
@@ -128,46 +108,29 @@ def _check_log_embedding():
     assert np.all(np.abs(plane[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values))
 
 
-def _check_container():
-    rng = np.random.default_rng(15)
-    # twin sums plus logs at every other cell, the last carrier empty
-    half = np.arange(0, 16, 2, dtype=np.uint32)
-    positions = (half, half, half[:0])
-    bundle = CipherBundle(
-        n=4,
-        shifts=(3, 7, 13),
-        rotations=((5, 11, 17),) * 3,
-        dic=tuple(rng.integers(0, 256, (4, 4), dtype=np.uint8) for _ in range(3)),
-        positions=positions,
-        carriers=tuple(
-            (rng.integers(0, 766, p.size) + rng.uniform(-4.9, 4.9, p.size)).astype(np.float32)
-            for p in positions
-        ),
-    )
-    fd, path = tempfile.mkstemp(suffix=".ldct")
-    os.close(fd)
-    try:
-        write_bundle(path, bundle)
-        back = read_bundle(path)
-        assert back.shifts == bundle.shifts and back.rotations == bundle.rotations
-        arrays = bundle.dic + bundle.positions + bundle.carriers
-        for a, b in zip(arrays, back.dic + back.positions + back.carriers):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    finally:
-        os.unlink(path)
-
-
-def _check_round_trip_small():
+def _check_round_trip():
     rng = np.random.default_rng(16)
     # a checkerboard's truncated reconstruction sits exactly on x.5, where
-    # rounding differently on the two sides would show
+    # rounding differently on the two sides would show; the zero plane keeps
+    # no coefficient, so its carrier is empty
     checker = (254 + np.indices((8, 8)).sum(axis=0) % 2).astype(np.uint8)
-    random_planes = (rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(2))
-    img = ImageRGB((checker, *random_planes))
-    keys = (SecretKey("select"), SecretKey("a test"), SecretKey("key!42"))
-    bundle = encrypt_image(img, keys)
-    out = decrypt_image(bundle, keys)
-    for a, b in zip(img.planes, out.planes):
+    noise = rng.integers(0, 256, (8, 8), dtype=np.uint8)
+    img = ImageRGB((checker, noise, np.zeros((8, 8), dtype=np.uint8)))
+    # distinct rotation triples, so a container that reorders them shows, and
+    # shifts of zero, the side and past it
+    rotations = ((1, 2, 3), (40, 0, 47), (5, 11, 17))
+    keys = tuple(map(SecretKey, ("select", "a test", "key!42"), rotations))
+    bundle = encrypt_image(img, keys, (0, 8, 21))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "round_trip.ldct")
+        write_bundle(path, bundle)
+        back = read_bundle(path)
+    assert back.shifts == bundle.shifts and back.rotations == bundle.rotations
+    arrays = bundle.dic + bundle.positions + bundle.carriers
+    for a, b in zip(arrays, back.dic + back.positions + back.carriers):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert back.positions[2].size == back.carriers[2].size == 0
+    for a, b in zip(img.planes, decrypt_image(back, keys).planes):
         assert np.array_equal(a, b)
 
 
@@ -176,10 +139,8 @@ CHECKS = (
     ("lorenz system", _check_lorenz),
     ("dct definitions", _check_dct),
     ("convolution and resize", _check_conv_and_resize),
-    ("shuffle round trip", _check_shuffle),
     ("log embedding round trip", _check_log_embedding),
-    ("container round trip", _check_container),
-    ("encrypt/decrypt round trip", _check_round_trip_small),
+    ("encrypt, container and decrypt round trip", _check_round_trip),
 )
 
 

@@ -85,3 +85,22 @@ def make_unit_dc_image() -> ImageRGB:
     block = np.zeros((16, 16), dtype=np.uint8)
     block[:4, :4] = 1
     return ImageRGB((eye, eye[:, ::-1].copy(), block))
+
+
+#: The 4 x 4 Bayer ordered-dither matrix: a cell is dotted at d% dots when its
+#: entry is below 16 * d / 100.
+BAYER_4 = np.array([[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15, 7, 13, 5]])
+
+
+def make_near_tie_image() -> ImageRGB:
+    """64 x 64 planes whose reconstructions sit near a rounding tie: the
+    level 46 checkerboard (46 and 47 on alternate pixels), whose DC-only
+    reconstruction lands 1.2e-5 below 46.5 under key(A)-key(C), a 4 x 4
+    Bayer dither of 128 and 129 at 50% dots, and the R plane of
+    make_image(7, 64)."""
+    n = 64
+    checker = 46 + np.indices((n, n)).sum(axis=0) % 2
+    dither = 128 + (np.tile(BAYER_4, (n // 4, n // 4)) < 8)
+    return ImageRGB(
+        (checker.astype(np.uint8), dither.astype(np.uint8), make_image(7, n).planes[0])
+    )

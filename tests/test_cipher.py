@@ -418,12 +418,13 @@ class TestCarrier:
         pos, carried = log_forward(energy_select(mat, 1.0), twin)
         assert pos.tolist() == [5 * 16 + 2]
         assert (carried - twin.ravel()[pos]).tolist() == [2.0]
-        # a stored value equal to its twin (a zero log) carries no coefficient
+        # a stored value equal to its twin (a zero log) carries no
+        # coefficient; cell 255, unrolled to column 14, still counts for m
         cells = np.array([0, 3, 255], np.uint32)
         for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
             for stored in (bare, bare.astype(np.float32)):
                 plane, m = _carried_plane(cells, stored, twin)
-                assert not plane.any() and m == 1
+                assert not plane.any() and m == 15
 
     def test_every_stored_value_differs_from_its_twin(self, keys):
         # each unit-DC plane has a DC coefficient of 1.0, a log of 0, and the

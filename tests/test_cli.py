@@ -13,6 +13,7 @@ import pytest
 from synthimg import make_image, make_two_level_image
 
 import lorenzdct
+from lorenzdct import selfcheck
 from lorenzdct.cli import _build_parser, cli_main
 from lorenzdct.container import read_bundle
 from lorenzdct.lorenz import MAX_STEPS
@@ -415,8 +416,26 @@ def test_keystream_dump(tmp_path):
 
 def test_selftest_passes(capsys):
     assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    lines = [f"PASS: {name}" for name, _ in selfcheck.CHECKS]
+    assert len(lines) == 6
+    assert capsys.readouterr().out.splitlines() == [*lines, "selftest: 6/6 checks passed"]
+
+
+def test_selftest_failure_exits_3(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("planted")
+
+    checks = list(selfcheck.CHECKS)
+    name = checks[2][0]
+    checks[2] = (name, fail)
+    monkeypatch.setattr(selfcheck, "CHECKS", tuple(checks))
+    assert cli_main(["selftest"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[2] == f"FAIL: {name} (AssertionError: planted)"
+    assert lines[-1] == "selftest: 5/6 checks passed"
+    assert sum(line.startswith("PASS: ") for line in lines) == 5
+    assert err == "verification failure: 1 check(s) failed\n"
 
 
 def test_help_exits_zero(capsys):

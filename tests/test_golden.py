@@ -38,11 +38,14 @@ coefficients.  A head that large is more than a quarter of the plane, so the
 energy selection sorts the whole plane's magnitudes; both entries were
 recorded while that case still ran a whole-plane stable argsort.
 
-UNIT_DC_CONTAINER is a committed version 6 container, decrypted on every
-installation that runs the suite.  Its 16x16 planes are the identity, the
-identity mirrored left to right and a 4x4 block of ones in a corner
-(`make_unit_dc_image`), each with a DC coefficient of 1.0, a log of 0;
-UNIT_DC_IMAGE is the sha256 of their bytes, R then G then B, and has not
+COMMITTED_CONTAINERS lists the version 6 containers committed under
+tests/data, each decrypted on every installation that runs the suite and
+checked, with the image its maker builds, against one image sha256 (the
+bytes of R, then G, then B).
+
+unit_dc_16.ldct holds 16x16 planes: the identity, the identity mirrored
+left to right and a 4x4 block of ones in a corner (`make_unit_dc_image`),
+each with a DC coefficient of 1.0, a log of 0.  Its image sha256 has not
 changed since version 4.  The earlier file held 15 cells valued twin +
 4.3-4.5e-13, left by an old unit guard in energy_select; each of those
 rounds to its bare twin in float32, so a transcoded file would have lost
@@ -50,6 +53,13 @@ those coefficients and no longer restored the image.  It was therefore
 re-encrypted with keys key(A)-key(C) at rotations (5, 11, 17), after its
 image was decrypted from the version 5 file.  Version 6 stores none of the
 zero-log cells: 5 cells in all, all in B.
+
+near_tie_64.ldct holds `make_near_tie_image`, encrypted with keys
+key(A)-key(C) and the default shifts and rotations: 20,302 bytes, whose
+carriers hold 1, 1 and 1,589 cells.  Its R plane, the level 46
+checkerboard, keeps only the DC and reconstructs to 46.49998775, 1.2e-5
+below a rounding tie, so an installation whose pow or inverse DCT moves
+that reconstruction across 46.5 decrypts R one level off.
 
 REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
 image, its cipher (the bundle's dic planes) and its decrypt, and
@@ -79,6 +89,7 @@ import pytest
 from synthimg import (
     make_dense_two_level_image,
     make_image,
+    make_near_tie_image,
     make_two_level_image,
     make_unit_dc_image,
 )
@@ -103,8 +114,18 @@ GOLDEN = {
     ("dense_two_level", 331): "f06292cddb0a1355043300de274f389b28c5ee84828973a5d99e689c8bcda91f",
 }
 
-UNIT_DC_CONTAINER = Path(__file__).parent / "data" / "unit_dc_16.ldct"
-UNIT_DC_IMAGE = "ec3f4fadb2e1ab1bc0f3dd6a2c0626a0ea01597828177ae3871bdd0c3c8d71db"
+# Each committed container, the sha256 of the image it decrypts to, and the
+# maker of that image.
+COMMITTED_CONTAINERS = {
+    "unit_dc_16.ldct": (
+        "ec3f4fadb2e1ab1bc0f3dd6a2c0626a0ea01597828177ae3871bdd0c3c8d71db",
+        make_unit_dc_image,
+    ),
+    "near_tie_64.ldct": (
+        "6f394f72e381906a3f6ba0dc3e25292e3dbb9b1cf8bdf4b0de342cdc83a8a92e",
+        make_near_tie_image,
+    ),
+}
 
 REPORT_GOLDEN = {
     ("natural", 64): "97596ad515c1150a4d316f0bfd8a36654efe90d662c1b283c333bb9515c87db0",
@@ -144,10 +165,13 @@ def test_container_bytes_pinned(kind, n, keys, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(kind, n)]
 
 
-def test_unit_dc_container_decrypts(keys):
-    for image in (decrypt_image(read_bundle(UNIT_DC_CONTAINER), keys), make_unit_dc_image()):
+@pytest.mark.parametrize("name", sorted(COMMITTED_CONTAINERS))
+def test_committed_container_decrypts(name, keys):
+    image_sha256, maker = COMMITTED_CONTAINERS[name]
+    bundle = read_bundle(Path(__file__).parent / "data" / name)
+    for image in (decrypt_image(bundle, keys), maker()):
         digest = hashlib.sha256(b"".join(plane.tobytes() for plane in image.planes))
-        assert digest.hexdigest() == UNIT_DC_IMAGE
+        assert digest.hexdigest() == image_sha256
 
 
 def _report_triple(kind, n, keys):
