@@ -24,8 +24,8 @@ norm="backward", 1 for "ortho" (which also orthogonalizes) and 2 for
     dct1                type=2, axes=(0,),   inorm=1     scipy.fft.dct, ortho
     dct2                type=2, axes=(0, 1), inorm=1     dctn, ortho
     idct2               type=3, axes=(0, 1), inorm=1     idctn, ortho
-    _idct2_leading      type=3, axes=(0,) then (1,), ortho=True;
-                        inorm=2 then 0 on a square plane, 1 and 1 otherwise
+    _idct2_leading      type=3, axes=(0,) then (1,), ortho=True,
+                        inorm=2 then 0; square planes only
 
 Only when the extension file is not at that path (an editable scipy build,
 say) is the same module imported the normal way.
@@ -226,19 +226,14 @@ def _head_by_magnitude(flat, scratch, target):
 
 
 def reconstruct_sparse(s: SparseCoeffs) -> np.ndarray:
-    """idct2 of the retained coefficients scattered into zeros.
-
-    The column pass runs only over the leading max(cols) + 1 columns
-    (`_idct2_leading`); on a square plane the result is bit-identical to
-    idct2, and it agrees with idct2 to rounding otherwise.
-    """
+    """idct2 of the retained coefficients scattered into zeros."""
     plane = np.zeros(s.dims)
     plane[s.rows, s.cols] = s.values
-    return _idct2_leading(plane, int(np.max(s.cols, initial=0)) + 1)
+    return idct2(plane)
 
 
 def _idct2_leading(plane, m: int) -> np.ndarray:
-    """idct2 of a float64 plane that is zero from column m on, in place.
+    """idct2 of a square float64 plane that is zero from column m on, in place.
 
     The two passes of idctn run here.  The column pass (axis 0) runs only
     over the leading m columns, and the row pass then runs over the whole
@@ -247,11 +242,9 @@ def _idct2_leading(plane, m: int) -> np.ndarray:
     whole factor 1 / (2n) on the axis-0 pass and 1 on the axis-1 pass, each
     with the ortho DC weight, which is what inorm 2 then inorm 0 with
     ortho=True apply; the result is bit-identical to idct2.  A non-square
-    factor 1 / sqrt(4hw) has no per-pass form, so there each pass is
-    orthonormal (inorm 1) and the result agrees with idct2 to rounding.
+    factor 1 / sqrt(4hw) has no such per-pass form, so the cipher's square
+    planes are the only ones this serves.
     """
-    h, w = plane.shape
     block = plane[:, :m]
-    first, second = (2, 0) if h == w else (1, 1)
-    _pocketfft.dct(block, type=3, axes=(0,), inorm=first, out=block, ortho=True)
-    return _pocketfft.dct(plane, type=3, axes=(1,), inorm=second, out=plane, ortho=True)
+    _pocketfft.dct(block, type=3, axes=(0,), inorm=2, out=block, ortho=True)
+    return _pocketfft.dct(plane, type=3, axes=(1,), inorm=0, out=plane, ortho=True)

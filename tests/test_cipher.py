@@ -466,9 +466,9 @@ class TestCarrier:
 
 class TestDecoder:
     """The chunked decoder against the SparseCoeffs path it replaces: the
-    float plane it transforms, before rounding, is reconstruct_sparse of the
-    carrier's coefficients bit for bit; and the decoder against the encoder,
-    log_forward."""
+    float plane it transforms, before rounding, is reconstruct_sparse (the
+    full idct2) of the carrier's coefficients bit for bit; and the decoder
+    against the encoder, log_forward."""
 
     N = 256
 

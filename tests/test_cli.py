@@ -13,7 +13,7 @@ import pytest
 from synthimg import make_image, make_two_level_image
 
 import lorenzdct
-from lorenzdct import selfcheck
+from lorenzdct import cipher, keystream, selfcheck
 from lorenzdct.cli import _build_parser, cli_main
 from lorenzdct.container import read_bundle
 from lorenzdct.lorenz import MAX_STEPS
@@ -417,8 +417,8 @@ def test_keystream_dump(tmp_path):
 def test_selftest_passes(capsys):
     assert cli_main(["selftest"]) == 0
     lines = [f"PASS: {name}" for name, _ in selfcheck.CHECKS]
-    assert len(lines) == 6
-    assert capsys.readouterr().out.splitlines() == [*lines, "selftest: 6/6 checks passed"]
+    assert len(lines) == 3
+    assert capsys.readouterr().out.splitlines() == [*lines, "selftest: 3/3 checks passed"]
 
 
 def test_selftest_failure_exits_3(capsys, monkeypatch):
@@ -426,16 +426,53 @@ def test_selftest_failure_exits_3(capsys, monkeypatch):
         raise AssertionError("planted")
 
     checks = list(selfcheck.CHECKS)
-    name = checks[2][0]
-    checks[2] = (name, fail)
+    name = checks[1][0]
+    assert name == "dct definitions"
+    checks[1] = (name, fail)
     monkeypatch.setattr(selfcheck, "CHECKS", tuple(checks))
     assert cli_main(["selftest"]) == 3
     out, err = capsys.readouterr()
     lines = out.splitlines()
-    assert lines[2] == f"FAIL: {name} (AssertionError: planted)"
-    assert lines[-1] == "selftest: 5/6 checks passed"
-    assert sum(line.startswith("PASS: ") for line in lines) == 5
+    assert lines[1] == f"FAIL: {name} (AssertionError: planted)"
+    assert lines[-1] == "selftest: 2/3 checks passed"
+    assert sum(line.startswith("PASS: ") for line in lines) == 2
     assert err == "verification failure: 1 check(s) failed\n"
+
+
+@pytest.fixture
+def fresh_schedules():
+    # a patched keystream must not leave its schedule for later tests
+    cipher._schedules.cache_clear()
+    yield
+    cipher._schedules.cache_clear()
+
+
+def test_selftest_sees_a_change_encrypt_and_decrypt_share(capsys, monkeypatch, fresh_schedules):
+    # a fixed-point scale of 2**7 moves every keystream byte on both sides,
+    # so the image still round-trips; only the pinned container digest differs
+    monkeypatch.setattr(keystream, "S", 7)
+    assert selfcheck.run() == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL: ")]
+    assert len(fails) == 1
+    assert fails[0].startswith(
+        "FAIL: encrypt, container and decrypt round trip (AssertionError: container sha256 "
+    )
+
+
+def test_selftest_fails_under_python_O():
+    # python -O strips assert statements; a broken installation must still fail
+    code = (
+        "from lorenzdct import cipher, selfcheck\n"
+        "cipher._scatter = lambda plane, perm, mask: plane.copy()\n"
+        "print(selfcheck.run())"
+    )
+    # the subprocess imports the same lorenzdct as this process
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lorenzdct.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.splitlines()[-1]) > 0, run.stdout
 
 
 def test_help_exits_zero(capsys):
