@@ -5,14 +5,15 @@ component minus its truncated-DCT reconstruction, stored mod 256) run through
 three sequential XOR / permute / rotate rounds keyed by three independent
 keystreams.  The retained DCT coefficients travel separately, as a sparse
 carrier: each coefficient's cell, row-rotated, is a flat position in the
-n x n plane, and its signed base-10 log is added to the integer-valued sum
-of the three keystream planes at that cell (the twin) and rounded once to
-float32; the receiver subtracts the twin back out.  Cells without a
+n x n plane, and its signed base-10 log, rounded once to the 2**-12 grid,
+is stored as a 16-bit residue, (twin * 2**12 + rint(log * 2**12)) mod
+2**16, of the integer-valued sum of the three keystream planes at that cell
+(the twin); the receiver subtracts the twin back out.  Cells without a
 coefficient would hold the bare twin, which the receiver recomputes from the
 keys, so they are not stored.  The difference plane is taken against the
 coefficients read back out of the carrier, so encrypt and decrypt round one
 and the same reconstruction, and the difference plane absorbs whatever the
-float32 rounding drops.  One encoder, `log_forward`, builds the carrier
+fixed-point rounding drops.  One encoder, `log_forward`, builds the carrier
 that encrypt stores, and one decoder, `_decode`, serves both encrypt and
 decrypt: it reads a carrier chunk by chunk straight into the n x n plane
 that the inverse DCT then transforms in place.
@@ -49,6 +50,13 @@ MAX_SIZE = 1 << 16
 
 # The rounds of the shuffle: one key, one shift and one rotation triple each.
 ROUNDS = 3
+
+# A carrier value is the u16 residue (twin * 2**LOG_BITS + rint(log *
+# 2**LOG_BITS)) mod 2**16.  A byte plane's orthonormal DCT-II has |F| <=
+# 510 * n, so at MAX_SIZE |log| <= log10(510 * 2**16) = 7.52 and
+# |rint(log * 2**12)| <= 30,819 < 2**15: the residue is unambiguous for
+# every size the cipher takes, and 2**12 is the finest scale that fits.
+LOG_BITS = 12
 
 
 def check_size(width, height) -> int:
@@ -112,16 +120,16 @@ class CipherBundle:
     dic holds the three encrypted difference planes (bytes).  The DCT
     coefficients of each component ride in a sparse carrier: positions, the
     strictly ascending flat cells of the row-rotated n x n plane that hold a
-    coefficient, and carriers, the float32 values twin + log10 at those
-    cells.  The shift and rotation schedules ride along; decrypt reads them
-    from here.  n is checked first, by the size rule (`check_size`), and
-    held as an int.  Raises ValueError for a size outside that rule,
-    InvalidKeyError unless shifts are three integers in [0, 65535] and each
-    rotation triple three ints in [0, 47], ValueError unless there are
-    three each of rotation triples, dic, positions and carriers, positions
-    are strictly ascending integers below n * n and carriers are float32
-    and dic planes uint8, and DimensionMismatchError when a plane or a
-    carrier disagrees in shape.
+    coefficient, and carriers, the uint16 residues of twin and fixed-point
+    log10 at those cells (`log_forward`).  The shift and rotation schedules
+    ride along; decrypt reads them from here.  n is checked first, by the
+    size rule (`check_size`), and held as an int.  Raises ValueError for a
+    size outside that rule, InvalidKeyError unless shifts are three
+    integers in [0, 65535] and each rotation triple three ints in [0, 47],
+    ValueError unless there are three each of rotation triples, dic,
+    positions and carriers, positions are strictly ascending integers below
+    n * n and carriers are uint16 and dic planes uint8, and
+    DimensionMismatchError when a plane or a carrier disagrees in shape.
     """
 
     n: int
@@ -149,8 +157,8 @@ class CipherBundle:
                 )
             if not np.issubdtype(pos.dtype, np.integer):
                 raise ValueError(f"carrier {color} positions must be integers")
-            if carried.dtype != np.float32:
-                raise ValueError(f"carrier {color} values must be float32, not {carried.dtype}")
+            if carried.dtype != np.uint16:
+                raise ValueError(f"carrier {color} values must be uint16, not {carried.dtype}")
             if pos.size and not (
                 0 <= pos[0] and int(pos[-1]) < self.n * self.n and np.all(pos[1:] > pos[:-1])
             ):
@@ -251,13 +259,16 @@ def log_forward(s: SparseCoeffs, twin):
 
     Row i of the n x n plane is rolled left by i, so coefficient (i, j)
     sits at flat position i * n + (j - i) % n.  Returns (positions,
-    carried): positions uint32 and strictly ascending, carried the float32
-    values twin + sign(v) * log10|v|, each rounded once.  A value that
-    rounds into its twin (|log| under half its ulp) is dropped: the decoder
-    reads a bare twin as an empty cell.  The positions are unique, so any
-    sort gives the same order; on energy_select's row-major output each
-    rolled row is two ascending runs (the columns j < i, then j >= i),
-    which the stable sort merges as runs.
+    carried): positions uint32 and strictly ascending, carried the uint16
+    values (twin * 2**12 + rint(sign(v) * log10|v| * 2**12)) mod 2**16,
+    each log rounded once.  A value whose log rounds to 0, |v| below
+    10**(2**-13) (about 1.00028), is dropped: the decoder reads a bare twin
+    as an empty cell.  Only twin mod 16 enters a value, so a value shows
+    the fraction of its log to 12 bits and hides its integer part behind
+    the twin's low 4 bits.  The positions are unique, so any sort gives the
+    same order; on energy_select's row-major output each rolled row is two
+    ascending runs (the columns j < i, then j >= i), which the stable sort
+    merges as runs.
     """
     n = twin.shape[0]
     # in place where it can be: a noise-like plane keeps 80% of its cells,
@@ -266,12 +277,16 @@ def log_forward(s: SparseCoeffs, twin):
     pos += s.rows * n
     order = np.argsort(pos, kind="stable")
     logs = np.log10(np.abs(s.values))
-    logs *= np.sign(s.values)
+    np.copysign(logs, s.values, out=logs)
+    logs *= 1 << LOG_BITS
+    # |rint(log * 2**12)| < 2**15 (LOG_BITS), so int16 holds it and its
+    # uint16 view is its residue mod 2**16
+    fixed = np.rint(logs, out=logs).astype(np.int16)
+    order = order[fixed[order] != 0]
     pos = pos[order].astype(np.uint32)
-    twin_at = twin.ravel()[pos]
-    carried = (twin_at + logs[order]).astype(np.float32)
-    keep = carried != twin_at
-    return pos[keep], carried[keep]
+    carried = twin.ravel()[pos] << LOG_BITS  # uint16: wraps mod 2**16
+    carried += fixed[order].view(np.uint16)
+    return pos, carried
 
 
 @dataclass(frozen=True)
@@ -281,9 +296,8 @@ class Schedule:
     perm (uint32) and mask (uint8) are flat over the n x n plane, composed
     by `_push_round` from the component's keystream byte plane of each
     round; twin is the uint16 sum of those three planes, under the carrier.
-    The sum is at most 765, which float32 holds exactly, so a carrier value
-    equals its twin only where it holds no log.  A schedule holds 7 bytes
-    per pixel.
+    The sum is at most 765; a carrier value equals twin * 2**12 mod 2**16
+    only where it holds no log.  A schedule holds 7 bytes per pixel.
     """
 
     perm: np.ndarray
@@ -320,24 +334,23 @@ def _carried_plane(positions, carried, twin):
     """The coefficients a carrier holds, scattered into an n x n float64
     plane, and one past the largest column that holds one (at least 1).
 
-    The carrier is read _CHUNK cells at a time.  Each log is the float64
-    difference of the stored value and its twin, one IEEE operation, exact
-    for any value of magnitude 2**-18 or more.  The cell's row roll is
-    undone and sign(log) * 10**|log| written in place, so a cell that holds
-    its bare twin (a log of 0, whose sign is 0) stays empty; encrypt never
-    stores one.  A wrong key can overflow a value to inf.  The largest
-    column is taken over every chunk, for the column pass of
-    `_idct2_leading`.
+    The carrier is read _CHUNK cells at a time.  Each log is the residue
+    carried - twin * 2**12 in uint16, read as int16, so in [-2**15, 2**15),
+    times 2**-12: exact, and |log| < 8 for any u16 value, so nothing
+    overflows and every coefficient is finite.  The cell's row roll is undone
+    and sign(log) * 10**|log| written in place, so a cell that holds its
+    bare twin (a log of 0, whose sign is 0) stays empty; encrypt never
+    stores one.  The largest column is taken over every chunk, for the
+    column pass of `_idct2_leading`.
     """
     n = twin.shape[0]
     plane, m = np.zeros((n, n)), 1
     twin = twin.ravel()
     for lo in range(0, positions.size, _CHUNK):
         pos = positions[lo : lo + _CHUNK]
-        # invalid: widening a signalling NaN read from a file
-        with np.errstate(invalid="ignore", over="ignore"):
-            logs = carried[lo : lo + _CHUNK].astype(np.float64) - twin[pos]
-            values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        residue = carried[lo : lo + _CHUNK] - (twin[pos] << LOG_BITS)  # uint16 wraps
+        logs = residue.view(np.int16) * 2.0**-LOG_BITS
+        values = np.sign(logs) * np.power(10.0, np.abs(logs))
         i, j = np.divmod(pos.astype(np.intp), n)
         j = (i + j) % n
         plane[i, j] = values
@@ -348,9 +361,8 @@ def _carried_plane(positions, carried, twin):
 def _decode(positions, carried, twin) -> np.ndarray:
     # The uint8 reconstruction of a carrier.  Encrypt takes its difference
     # plane against it and decrypt adds the difference plane back, so both
-    # round one and the same values the same way; non-finite cells become 0.
+    # round one and the same values the same way.
     recon = _idct2_leading(*_carried_plane(positions, carried, twin))
-    recon[~np.isfinite(recon)] = 0.0
     return np.clip(np.rint(recon, out=recon), 0, 255, out=recon).astype(np.uint8)
 
 
@@ -396,9 +408,9 @@ def decrypt_image(bundle: CipherBundle, keys: Sequence[SecretKey]) -> ImageRGB:
     Raises InvalidKeyError, before any keystream is built, unless there are
     three keys and their rotations are the ones the bundle records; those
     sit in the container in the clear.  A wrong key string produces garbage
-    rather than an error: there is no authentication, so the pipeline
-    sanitizes any overflowing coefficient reconstruction and always returns
-    a valid image.
+    rather than an error: there is no authentication, and every carrier
+    value decodes to a finite coefficient, so the pipeline always returns a
+    valid image.
     """
     if _key_rotations(keys) != bundle.rotations:
         raise InvalidKeyError("the keys' rotations differ from the bundle's")

@@ -15,10 +15,10 @@ import sys
 from . import selfcheck
 from .analysis import DEFAULT_SCATTER_SEED, DIRECTIONS, full_report, scatter_sample
 from .cipher import (
-    COMPONENT_NAMES, DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, check_size, decrypt_image, encrypt_image,
-    line_orders,
+    COMPONENT_NAMES, DEFAULT_SHIFTS, MAX_SIZE, ImageRGB, _schedules, check_size, decrypt_image,
+    encrypt_image, line_orders,
 )
-from .container import read_bundle, write_bundle
+from .container import read_bundle, read_header, write_bundle
 from .errors import InvalidKeyError, LorenzDctError
 from .keystream import build_round_keystream
 from .lorenz import DEFAULT_ROTATIONS, SecretKey, derive_initial_conditions, integrate, LorenzParams
@@ -149,8 +149,11 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    bundle = read_bundle(args.infile)
-    img = decrypt_image(bundle, _keys(args, bundle.rotations))
+    # the header fixes the schedule, so it is built before the body is held
+    n, shifts, rotations = read_header(args.infile)
+    keys = _keys(args, rotations)
+    _schedules(keys, shifts, n)
+    img = decrypt_image(read_bundle(args.infile), keys)
     save_ppm(args.outfile, img)
     return 0
 

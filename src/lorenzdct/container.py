@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic      4 bytes  b"LDCT"
-    version    u16      6
+    version    u16      7
     width      u32
     height     u32
     rounds     u8       3
@@ -15,10 +15,10 @@ Layout (all little-endian):
     dic        3 planes of width*height raw bytes, row-major, R G B
     gaps       k_R + k_G + k_B u8, each carrier's position gaps
     escaped    e_R + e_G + e_B u32, each carrier's gaps of 255 or more, in order
-    values     k_R + k_G + k_B float32, each carrier's twin + log at its cells
+    values     k_R + k_G + k_B u16, each carrier's twin and log residue at its cells
     crc        u32      CRC-32 (ISO-HDLC) over every preceding byte
 
-so a file is 55 + 3 n**2 + 5 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
+so a file is 55 + 3 n**2 + 3 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
 bytes, known from the header before anything is decoded.
 
 A carrier stores only the cells that hold a DCT coefficient; every other
@@ -38,14 +38,17 @@ every gap fits u32.  One bundle has exactly one file: read_bundle refuses a
 carrier whose 0xFF bytes and escape count disagree, an escaped gap below
 255 and one of n**2 or more.
 
-Each value is the float32 that encrypt rounds twin + log to, once and
-correctly, before it takes the difference plane, so the plane absorbs what
-float32 drops and every IEEE-754 platform writes the same value.  The
-values are raw float32, so the decoded bundle is bit-identical to the
-encoded one.
+Each value is the u16 (twin * 2**12 + rint(log * 2**12)) mod 2**16 that
+encrypt rounds the coefficient's signed log10 to, once, before it takes the
+difference plane (`cipher.log_forward`), so the plane absorbs what the
+2**-12 grid drops.  The receiver knows the twin, so the residue gives the
+log back exactly; only the twin's low 4 bits enter a value, which shows the
+fraction of its log to 12 bits.  Any u16 decodes to a log below 8 in
+magnitude, so a value read from a file is always a finite coefficient.
 
 Every other version is refused: versions 1 to 3 stored each carrier cell,
-version 4 each position as a u32, version 5 each value as a float64.
+version 4 each position as a u32, version 5 each value as a float64 and
+version 6 each as a float32 twin + log.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ import numpy as np
 
 from .cipher import COMPONENT_NAMES, ROUNDS, CipherBundle, check_size
 from .errors import FormatError
+from .lorenz import check_rotations
 
 MAGIC = b"LDCT"
-VERSION = 6
+VERSION = 7
 ESCAPE = 0xFF
 
 _FIXED = struct.Struct("<4sHIIBB")
@@ -115,7 +119,7 @@ def write_bundle(path, bundle: CipherBundle):
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
         *(gaps for gaps, _ in coded),
         *(escaped for _, escaped in coded),
-        *(np.ascontiguousarray(values, dtype="<f4") for values in bundle.carriers),
+        *(np.ascontiguousarray(values, dtype="<u2") for values in bundle.carriers),
     ]
     crc = 0
     with open(path, "wb") as f:
@@ -123,6 +127,52 @@ def write_bundle(path, bundle: CipherBundle):
             crc = zlib.crc32(part, crc)
             f.write(part)
         f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+
+def _parse_header(head, size: int):
+    # (n, shifts, rotations, counts, escapes) of a container of size bytes
+    # from its first _HEAD_LEN bytes: the header's own checks and the size
+    # it fixes, so a file cut short or padded costs nothing more to refuse
+    if size < _HEAD_LEN + 4:
+        raise FormatError("container too short for a header")
+
+    magic, version, width, height, rounds, flags = _FIXED.unpack_from(head, 0)
+    if magic != MAGIC:
+        raise FormatError(f"bad container magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported container version {version}")
+    if rounds != ROUNDS:
+        raise FormatError(f"unsupported round count {rounds}")
+    if flags != 0:
+        raise FormatError(f"reserved flags byte is nonzero ({flags})")
+    n = check_size(width, height)
+
+    all_counts = _COUNTS.unpack_from(head, _HEAD_LEN - _COUNTS.size)
+    counts, escapes = all_counts[:3], all_counts[3:]
+    for k in counts:
+        if k > n * n:
+            raise FormatError(f"position count {k} exceeds the {n * n} cells of a plane")
+    expected = _HEAD_LEN + 3 * n * n + 3 * sum(counts) + 4 * sum(escapes) + 4
+    if size != expected:
+        raise FormatError(f"container size {size} does not match header (expected {expected})")
+    schedule = _SCHEDULE.unpack_from(head, _FIXED.size)
+    rotations = tuple(schedule[i : i + 3] for i in range(ROUNDS, 4 * ROUNDS, 3))
+    return n, schedule[:ROUNDS], rotations, counts, escapes
+
+
+def read_header(path):
+    """A container's (n, shifts, rotations), read from its header and its
+    size alone and checked as read_bundle checks them, the rotations by
+    the keys' rule (`check_rotations`).  Decrypt builds its schedule from
+    these before it holds the body.  Every failure raises FormatError.
+    """
+    with open(path, "rb") as f:
+        head, size = f.read(_HEAD_LEN), f.seek(0, 2)  # the header, the file's length
+    try:
+        n, shifts, rotations = _parse_header(head, size)[:3]
+        return n, shifts, tuple(map(check_rotations, rotations))
+    except ValueError as exc:  # FormatError and InvalidKeyError included
+        raise FormatError(str(exc)) from None
 
 
 def read_bundle(path) -> CipherBundle:
@@ -138,32 +188,7 @@ def read_bundle(path) -> CipherBundle:
     with open(path, "rb") as f:
         blob = f.read()
     try:
-        if len(blob) < _HEAD_LEN + 4:
-            raise FormatError("container too short for a header")
-
-        magic, version, width, height, rounds, flags = _FIXED.unpack_from(blob, 0)
-        if magic != MAGIC:
-            raise FormatError(f"bad container magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"unsupported container version {version}")
-        if rounds != ROUNDS:
-            raise FormatError(f"unsupported round count {rounds}")
-        if flags != 0:
-            raise FormatError(f"reserved flags byte is nonzero ({flags})")
-        n = check_size(width, height)
-
-        n_px = n * n
-        all_counts = _COUNTS.unpack_from(blob, _HEAD_LEN - _COUNTS.size)
-        counts, escapes = all_counts[:3], all_counts[3:]
-        for k in counts:
-            if k > n_px:
-                raise FormatError(f"position count {k} exceeds the {n_px} cells of a plane")
-        expected = _HEAD_LEN + 3 * n_px + 5 * sum(counts) + 4 * sum(escapes) + 4
-        if len(blob) != expected:
-            raise FormatError(
-                f"container size {len(blob)} does not match header (expected {expected})"
-            )
-
+        n, shifts, rotations, counts, escapes = _parse_header(blob, len(blob))
         crc_stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
         crc_actual = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
         if crc_stored != crc_actual:
@@ -171,7 +196,6 @@ def read_bundle(path) -> CipherBundle:
                 f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
             )
 
-        schedule = _SCHEDULE.unpack_from(blob, _FIXED.size)
         off = _HEAD_LEN
 
         def take(dtype, count):
@@ -180,18 +204,18 @@ def read_bundle(path) -> CipherBundle:
             off += a.nbytes
             return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
 
-        dic = tuple(take("<u1", n_px).reshape(n, n) for _ in range(3))
+        dic = tuple(take("<u1", n * n).reshape(n, n) for _ in range(3))
         gaps = tuple(take("<u1", k) for k in counts)
         escaped = tuple(take("<u4", e) for e in escapes)
-        carriers = tuple(take("<f4", k) for k in counts)
+        carriers = tuple(take("<u2", k) for k in counts)
         positions = tuple(
-            decode_positions(g, e, n_px, color)
+            decode_positions(g, e, n * n, color)
             for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
         )
         return CipherBundle(
             n=n,
-            shifts=schedule[:ROUNDS],
-            rotations=tuple(schedule[i : i + 3] for i in range(ROUNDS, 4 * ROUNDS, 3)),
+            shifts=shifts,
+            rotations=rotations,
             dic=dic,
             positions=positions,
             carriers=carriers,

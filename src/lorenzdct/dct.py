@@ -5,7 +5,11 @@ Parseval's identity holds exactly and the round trip idct(dct(f)) == f needs
 no extra scaling.  Energy selection keeps the largest-magnitude coefficients
 until a target fraction of the total energy is reached, then drops any
 coefficient with magnitude below 1 so that a signed base-10 logarithm of
-every retained value is well defined.
+every retained value is well defined.  That is the paper's cut, which also
+truncates the keystream vectors.  The cipher's carrier holds each log on a
+2**-12 grid, so a retained |v| below 10**(2**-13), about 1.00028, has a log
+of 0 there and is not stored (`cipher.log_forward`); the difference plane
+carries it instead.
 
 dct2 and energy_select never write to their argument.  dct2 allocates one
 float64 plane, its own copy of the input, and transforms it in place;

@@ -77,6 +77,14 @@ def make_dense_two_level_image(seed: int, n: int = 256) -> ImageRGB:
     return ImageRGB(tuple(planes))
 
 
+def make_noise_image(seed: int, n: int = 256) -> ImageRGB:
+    """Uniform byte noise, drawn as one (n, n, 3) array: a white spectrum
+    whose 99.9%-energy head holds about 80% of each plane's coefficients,
+    as an image that is already encrypted does."""
+    pixels = np.random.default_rng(seed).integers(0, 256, (n, n, 3), dtype=np.uint8)
+    return ImageRGB(tuple(np.ascontiguousarray(pixels[..., c]) for c in range(3)))
+
+
 def make_unit_dc_image() -> ImageRGB:
     """16 x 16 planes of 16 ones each, so each has a DC coefficient of 1.0, a
     log of 0: the identity (whose DCT is the identity), the identity

@@ -194,11 +194,11 @@ def test_criterion_8_invertibility_properties(rng):
     twin = _schedules(KEYS, DEFAULT_SHIFTS, 256)[0].twin[:32, :32]
     back, _ = _carried_plane(*log_forward(sel, twin), twin)
     ok &= np.count_nonzero(back) == len(sel)
-    # float32 holds twin + log to 2**-15 below 1024; 1e-12 more covers the
-    # float64 sum, log10 and pow
-    bound = 10.0 ** (2.0**-15 + 1e-12) - 1
+    # the carrier holds each log on the 2**-12 grid, to 2**-13; 1e-12 more
+    # covers log10 and pow
+    bound = 10.0 ** (2.0**-13 + 1e-12) - 1
     ok &= bool(np.all(np.abs(back[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values)))
-    assert _line(8, ok, "shuffle round trips exact; carrier decodes to float32 bound, zero elsewhere")
+    assert _line(8, ok, "shuffle round trips exact; carrier decodes to its log grid, zero elsewhere")
 
 
 def test_criterion_9_lorenz_validation():

@@ -15,6 +15,8 @@ from lorenzdct.analysis import adjacent_correlation, correlation
 from lorenzdct.cipher import (
     _CHUNK,
     DEFAULT_SHIFTS,
+    LOG_BITS,
+    MAX_SIZE,
     CipherBundle,
     ImageRGB,
     _carried_plane,
@@ -63,6 +65,31 @@ def zero_twin(n):
 def decoded(sparse, twin):
     # the reconstruction encrypt takes its difference plane against
     return _decode(*log_forward(sparse, twin), twin)
+
+
+# log_forward rounds each log once to the 2**-12 grid, so a carrier holds it
+# to 2**-13; 1e-12 more covers log10 and pow
+LOG_BOUND = 2.0 ** -(LOG_BITS + 1) + 1e-12
+REL_BOUND = 10.0**LOG_BOUND - 1
+
+
+def bare(twin, pos):
+    """The value of a cell that holds no log: twin * 2**12 mod 2**16."""
+    return twin.ravel()[pos] << LOG_BITS
+
+
+def stored_logs(pos, carried, twin):
+    """The logs a carrier holds, by the container's formula in int64:
+    ((q - twin * 2**12) + 2**15) mod 2**16 - 2**15, times 2**-12."""
+    q = carried.astype(np.int64) - twin.ravel()[pos].astype(np.int64) * (1 << LOG_BITS)
+    return ((q + 2**15) % 2**16 - 2**15) * 2.0**-LOG_BITS
+
+
+def rolled_coeffs(pos, values, n):
+    # the coefficients of the given row-rolled cells, one by one, as a SparseCoeffs
+    pos = pos.astype(np.int64)
+    rows = pos // n
+    return SparseCoeffs((n, n), rows, (pos % n + rows) % n, values)
 
 
 # Reference shuffle: the paper's passes run literally, one line gather and
@@ -157,10 +184,11 @@ class TestMakeDifference:
         back = (recon_u8.astype(np.int16) + dic.astype(np.int16)) % 256
         assert np.array_equal(back.astype(np.uint8), component)
 
-    def test_non_finite_reconstruction_becomes_zero(self, rng):
+    def test_most_negative_log_clips_to_zero(self, rng):
         component = random_plane(rng, 4)
-        # 10**400 overflows to inf
-        recon_u8 = _decode(np.array([0], np.uint32), np.array([400.0]), zero_twin(4))
+        # over a zero twin the residue 0x8000 is a log of -8, the most
+        # negative a value holds: a finite DC of -1e8, which clips to 0
+        recon_u8 = _decode(np.array([0], np.uint32), np.array([0x8000], np.uint16), zero_twin(4))
         assert np.all(recon_u8 == 0)
         assert np.array_equal(component - recon_u8, component)
 
@@ -350,8 +378,9 @@ class TestLogEmbedding:
     def test_positive_value_row_zero(self):
         s = energy_select(np.array([[100.0, 0.0], [0.0, 0.0]]), 1.0)
         pos, carried = log_forward(s, np.array([[10, 0], [0, 0]], np.uint16))
-        assert pos.dtype == np.uint32 and carried.dtype == np.float32
-        assert pos.tolist() == [0] and carried.tolist() == [12.0]
+        assert pos.dtype == np.uint32 and carried.dtype == np.uint16
+        # (10 + 2) * 2**12 mod 2**16
+        assert pos.tolist() == [0] and carried.tolist() == [12 << 12]
 
     def test_negative_value_shifted_row(self):
         n = 5
@@ -359,23 +388,25 @@ class TestLogEmbedding:
         mat[1, 0] = -1000.0
         s = energy_select(mat, 1.0)
         pos, carried = log_forward(s, np.full((n, n), 700, np.uint16))
-        # row 1 rotates left by 1: column 0 lands at column n-1
-        assert pos.tolist() == [1 * n + n - 1] and carried.tolist() == [697.0]
+        # row 1 rotates left by 1: column 0 lands at column n-1; (700 - 3)
+        # * 2**12 mod 2**16, where only 697 mod 16 = 9 is left of the sum
+        assert pos.tolist() == [1 * n + n - 1] and carried.tolist() == [9 << 12]
 
     def test_empty_gives_zero_matrix(self):
         s = energy_select(np.zeros((4, 4)), 0.999)
         pos, carried = log_forward(s, zero_twin(4))
         assert pos.size == carried.size == 0
-        assert pos.dtype == np.uint32 and carried.dtype == np.float32
+        assert pos.dtype == np.uint32 and carried.dtype == np.uint16
 
     def test_decode_empty_carrier(self):
-        plane, m = _carried_plane(np.empty(0, np.uint32), np.empty(0), zero_twin(6))
+        plane, m = _carried_plane(np.empty(0, np.uint32), np.empty(0, np.uint16), zero_twin(6))
         assert plane.shape == (6, 6) and not plane.any() and m == 1
 
     def test_decode_single_cell(self):
-        plane, m = _carried_plane(np.array([0], np.uint32), np.array([2.0]), zero_twin(3))
+        carried = np.array([2 << LOG_BITS], np.uint16)
+        plane, m = _carried_plane(np.array([0], np.uint32), carried, zero_twin(3))
         assert np.flatnonzero(plane).tolist() == [0] and m == 1
-        assert abs(plane[0, 0] - 100.0) < 1e-9
+        assert plane[0, 0] == 100.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
     @pytest.mark.parametrize("sign", [-1, +1])
@@ -393,55 +424,56 @@ class TestLogEmbedding:
             rolled = np.stack([np.roll(scattered[i], -i) for i in range(n)]).ravel()
             assert np.array_equal(pos, np.flatnonzero(rolled))
             logs = np.sign(rolled[pos]) * np.log10(np.abs(rolled[pos]))
-            assert np.all(np.abs(carried - twin.ravel()[pos] - logs) <= 2.0**-15 + 1e-12)
+            assert np.all(np.abs(stored_logs(pos, carried, twin) - logs) <= LOG_BOUND)
             return
         back, m = _carried_plane(pos, carried, twin)
         assert np.array_equal(np.sign(back), np.sign(scattered))
-        assert np.allclose(back, scattered, rtol=1e-4, atol=0)
+        assert np.allclose(back, scattered, rtol=REL_BOUND, atol=0)
         assert m == int(np.max(sel.cols, initial=0)) + 1
 
 
 class TestCarrier:
     """The carrier as the pipeline builds it: at each position, the uint16
-    twin sum plus the log, stored by log_forward as float32."""
+    residue of the twin sum and the log on the 2**-12 grid, stored by
+    log_forward."""
 
     def test_zero_log_gives_twin_exactly(self, rng):
         rounds = random_rounds(rng, 16)
         twin = twin_of(rounds, 1)
         assert np.array_equal(twin, sum(r[1].astype(np.float64) for r in rounds))
-        # the logs of +-1 are +-0.0, and 1 + 1e-7's rounds into a twin of 1
-        # or more in float32: log_forward stores only the cell of 100
+        # the logs of +-1 are +-0.0, and 1.0002's, 0.356 * 2**-12, rounds
+        # to 0: log_forward stores only the cell of 100
         twin[0, :3] = (0, 1, 765)
         mat = np.zeros((16, 16))
-        mat[0, :3] = (1.0, -1.0, 1 + 1e-7)
+        mat[0, :3] = (1.0, -1.0, 1.0002)
         mat[5, 7] = 100.0
         pos, carried = log_forward(energy_select(mat, 1.0), twin)
         assert pos.tolist() == [5 * 16 + 2]
-        assert (carried - twin.ravel()[pos]).tolist() == [2.0]
-        # a stored value equal to its twin (a zero log) carries no
-        # coefficient; cell 255, unrolled to column 14, still counts for m
+        assert stored_logs(pos, carried, twin).tolist() == [2.0]
+        # a stored value equal to its bare twin (a zero log) carries no
+        # coefficient, and only twin mod 16 enters it; cell 255, unrolled
+        # to column 14, still counts for m
         cells = np.array([0, 3, 255], np.uint32)
-        for bare in (twin.ravel()[cells] + 0.0, twin.ravel()[cells] - 0.0):
-            for stored in (bare, bare.astype(np.float32)):
-                plane, m = _carried_plane(cells, stored, twin)
-                assert not plane.any() and m == 15
+        for stored in (bare(twin, cells), bare(twin + 16, cells)):
+            plane, m = _carried_plane(cells, stored, twin)
+            assert not plane.any() and m == 15
 
     def test_every_stored_value_differs_from_its_twin(self, keys):
         # each unit-DC plane has a DC coefficient of 1.0, a log of 0, and the
         # identity's diagonal coefficients lie within 1 ulp of 1.0: each of
-        # those logs rounds into its twin in float32, so none is stored
+        # those logs rounds to 0 on the 2**-12 grid, so none is stored
         img = make_unit_dc_image()
         bundle = encrypt_image(img, keys)
         assert sum(pos.size for pos in bundle.positions) > 0
         schedules = _schedules(tuple(keys), bundle.shifts, bundle.n)
         for pos, carried, sched in zip(bundle.positions, bundle.carriers, schedules):
-            assert carried.dtype == np.float32
-            assert np.all(carried != sched.twin.ravel()[pos])
+            assert carried.dtype == np.uint16
+            assert np.all(carried != bare(sched.twin, pos))
         for a, b in zip(img.planes, decrypt_image(bundle, keys).planes):
             assert np.array_equal(a, b)
 
     def test_extract_exact_zero_at_empty_cells(self, rng):
-        # at 765, the largest twin, float32 is coarsest: 2**-15 either side
+        # the largest twin, whose value wraps mod 2**16
         twin = np.full((32, 32), 765, np.uint16)
         mat = np.zeros((32, 32))
         cells = (rng.integers(0, 32, 50), rng.integers(0, 32, 50))
@@ -449,8 +481,9 @@ class TestCarrier:
         sel = energy_select(mat, 1.0)
         got, _ = _carried_plane(*log_forward(sel, twin), twin)
         assert np.array_equal(np.flatnonzero(got), sel.rows * 32 + sel.cols)
-        bound = 10.0 ** (2.0**-15 + 1e-12) - 1
-        assert np.all(np.abs(got[sel.rows, sel.cols] - sel.values) <= bound * np.abs(sel.values))
+        assert np.all(
+            np.abs(got[sel.rows, sel.cols] - sel.values) <= REL_BOUND * np.abs(sel.values)
+        )
 
     def test_carrier_range_for_8bit_source(self, rng):
         rounds = random_rounds(rng, 64)
@@ -458,10 +491,29 @@ class TestCarrier:
         # largest possible 8-bit dct2 magnitude is 255*64 here
         mat[0, 0] = 255.0 * 64
         mat[1, 1] = -255.0 * 64
-        _, carried = log_forward(energy_select(mat, 1.0), twin_of(rounds, 2))
-        bound = np.log10(255.0 * 64)
+        twin = twin_of(rounds, 2)
+        pos, carried = log_forward(energy_select(mat, 1.0), twin)
         assert carried.size == 2
-        assert np.all(carried >= -bound) and np.all(carried <= 3 * 255 + bound)
+        logs = stored_logs(pos, carried, twin)
+        assert np.sign(logs).tolist() == [1, -1]
+        assert np.all(np.abs(np.abs(logs) - np.log10(255.0 * 64)) <= LOG_BOUND)
+
+    def test_log_bound_fits_the_residue(self):
+        # the largest |F| of a byte plane under the orthonormal DCT-II is
+        # 510 * n, so at the largest size the log on the 2**-12 grid stays
+        # below 2**15 in magnitude and its residue mod 2**16 is unambiguous
+        assert np.log10(510.0 * MAX_SIZE) * 2**LOG_BITS < 2**15
+
+    def test_drop_window(self, rng):
+        # a lone 1.0002 has log * 2**12 = 0.356 and is dropped; a lone
+        # 1.0003 has 0.534 and is stored as its twin's value plus 1
+        twin = twin_of(random_rounds(rng, 4), 0)
+        for value, stored in ((1.0002, []), (1.0003, [1.0]), (-1.0003, [-1.0])):
+            mat = np.zeros((4, 4))
+            mat[0, 0] = value
+            pos, carried = log_forward(energy_select(mat, 1.0), twin)
+            assert pos.tolist() == [0] * len(stored)
+            assert (stored_logs(pos, carried, twin) * 2**LOG_BITS).tolist() == stored
 
 
 class TestDecoder:
@@ -475,13 +527,9 @@ class TestDecoder:
     @staticmethod
     def reference(pos, carried, twin):
         # the coefficients of the given cells, one by one, as a SparseCoeffs
-        n = twin.shape[0]
-        pos = pos.astype(np.int64)
-        logs = carried.astype(np.float64) - twin.ravel()[pos]
-        with np.errstate(over="ignore"):
-            values = np.sign(logs) * np.power(10.0, np.abs(logs))
-        rows = pos // n
-        return SparseCoeffs((n, n), rows, (pos % n + rows) % n, values)
+        logs = stored_logs(pos, carried, twin)
+        values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        return rolled_coeffs(pos, values, twin.shape[0])
 
     def carrier(self, rng, size, twin):
         """log_forward's carrier of size coefficients, |log| from 0.01 to
@@ -492,8 +540,8 @@ class TestDecoder:
         middle = np.sort(rng.choice(np.arange(n + 1, (n - 1) * n + 1), max(size - 3, 0), False))
         pos = np.concatenate(([0, n - 1], middle, [(n - 1) * n + 1]))[3 - min(size, 3) :]
         logs = rng.uniform(0.01, 4.8, size) * rng.choice([-1.0, 1.0], size)
-        # over a zero twin, the float64 logs read as the coefficients 10**logs
-        return log_forward(self.reference(pos, logs, zero_twin(n)), twin)
+        values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        return log_forward(rolled_coeffs(pos, values, n), twin)
 
     def noise_carrier(self, rng, twin):
         # a uniform-noise plane keeps about 80% of its coefficients
@@ -512,7 +560,7 @@ class TestDecoder:
             assert pos.size == size
         # bare twins on both sides of every chunk edge, never the final cell
         edges = [e for c in range(0, pos.size, _CHUNK) for e in (c - 1, c) if 0 <= e < pos.size - 1]
-        carried[edges] = twin.ravel()[pos[edges]]
+        carried[edges] = bare(twin, pos[edges])
         keep = np.ones(pos.size, bool)
         keep[edges] = False
         plane, m = _carried_plane(pos, carried, twin)
@@ -531,19 +579,60 @@ class TestDecoder:
         _, m = _carried_plane(*self.carrier(rng, _CHUNK + 1, twin), twin)
         assert m == self.N
 
-    def test_overflowing_log_decodes_to_zero(self, rng):
-        # as a wrong key does: the carrier was made over a twin of 765 and
-        # one cell is read over 0, so its log gains 765 and 10**log is inf
-        n = self.N
-        twin = np.full((n, n), 765, np.uint16)
-        pos, carried = self.carrier(rng, _CHUNK + 1, twin)
-        wrong = twin.copy()
-        wrong.ravel()[pos[_CHUNK // 2]] = 0
-        plane, m = _carried_plane(pos, carried, wrong)
-        want = reconstruct_sparse(self.reference(pos, carried, wrong))
-        assert not np.all(np.isfinite(want))
-        assert np.array_equal(_idct2_leading(plane, m), want, equal_nan=True)
-        assert np.array_equal(_decode(pos, carried, wrong), np.zeros((n, n), np.uint8))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 24),
+        names=st.lists(
+            st.sampled_from(["key(A)", "key(B)", "key(C)", "key(@)", "q7#Lm2"]),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_any_values_decode_to_a_finite_plane_and_a_valid_image(self, data, n, names):
+        """Any u16 values at any ascending positions, under any key triple,
+        decode to a finite float plane and decrypt to a valid image: a
+        value holds a log below 8 in magnitude, so no cell overflows, and
+        no value reads as NaN, as a wrong key or a hostile file may make
+        it."""
+        cells = sorted(data.draw(st.sets(st.integers(0, n * n - 1), min_size=1)))
+        value = st.sampled_from([0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF]) | st.integers(0, 0xFFFF)
+        values = data.draw(st.lists(value, min_size=len(cells), max_size=len(cells)))
+        pos, carried = np.array(cells, np.uint32), np.array(values, np.uint16)
+        keys = tuple(map(SecretKey, names))
+        for sched in _schedules(keys, DEFAULT_SHIFTS, n):
+            assert np.all(np.isfinite(_idct2_leading(*_carried_plane(pos, carried, sched.twin))))
+        bundle = CipherBundle(
+            n=n,
+            shifts=DEFAULT_SHIFTS,
+            rotations=tuple(k.rotations for k in keys),
+            dic=tuple(random_plane(np.random.default_rng(n), n) for _ in range(3)),
+            positions=(pos,) * 3,
+            carriers=(carried,) * 3,
+        )
+        img = decrypt_image(bundle, keys)
+        assert isinstance(img, ImageRGB) and img.width == img.height == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_grid_logs_round_trip_exactly(self, n, seed):
+        """Coefficients whose logs lie on the 2**-12 grid, |log| up to
+        7.52 (a byte plane's bound at MAX_SIZE), under twins 0..765: the
+        decoder gives back what log_forward encodes bit for bit."""
+        rng = np.random.default_rng(seed)
+        top = int(np.log10(510.0 * MAX_SIZE) * 2**LOG_BITS)
+        steps = rng.choice([1, top, *rng.integers(1, top + 1, 8)], (n, n))
+        logs = steps * rng.choice([-1.0, 1.0], (n, n)) * 2.0**-LOG_BITS
+        values = np.sign(logs) * np.power(10.0, np.abs(logs))
+        picked = np.flatnonzero(rng.random(n * n) < rng.random())
+        rows, cols = np.divmod(picked, n)
+        edges = np.r_[0, 1, 15, 16, 764, 765, rng.integers(0, 766, 6)]
+        twin = rng.choice(edges.astype(np.uint16), (n, n))
+        sel = SparseCoeffs((n, n), rows, cols, values.ravel()[picked])
+        plane, _ = _carried_plane(*log_forward(sel, twin), twin)
+        want = np.zeros((n, n))
+        want[rows, cols] = sel.values
+        assert np.array_equal(plane, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -554,31 +643,30 @@ class TestDecoder:
     def test_decodes_what_log_forward_encodes(self, n, fraction, seed):
         """Over random selections and random twins in 0..765, the decoder
         reads log_forward's carrier back as exactly the cells it keeps,
-        each within float32's bound of its coefficient, with m one past
-        the largest kept column.  log_forward keeps every selected cell
-        but those whose log rounds into their twin."""
+        each within the 2**-12 grid's bound of its coefficient, with m one
+        past the largest kept column.  log_forward keeps every selected
+        cell but those whose log rounds to 0."""
         rng = np.random.default_rng(seed)
         # |values| from 1 to 1e5, a fifth of them 1 exactly (a zero log) or
-        # within float32's resolution of it
-        near_one = rng.choice([1.0, 1 + 1e-7, 1 + 1e-4], (n, n))
+        # either side of the drop window's edge, 10**(2**-13) = 1.00028
+        near_one = rng.choice([1.0, 1 + 1e-7, 1.0002, 1.0003], (n, n))
         mags = np.where(rng.random((n, n)) < 0.2, near_one, 10.0 ** rng.uniform(0, 5, (n, n)))
         signed = mags * rng.choice([-1.0, 1.0], (n, n))
         sel = energy_select(np.where(rng.random((n, n)) < rng.random(), signed, 0.0), fraction)
         twin = rng.integers(0, 766, (n, n), dtype=np.uint16)
         pos, carried = log_forward(sel, twin)
-        assert pos.dtype == np.uint32 and carried.dtype == np.float32
-        assert np.all(pos[1:] > pos[:-1]) and np.all(carried != twin.ravel()[pos])
+        assert pos.dtype == np.uint32 and carried.dtype == np.uint16
+        assert np.all(pos[1:] > pos[:-1]) and np.all(carried != bare(twin, pos))
         plane, m = _carried_plane(pos, carried, twin)
         cells = self.reference(pos, carried, twin)
         assert np.array_equal(np.flatnonzero(plane), np.sort(cells.rows * n + cells.cols))
         got = plane[sel.rows, sel.cols]
         kept = got != 0
         assert np.count_nonzero(kept) == pos.size
-        # float32 holds twin + log to 2**-15 below 1024; 1e-12 more covers
-        # the float64 sum, log10 and pow
-        bound = 10.0 ** (2.0**-15 + 1e-12) - 1
-        assert np.all(np.abs(got[kept] - sel.values[kept]) <= bound * np.abs(sel.values[kept]))
-        assert np.all(np.abs(np.log10(np.abs(sel.values[~kept]))) <= 2.0**-15 + 1e-12)
+        assert np.all(
+            np.abs(got[kept] - sel.values[kept]) <= REL_BOUND * np.abs(sel.values[kept])
+        )
+        assert np.all(np.abs(np.log10(np.abs(sel.values[~kept]))) <= LOG_BOUND)
         assert m == int(np.max(cells.cols, initial=0)) + 1
 
 
@@ -665,7 +753,7 @@ class TestPipeline:
             rotations=((5, 11, 17),) * 3,
             dic=tuple(rng.integers(0, 256, (dic_n, dic_n), np.uint8) for _ in range(3)),
             positions=positions,
-            carriers=carriers or tuple(np.full(p.size, 2.5, np.float32) for p in positions),
+            carriers=carriers or tuple(np.full(p.size, 0x2800, np.uint16) for p in positions),
         )
 
     def test_bundle_shape_validation(self, rng):
@@ -673,7 +761,7 @@ class TestPipeline:
         with pytest.raises(DimensionMismatchError):
             self._bundle(rng, dic_n=3)
         with pytest.raises(DimensionMismatchError, match="one value per position"):
-            self._bundle(rng, carriers=tuple(np.zeros(k, np.float32) for k in (3, 2, 3)))
+            self._bundle(rng, carriers=tuple(np.zeros(k, np.uint16) for k in (3, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.uint16])
     def test_bundle_dic_must_be_uint8(self, rng, dtype):
@@ -721,7 +809,7 @@ class TestPipeline:
                 rotations=((5, 11, 17),) * 2,
                 dic=tuple(rng.integers(0, 256, (2, 2), np.uint8) for _ in range(3)),
                 positions=(np.array([0], np.uint32),) * 3,
-                carriers=(np.array([2.5], np.float32),) * 3,
+                carriers=(np.array([0x2800], np.uint16),) * 3,
             )
 
     @pytest.mark.parametrize("cast", [np.int64, np.uint16, np.int8])

@@ -2,43 +2,46 @@
 
 BUNDLE_GOLDEN pins what encrypt_image computes: the sha256 of the three
 difference planes (uint8) followed by the three dense carrier planes
-("<f8"), for fixed seeded images and fixed keys.  A dense carrier plane is
-rebuilt from the keys: the component's twin sum as float64, with the
-bundle's carrier values written back at its positions.  It does not depend
-on the container format, so a new format leaves it alone; only a change to
-the cipher or the keystream definition moves it.
+("<u2"), for fixed seeded images and fixed keys.  A dense carrier plane is
+rebuilt from the keys: the value of a cell without a log, the component's
+twin sum times 2**12 mod 2**16, with the bundle's carrier values written
+back at its positions.  It does not depend on the container layout, so a
+new layout leaves it alone; only a change to the cipher, the carrier's
+values or the keystream definition moves it.
 
 GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 6, which stores each carrier value
-as the float32 that encrypt rounds twin + log to before it takes the
-difference plane, and no cell whose value rounds into its bare twin.  That
-changes the cipher on purpose, so all four encrypt-output tables were
-re-recorded with it, after the round trip was shown exact on every image
-here and on the hypothesis families:
+values below are for container version 7, which stores each carrier value
+as the u16 residue (twin * 2**12 + rint(log * 2**12)) mod 2**16 that
+encrypt rounds the log to before it takes the difference plane, and no cell
+whose log rounds to 0.  That changes the cipher on purpose, so all four
+encrypt-output tables were re-recorded with it, after the round trip was
+shown exact on every image here (and on the committed containers' makers)
+and on the hypothesis families:
 
-- BUNDLE_GOLDEN, because the carrier values are float32 and 0.1-0.7% of
-  each difference plane's cells moved (2.1% of one n=33 plane) to absorb
-  the rounding; no retained coefficient was dropped;
-- GOLDEN, for those values and the version 6 layout;
+- BUNDLE_GOLDEN, because the carrier values are u16 residues and 0.5-5.5%
+  of each difference plane's cells moved against version 6 to absorb the
+  coarser rounding; no retained coefficient was dropped, every carrier
+  keeps version 6's cell count;
+- GOLDEN, for those values and the version 7 layout;
 - REPORT_GOLDEN and SCATTER_GOLDEN, because each cipher image is the
   bundle's difference planes.
 
 Neither version 4 (which stopped storing the carrier cells that hold no
 coefficient) nor version 5 (one-byte position gaps) moved BUNDLE_GOLDEN.
-The keystream is the same on every IEEE-754 platform, and so is the float32
-cast; the rest of the image side (scipy's DCT, the energy selection, the
-sign-log carriers) is still floating point, so a different DCT build could
-still move these tables.
+The keystream is the same on every IEEE-754 platform, and so is the
+residue arithmetic; the rest of the image side (scipy's DCT, the energy
+selection, log10 and its rounding to the 2**-12 grid) is still floating
+point, so a different DCT build could still move these tables.
 
 The n=331 dense two-level planes keep about 90,000 of their 109,561
 coefficients.  A head that large is more than a quarter of the plane, so the
 energy selection sorts the whole plane's magnitudes; both entries were
 recorded while that case still ran a whole-plane stable argsort.
 
-COMMITTED_CONTAINERS lists the version 6 containers committed under
+COMMITTED_CONTAINERS lists the version 7 containers committed under
 tests/data, each decrypted on every installation that runs the suite and
 checked, with the image its maker builds, against one image sha256 (the
 bytes of R, then G, then B).
@@ -51,15 +54,19 @@ changed since version 4.  The earlier file held 15 cells valued twin +
 rounds to its bare twin in float32, so a transcoded file would have lost
 those coefficients and no longer restored the image.  It was therefore
 re-encrypted with keys key(A)-key(C) at rotations (5, 11, 17), after its
-image was decrypted from the version 5 file.  Version 6 stores none of the
-zero-log cells: 5 cells in all, all in B.
+image was decrypted from the version 5 file.  Version 6 stored none of the
+zero-log cells: 5 cells in all, all in B.  Both committed files were
+re-encrypted from their makers for version 7, under the same keys, shifts
+and rotations; their image sha256s are unedited.  unit_dc_16.ldct is 842
+bytes and still holds 5 cells, all in B.
 
 near_tie_64.ldct holds `make_near_tie_image`, encrypted with keys
-key(A)-key(C) and the default shifts and rotations: 20,302 bytes, whose
+key(A)-key(C) and the default shifts and rotations: 17,120 bytes, whose
 carriers hold 1, 1 and 1,589 cells.  Its R plane, the level 46
-checkerboard, keeps only the DC and reconstructs to 46.49998775, 1.2e-5
-below a rounding tie, so an installation whose pow or inverse DCT moves
-that reconstruction across 46.5 decrypts R one level off.
+checkerboard, keeps only the DC, whose log is 14,228.0005 * 2**-12 and is
+stored as 14,228 steps; it reconstructs to 46.49998775, 1.2e-5 below a
+rounding tie, so an installation whose pow or inverse DCT moves that
+reconstruction across 46.5 decrypts R one level off.
 
 REPORT_GOLDEN pins the sha256 of the sorted-key JSON of `full_report` for an
 image, its cipher (the bundle's dic planes) and its decrypt, and
@@ -95,23 +102,23 @@ from synthimg import (
 )
 
 from lorenzdct.analysis import DIRECTIONS, full_report, scatter_sample
-from lorenzdct.cipher import ImageRGB, _schedules, decrypt_image, encrypt_image
+from lorenzdct.cipher import LOG_BITS, ImageRGB, _schedules, decrypt_image, encrypt_image
 from lorenzdct.container import read_bundle, write_bundle
 
 BUNDLE_GOLDEN = {
-    ("natural", 64): "e65b200f848e65b61dab02d819c5d138c35ad9ea168c02049095420fc4b7bf2b",
-    ("natural", 256): "a75617da8db97d3e78b0d28b5caf66f3dc33ba525532ef79e1d337cc1d774547",
-    ("two_level", 64): "dfe42e18621dec2e45a07e44364f389f121e5f2e49bd3eccdae3129606b77a24",
-    ("two_level", 256): "c7200166520edcaedfc32abbc1f94a68ff147000ea549001e47342968c748196",
-    ("dense_two_level", 331): "793fc8c498641af1460250b6f4fda1a1e19c3d83f0878c3014cb187e0495d79b",
+    ("natural", 64): "c946e339f45223c6467ff2b73b81997e083e07a5ba91a7bed83e67bf33f1c312",
+    ("natural", 256): "5094c95e5264bce56c33c71bb412276018eb902716cef688ead5443ca3e40aac",
+    ("two_level", 64): "0b45fd9c137b0d691e4c45966de9928b8f62c21ebb9a2ec3f74b50c0aa0f1228",
+    ("two_level", 256): "10d79faa89a19609c54580d586e02badcfe192e1443b36672445208a66d9a410",
+    ("dense_two_level", 331): "420d43c8e0becd3fe8b07b56a00f07475c67b9e9b99c5821d5f6215f847d903b",
 }
 
 GOLDEN = {
-    ("natural", 64): "e34f5458d0c61f57db9dfcbc30360a67093da8ce0c0ab2dd9c5a5bd410f82565",
-    ("natural", 256): "0cfe6c4d2f4f3af986f19033a4e9f4446b49852c0ad78a897519ab72e90c9751",
-    ("two_level", 64): "54e634e3de4381a82466e6baa0261b4ec86f56178103d15ccf9e072c18bece39",
-    ("two_level", 256): "cd00a0ac0db037628b3a05909db29f228dcc126da05ab8f5c770e486da4919b7",
-    ("dense_two_level", 331): "f06292cddb0a1355043300de274f389b28c5ee84828973a5d99e689c8bcda91f",
+    ("natural", 64): "397f133fb3cdd0d883a2731f5346906676479a04dfa76920b78fb3adb9c498c9",
+    ("natural", 256): "3d29bc54e75ca8da3212cefeb656ed62c21fd955a5f4e7952d144d5ed31c6eef",
+    ("two_level", 64): "d9f953dd5f78f67272c32ebe315c7688a595f22f68c5ccce1008d6c322d083bf",
+    ("two_level", 256): "2922a3d1182a8ff012dfc3ac7fe6054c4c9ebdaf89cce71c139bc189f3165da7",
+    ("dense_two_level", 331): "cdf163305c85aeb360fb4b31af3d49d9f7e2ded08860d584d211f2b6531fac38",
 }
 
 # Each committed container, the sha256 of the image it decrypts to, and the
@@ -128,13 +135,13 @@ COMMITTED_CONTAINERS = {
 }
 
 REPORT_GOLDEN = {
-    ("natural", 64): "97596ad515c1150a4d316f0bfd8a36654efe90d662c1b283c333bb9515c87db0",
-    ("two_level", 33): "2adf38e3aaaf768ad0c8af402168820f8c678b182926f2b5fa574dc6b60c1473",
+    ("natural", 64): "ab79b778fb2a9c3ffac769d8dd07338e08ece76814850b83df01952837d056df",
+    ("two_level", 33): "76b74f61e5e9689b021e8e8f1d42d2afcd4d8fe88cebad814506e5d30a3d0e01",
 }
 
 SCATTER_GOLDEN = {
-    300: "4c4f768c97e07abbbe3b636f8c82ab3099d6b90e03d0e0d59d830ea10c6bad72",
-    "all": "10881103ede6fe480e5259f6508ab1a17c6c9adadb1c58dca788e81868618de8",
+    300: "d9de47e78c172ecc57947b9eec1fc5966b5146e3b0a87f0115633e7e4f8a8b83",
+    "all": "66e5f7a5da44e8866b55727e9c4cc489dc3d1608126064ef9826d0c403028d5a",
 }
 
 MAKERS = {
@@ -152,7 +159,7 @@ def test_bundle_bytes_pinned(kind, n, keys):
         digest.update(np.ascontiguousarray(plane, dtype=np.uint8).tobytes())
     schedules = _schedules(tuple(keys), bundle.shifts, n)
     for pos, carried, sched in zip(bundle.positions, bundle.carriers, schedules):
-        plane = sched.twin.astype("<f8").ravel()
+        plane = (sched.twin << LOG_BITS).astype("<u2").ravel()
         plane[pos] = carried
         digest.update(plane.tobytes())
     assert digest.hexdigest() == BUNDLE_GOLDEN[(kind, n)]

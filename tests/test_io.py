@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzdct.cipher import CipherBundle, ImageRGB, _schedules, decrypt_image, encrypt_image
+from lorenzdct.cipher import (
+    LOG_BITS, CipherBundle, ImageRGB, _schedules, decrypt_image, encrypt_image,
+)
 from lorenzdct.cli import cli_main
-from lorenzdct.container import decode_positions, encode_positions, read_bundle, write_bundle
+from lorenzdct.container import (
+    decode_positions, encode_positions, read_bundle, read_header, write_bundle,
+)
 from lorenzdct.dct import idct2
 from lorenzdct.errors import FormatError
 from lorenzdct.lorenz import SecretKey
@@ -28,12 +32,11 @@ def random_image(rng, w, h=None):
 
 def random_carrier(rng, n):
     """Ascending positions in about a third of the cells, always cell 0,
-    holding twin-sum-like integers plus logs."""
+    holding any u16 values."""
     picked = rng.random(n * n) < 0.3
     picked[0] = True
     pos = np.flatnonzero(picked).astype(np.uint32)
-    values = rng.integers(0, 766, pos.size) + rng.uniform(-4.9, 4.9, pos.size)
-    return pos, values.astype(np.float32)
+    return pos, rng.integers(0, 1 << 16, pos.size).astype(np.uint16)
 
 
 def random_bundle(
@@ -50,25 +53,9 @@ def random_bundle(
     )
 
 
-def _float_bits(value):
-    return struct.unpack("<I", struct.pack("<f", value))[0]
-
-
-# Any float32, as its bit pattern, so a NaN keeps its payload (a signalling
-# one too): every pattern, with -0.0, infinities, NaNs with and without a
-# payload, the smallest and largest subnormals and plain carrier-like values
-# drawn often.
-VALUES = st.one_of(
-    st.sampled_from(
-        [0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001, 1, 0x807FFFFF]
-    ),
-    st.floats(-1e6, 1e6, width=32).map(_float_bits),
-    st.integers(0, 2**32 - 1),
-)
-
-
-def float32_values(bits):
-    return np.array(bits, dtype="<u4").view(np.float32)
+# Any u16 value, with the edges of the log residue (0, the largest positive
+# and negative logs, and -1 step) drawn often.
+VALUES = st.one_of(st.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFF]), st.integers(0, 0xFFFF))
 
 
 @st.composite
@@ -78,7 +65,7 @@ def carriers(draw):
     for _ in range(3):
         cells = sorted(draw(st.sets(st.integers(0, n * n - 1))))
         values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
-        planes.append((np.array(cells, np.uint32), float32_values(values)))
+        planes.append((np.array(cells, np.uint32), np.array(values, np.uint16)))
     return n, tuple(planes)
 
 
@@ -269,19 +256,19 @@ class TestContainer:
 
     def test_2x2_total_size(self, rng, tmp_path):
         # carriers with 0, 1 and 4 cells: header 31 bytes + 6*4 counts
-        # + 3*4 dic + (0+1+4)*(1+4) gaps and values + 4 CRC = 96
+        # + 3*4 dic + (0+1+4)*(1+2) gaps and values + 4 CRC = 86
         planes = [np.arange(k, dtype=np.uint32) for k in (0, 1, 4)]
-        carriers = tuple((pos, np.full(pos.size, np.nan, np.float32)) for pos in planes)
+        carriers = tuple((pos, np.full(pos.size, 0xFFFF, np.uint16)) for pos in planes)
         path = tmp_path / "s.ldct"
         write_bundle(path, random_bundle(rng, 2, carriers))
-        assert path.stat().st_size == 31 + 24 + 12 + 5 * 5 + 4
+        assert path.stat().st_size == 31 + 24 + 12 + 5 * 3 + 4
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
-    def test_carriers_must_be_float32(self, rng, dtype):
-        # the dtype states the precision, so nothing is rounded on write
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int32, np.int16])
+    def test_carriers_must_be_uint16(self, rng, dtype):
+        # the dtype states the residue's width, so nothing is cast on write
         planes = [random_carrier(rng, 3) for _ in range(3)]
         carriers = tuple((pos, values.astype(dtype)) for pos, values in planes)
-        with pytest.raises(ValueError, match="carrier R values must be float32"):
+        with pytest.raises(ValueError, match="carrier R values must be uint16"):
             random_bundle(rng, 3, carriers)
 
     def test_flipped_byte_fails_crc(self, rng, tmp_path):
@@ -440,10 +427,10 @@ class TestBundleSchedule:
             random_bundle(rng, 2, shifts=(3, 7, 70000))
 
 
-# Offsets in a v6 container: the 31-byte header, whose last nine bytes are
+# Offsets in a v7 container: the 31-byte header, whose last nine bytes are
 # the key rotations, then three u32 position counts k and three u32 escape
 # counts e, then the dic planes, the k gap bytes, the 4e bytes of escaped
-# gaps and the 4k bytes of values.
+# gaps and the 2k bytes of values.
 SIZE_AT = 6
 ROTATIONS_AT = 22
 COUNTS_AT = 31
@@ -457,12 +444,12 @@ def _reseal(blob):
 
 
 def _sections(body):
-    """Where each carrier's gap bytes, escaped gaps and values start in a v6
+    """Where each carrier's gap bytes, escaped gaps and values start in a v7
     body, as three (R, G, B) lists read from its header."""
     n = struct.unpack_from("<I", body, SIZE_AT)[0]
     counts = struct.unpack_from("<6I", body, COUNTS_AT)
     starts, at = [], HEAD_LEN + 3 * n * n
-    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (4, counts[:3])):
+    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (2, counts[:3])):
         starts.append([at + width * sum(sizes[:i]) for i in range(3)])
         at += width * sum(sizes)
     return starts
@@ -475,12 +462,12 @@ HOSTILE_CELLS = ([0, 1, 2, 300, 302, 399], [5, 6, 261, 262], [0, 255, 256])
 
 
 class TestHostileContainer:
-    """Containers with a valid CRC whose v6 structure is inconsistent."""
+    """Containers with a valid CRC whose v7 structure is inconsistent."""
 
     @pytest.fixture()
     def body(self, rng, tmp_path):
         carriers = tuple(
-            (np.array(cells, np.uint32), rng.uniform(0, 766, len(cells)).astype(np.float32))
+            (np.array(cells, np.uint32), rng.integers(0, 1 << 16, len(cells)).astype(np.uint16))
             for cells in HOSTILE_CELLS
         )
         path = tmp_path / "h.ldct"
@@ -488,13 +475,18 @@ class TestHostileContainer:
         return bytearray(path.read_bytes()[:-4])
 
     def _read(self, tmp_path, blob):
+        # the header alone first, as decrypt reads it, then the whole file;
+        # each header check fails both with the same message
         path = tmp_path / "hostile.ldct"
         path.write_bytes(_reseal(bytes(blob)))
-        return read_bundle(path)
+        header = read_header(path)
+        bundle = read_bundle(path)
+        assert header == (bundle.n, bundle.shifts, bundle.rotations)
+        return bundle
 
     def test_intact_body_reads(self, body, tmp_path):
-        # 13 cells and 3 escaped gaps: 55 + 3n² + 5 * 13 + 4 * 3 + 4 bytes
-        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 5 * 13 + 4 * 3 + 4
+        # 13 cells and 3 escaped gaps: 55 + 3n² + 3 * 13 + 4 * 3 + 4 bytes
+        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 3 * 13 + 4 * 3 + 4
         back = self._read(tmp_path, body)
         assert [p.tolist() for p in back.positions] == list(HOSTILE_CELLS)
 
@@ -503,6 +495,9 @@ class TestHostileContainer:
         body[ROTATIONS_AT + 4] = rotation
         with pytest.raises(FormatError, match=f"rotation {rotation} outside"):
             self._read(tmp_path, body)
+        # a data error, though the CLI builds its keys from these rotations
+        path, out = tmp_path / "hostile.ldct", tmp_path / "out.ppm"
+        assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
 
     def test_count_beyond_plane(self, body, tmp_path):
         struct.pack_into("<I", body, COUNTS_AT + 4, HOSTILE_N**2 + 1)
@@ -580,11 +575,11 @@ class TestHostileContainer:
 
     def test_truncated_carrier_values(self, body, tmp_path):
         with pytest.raises(FormatError, match="size"):
-            self._read(tmp_path, body[:-4])
+            self._read(tmp_path, body[:-2])
 
     def test_trailing_bytes(self, body, tmp_path):
         with pytest.raises(FormatError, match="size"):
-            self._read(tmp_path, body + struct.pack("<f", 1.5))
+            self._read(tmp_path, body + struct.pack("<H", 1))
 
     def test_v1_container_rejected(self, body, rng, tmp_path):
         # the v1 layout: raw float64 carrier planes and no exception counts
@@ -617,14 +612,27 @@ class TestHostileContainer:
             self._read(tmp_path, blob)
 
     def test_v5_container_rejected(self, body, tmp_path):
-        # the v5 layout is v6's with each value a float64: 55 + 3n² + 9k + 4e + 4 bytes
+        # the v5 layout is v7's with each value a float64: 55 + 3n² + 9k + 4e + 4 bytes
         values_at = _sections(body)[2][0]
-        values = np.frombuffer(bytes(body[values_at:]), dtype="<f4")
+        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2")
         blob = body[:values_at] + values.astype("<f8").tobytes()
         struct.pack_into("<H", blob, 4, 5)
         assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
         with pytest.raises(FormatError, match="unsupported container version 5"):
             self._read(tmp_path, blob)
+
+    def test_v6_container_rejected(self, body, tmp_path):
+        # the v6 layout is v7's with each value a float32 twin + log:
+        # 55 + 3n² + 5k + 4e + 4 bytes; the CLI's decrypt exits 2 on it
+        values_at = _sections(body)[2][0]
+        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2")
+        blob = body[:values_at] + values.astype("<f4").tobytes()
+        struct.pack_into("<H", blob, 4, 6)
+        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 5 * 13 + 4 * 3 + 4
+        with pytest.raises(FormatError, match="unsupported container version 6"):
+            self._read(tmp_path, blob)
+        path, out = tmp_path / "hostile.ldct", tmp_path / "v6.ppm"
+        assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
 
 
 def sparse_spectrum_image(n=32, seed=8):
@@ -668,7 +676,7 @@ MUTATION_KINDS = [
 
 @st.composite
 def mutations(draw):
-    """A valid v6 container body (no CRC) with one hostile edit."""
+    """A valid v7 container body (no CRC) with one hostile edit."""
     body, bundle, twins = _valid_container()
     body = bytearray(body)
     n, counts = bundle.n, [p.size for p in bundle.positions]
@@ -719,10 +727,10 @@ def mutations(draw):
             escapes[plane] -= 1
             struct.pack_into("<3I", body, ESCAPES_AT, *escapes)
     elif kind == "value":
-        # the float32 as its bits: packing it as "<f" would quieten a signalling NaN
-        struct.pack_into("<I", body, value_starts[plane] + 4 * i, draw(VALUES))
-    else:  # the bare twin sum: a cell that carries no coefficient
-        struct.pack_into("<f", body, value_starts[plane] + 4 * i, float(twins[plane][i]))
+        struct.pack_into("<H", body, value_starts[plane] + 2 * i, draw(VALUES))
+    else:  # the bare twin, a zero log: a cell that carries no coefficient
+        bare = (int(twins[plane][i]) << LOG_BITS) & 0xFFFF
+        struct.pack_into("<H", body, value_starts[plane] + 2 * i, bare)
     return bytes(body)
 
 
@@ -752,7 +760,7 @@ class TestMutatedContainer:
         body, bundle, twins = _valid_container()
         n = bundle.n
         values_at = _sections(body)[2][0]
-        bare = np.concatenate(twins).astype("<f4").tobytes()
+        bare = (np.concatenate(twins) << LOG_BITS).astype("<u2").tobytes()
         blob = body[:values_at] + bare
         path = tmp_path / "bare.ldct"
         path.write_bytes(_reseal(blob))
@@ -764,7 +772,7 @@ class TestMutatedContainer:
             rotations=bundle.rotations,
             dic=bundle.dic,
             positions=(np.empty(0, np.uint32),) * 3,
-            carriers=(np.empty(0, np.float32),) * 3,
+            carriers=(np.empty(0, np.uint16),) * 3,
         )
         for a, b in zip(out.planes, decrypt_image(empty, KEYS).planes):
             assert np.array_equal(a, b)
