@@ -3,7 +3,7 @@
 Layout (all little-endian):
 
     magic      4 bytes  b"LDCT"
-    version    u16      7
+    version    u16      8
     width      u32
     height     u32
     rounds     u8       3
@@ -11,32 +11,37 @@ Layout (all little-endian):
     shifts     rounds x u16
     rots       rounds x 3 x u8
     counts     3 x u32  retained cell count k of each carrier, R G B
-    escapes    3 x u32  escaped gap count e of each carrier, R G B
+    suffixes   3 x u32  suffix bit count S of each carrier, R G B
     dic        3 planes of width*height raw bytes, row-major, R G B
-    gaps       k_R + k_G + k_B u8, each carrier's position gaps
-    escaped    e_R + e_G + e_B u32, each carrier's gaps of 255 or more, in order
+    gaps       each carrier's gap section, ceil((k + 2 S) / 8) bytes, R G B
     values     k_R + k_G + k_B u16, each carrier's twin and log residue at its cells
     crc        u32      CRC-32 (ISO-HDLC) over every preceding byte
 
-so a file is 55 + 3 n**2 + 3 (k_R + k_G + k_B) + 4 (e_R + e_G + e_B) + 4
-bytes, known from the header before anything is decoded.
+so a file is 55 + 3 n**2 + sum(ceil((k + 2 S) / 8)) + 2 (k_R + k_G + k_B)
++ 4 bytes, known from the header before anything is decoded.
 
 A carrier stores only the cells that hold a DCT coefficient; every other
 cell is the keystream twin sum, which the receiver recomputes from the keys.
 A 1024 x 1024 natural image keeps a few hundred cells per carrier, so the
 file is about the size of the image; a two-level document keeps over 100k.
 
-A carrier's flat cells are strictly ascending, so they are written as gaps:
-the first gap is the first cell (it may be 0), each later one the distance
-from the cell before (at least 1).  A gap below 255 is its own byte; a
-larger one is the byte 0xFF and its value in the carrier's escape list.  A
-document's cells are mostly 1 to 4 apart, and a natural carrier's few
-hundred cells cluster at low frequencies, so the positions cost about 1.02
-and 1.3-1.4 bytes per cell, where a bitmap would cost n**2 / 8 bytes for
-either: one code serves both.  The cipher's sizes stop at n = 65536, so
-every gap fits u32.  One bundle has exactly one file: read_bundle refuses a
-carrier whose 0xFF bytes and escape count disagree, an escaped gap below
-255 and one of n**2 or more.
+A carrier's flat cells p_0 < p_1 < ... are written as gaps x_i = p_i -
+p_(i-1), with p_(-1) = -1, so every gap is at least 1, and in the
+Elias-gamma code (P. Elias, "Universal codeword sets and representations of
+the integers", IEEE Trans. Inf. Theory 21(2), 1975): x has N = bit_length(x)
+- 1 bits below its leading one.  The section holds, MSB first, k + S prefix
+bits (each gap's N zeros, then a one), then S suffix bits (each gap's N
+bits below its leading one), then zero padding to the next byte, where S is
+the sum of the N.  Splitting the prefixes from the suffixes lets both
+directions work on whole arrays: the prefix's ones give every N, and one
+unaligned 8-byte read per gap gives its suffix.  A document's cells are
+mostly 1 or 2 apart, so a position costs about 2.2 bits (the gaps' entropy
+is about 2.04); a natural carrier's few hundred cells cluster at low
+frequencies.  The cipher's sizes stop at n = 65536, so every gap is at most
+2**32 and N at most 32; N <= x / 2 for every x, so S <= n**2 / 2 fits u32.
+One bundle has exactly one file: read_bundle refuses a prefix that does not
+hold exactly k ones in its k + S bits or does not end in a one, an N above
+32, a set padding bit and cells that reach n**2.
 
 Each value is the u16 (twin * 2**12 + rint(log * 2**12)) mod 2**16 that
 encrypt rounds the coefficient's signed log10 to, once, before it takes the
@@ -47,8 +52,9 @@ fraction of its log to 12 bits.  Any u16 decodes to a log below 8 in
 magnitude, so a value read from a file is always a finite coefficient.
 
 Every other version is refused: versions 1 to 3 stored each carrier cell,
-version 4 each position as a u32, version 5 each value as a float64 and
-version 6 each as a float32 twin + log.
+version 4 each position as a u32, version 5 each value as a float64,
+version 6 each as a float32 twin + log and version 7 each gap as a byte,
+with an escape list of u32 for the gaps of 255 or more.
 """
 
 from __future__ import annotations
@@ -63,50 +69,131 @@ from .errors import FormatError
 from .lorenz import check_rotations
 
 MAGIC = b"LDCT"
-VERSION = 7
-ESCAPE = 0xFF
+VERSION = 8
 
 _FIXED = struct.Struct("<4sHIIBB")
 _SCHEDULE = struct.Struct(f"<{ROUNDS}H{3 * ROUNDS}B")  # the shifts, then each key's rotations
-_COUNTS = struct.Struct("<6I")  # the position counts, then the escape counts
+_COUNTS = struct.Struct("<6I")  # the position counts, then the suffix bit counts
 _HEAD_LEN = _FIXED.size + _SCHEDULE.size + _COUNTS.size
+_CHUNK = 1 << 12  # prefix bytes decode_positions unpacks at a time
 
 
-def encode_positions(positions) -> tuple[np.ndarray, np.ndarray]:
-    """One carrier's strictly ascending cells as (gap bytes, escaped gaps).
+def _section_len(count: int, suffix_bits: int) -> int:
+    # bytes of a gap section: count + suffix_bits prefix bits, the suffix
+    # bits, and zero padding to the next byte
+    return (count + 2 * suffix_bits + 7) // 8
 
-    The gap bytes are u8, one per cell, ESCAPE where the gap is 255 or more;
-    the escaped gaps are those gaps as "<u4", in order.
+
+def encode_positions(positions) -> tuple[np.ndarray, int]:
+    """One carrier's strictly ascending cells as (gap section, suffix bits S).
+
+    The section is u8: the Elias-gamma prefixes of the gaps x, then their
+    suffixes, then zero padding (see the module docstring).
     """
-    gaps = np.diff(np.asarray(positions, dtype=np.int64), prepend=0)
-    escaped = gaps >= ESCAPE
-    return np.minimum(gaps, ESCAPE).astype(np.uint8), gaps[escaped].astype("<u4")
+    cells = np.asarray(positions)
+    # each gap x as a float64, exact for x <= 2**32, whose bits hold 1022 +
+    # bit_length(x) in the exponent field and the suffix atop the fraction
+    x = np.empty(cells.size)
+    x[:1] = cells[:1]
+    x[:1] += 1
+    np.subtract(cells[1:], cells[:-1], out=x[1:])
+    ones = x.view(np.int64)  # the bits, turned in place into prefix ends
+    at = np.flatnonzero(ones >= 1 << 62)  # the gaps of 2 (bits 1 << 62) or more
+    field = np.take(ones, at)
+    ones >>= 52
+    ones -= 1022  # bit_length(x), the length of each gap's prefix
+    np.cumsum(ones, out=ones)  # one past each gap's prefix one
+    prefix = int(ones[-1]) if cells.size else 0
+    size = _section_len(cells.size, prefix - cells.size)
+    bits = np.zeros(8 * size + 1, dtype=np.uint8)
+    bits[ones] = 1
+    section = np.packbits(bits[1:])
+    # each suffix's last bit is prefix + (suffix bits through its gap) - 1.
+    # A field of at most 32 bits reaches at most one big-endian u32 word
+    # back, so each word is a sum of disjoint fields, exact in float64
+    low = np.take(ones, at)
+    low -= at
+    low += prefix - 2
+    shift = field >> 52
+    np.subtract(1075, shift, out=shift)  # 52 - N
+    field &= (1 << 52) - 1
+    field >>= shift
+    np.bitwise_and(low, 31, out=shift)
+    np.subtract(31, shift, out=shift)
+    field <<= shift
+    low >>= 5
+    words = np.bincount(low, weights=field & 0xFFFFFFFF, minlength=(size + 3) // 4)
+    words[:-1] += np.bincount(low, weights=field >> 32, minlength=words.size)[1:]
+    section |= words.astype(">u4").view(np.uint8)[:size]
+    return section, prefix - cells.size
 
 
-def decode_positions(gaps, escaped, n_px: int, color: str) -> np.ndarray:
+def decode_positions(section, count: int, suffix_bits: int, n_px: int, color: str) -> np.ndarray:
     """Inverse of encode_positions for a plane of n_px cells: uint32 cells.
 
-    Raises FormatError unless the stream is the one encode_positions writes
-    for some cells below n_px: one escaped gap per ESCAPE byte, each in
-    [255, n_px), and a last cell below n_px.  A zero gap after the first
-    decodes to a repeated cell, which CipherBundle refuses.
+    Raises FormatError unless `section` is the one encode_positions writes
+    for some count cells below n_px with suffix_bits suffix bits: its first
+    count + suffix_bits bits hold exactly count ones and end in a one, no
+    gap has more than 32 suffix bits, the padding is zero and the last cell
+    is below n_px.  `section` is the length the header fixes,
+    _section_len(count, suffix_bits), as read_bundle's size check ensures.
+    The prefix is unpacked _CHUNK bytes at a time, so what this holds beside
+    the cells is bounded whatever the header claims.
     """
-    at = gaps == ESCAPE
-    found = int(np.count_nonzero(at))
-    if found != escaped.size:
-        raise FormatError(
-            f"carrier {color} has {found} escape bytes but {escaped.size} escaped gaps"
-        )
-    if escaped.size and not (escaped.min() >= ESCAPE and escaped.max() < n_px):
-        raise FormatError(f"carrier {color} escaped gaps are not all in [{ESCAPE}, {n_px})")
-    cells = gaps.astype(np.uint32)
-    cells[at] = escaped
-    # every gap is below max(255, n_px) <= 2**32 and there are at most
-    # n_px <= 2**32 of them, so their uint64 sum cannot wrap; once it is
-    # below n_px, neither can the uint32 cumsum
-    if int(cells.sum(dtype=np.uint64)) >= n_px:
-        raise FormatError(f"carrier {color} positions run past the {n_px} cells of a plane")
-    return np.cumsum(cells, out=cells)
+    prefix = count + suffix_bits
+    # seven zero bytes ahead, so the 8-byte big-endian word that ends at any
+    # byte of the section is in the buffer
+    buf = np.zeros(section.size + 7, dtype=np.uint8)
+    buf[7:] = section
+    window = np.ndarray((section.size,), dtype=">i8", buffer=buf, strides=(1,))
+    cells = np.empty(count, dtype=np.uint32)
+    done, last, total = 0, -1, 0  # gaps decoded, the bit of the last one, their sum
+    for at in range(0, (prefix + 7) // 8, _CHUNK):
+        bits = np.unpackbits(section[at : at + _CHUNK], count=min(8 * _CHUNK, prefix - 8 * at))
+        ones = np.flatnonzero(bits.view(bool))
+        m = ones.size
+        if not m:
+            continue
+        if done + m > count:
+            raise FormatError(f"carrier {color} gap prefix does not hold exactly {count} ones")
+        ones += 8 * at
+        n = np.empty_like(ones)  # each gap's N
+        n[0] = ones[0] - last
+        np.subtract(ones[1:], ones[:-1], out=n[1:])
+        n -= 1
+        if n.max() > 32:
+            raise FormatError(f"carrier {color} has a gap of more than 32 suffix bits")
+        # each gap's last suffix bit, prefix - 1 + the suffix bits through it;
+        # a prefix the checks below refuse can point past the section, so
+        # those reads are clipped
+        low = np.arange(prefix - 1 - done, prefix - 1 - done - m, -1)
+        low += ones
+        tmp = np.right_shift(low, 3)  # the byte that holds it
+        x = np.take(window, tmp, mode="clip")
+        x.byteswap(inplace=True)
+        x = x.view(x.dtype.newbyteorder())
+        np.bitwise_and(low, 7, out=tmp)
+        np.subtract(7, tmp, out=tmp)
+        x >>= tmp  # each suffix at the bottom, the bits before it above
+        np.left_shift(1, n, out=n)  # each gap's leading one
+        np.subtract(n, 1, out=tmp)
+        x &= tmp
+        x |= n  # each gap x
+        np.cumsum(x, out=x)
+        end = total + int(x[-1])  # one past the chunk's last cell
+        if end > n_px:
+            raise FormatError(f"carrier {color} positions run past the {n_px} cells of a plane")
+        x += total - 1
+        cells[done : done + m] = x
+        done, last, total = done + m, int(ones[-1]), end
+    if done != count:
+        raise FormatError(f"carrier {color} gap prefix does not hold exactly {count} ones")
+    if last != prefix - 1:
+        raise FormatError(f"carrier {color} gap prefix does not end in a one")
+    pad = 8 * section.size - prefix - suffix_bits
+    if pad and section[-1] & ((1 << pad) - 1):
+        raise FormatError(f"carrier {color} gap section has a nonzero padding bit")
+    return cells
 
 
 def write_bundle(path, bundle: CipherBundle):
@@ -115,10 +202,9 @@ def write_bundle(path, bundle: CipherBundle):
     parts = [
         _FIXED.pack(MAGIC, VERSION, bundle.n, bundle.n, ROUNDS, 0),
         _SCHEDULE.pack(*bundle.shifts, *(r for rot in bundle.rotations for r in rot)),
-        _COUNTS.pack(*(pos.size for pos in bundle.positions), *(e.size for _, e in coded)),
+        _COUNTS.pack(*(pos.size for pos in bundle.positions), *(s for _, s in coded)),
         *(np.ascontiguousarray(plane, dtype=np.uint8) for plane in bundle.dic),
-        *(gaps for gaps, _ in coded),
-        *(escaped for _, escaped in coded),
+        *(section for section, _ in coded),
         *(np.ascontiguousarray(values, dtype="<u2") for values in bundle.carriers),
     ]
     crc = 0
@@ -130,7 +216,7 @@ def write_bundle(path, bundle: CipherBundle):
 
 
 def _parse_header(head, size: int):
-    # (n, shifts, rotations, counts, escapes) of a container of size bytes
+    # (n, shifts, rotations, counts, suffix bits) of a container of size bytes
     # from its first _HEAD_LEN bytes: the header's own checks and the size
     # it fixes, so a file cut short or padded costs nothing more to refuse
     if size < _HEAD_LEN + 4:
@@ -148,16 +234,17 @@ def _parse_header(head, size: int):
     n = check_size(width, height)
 
     all_counts = _COUNTS.unpack_from(head, _HEAD_LEN - _COUNTS.size)
-    counts, escapes = all_counts[:3], all_counts[3:]
+    counts, suffixes = all_counts[:3], all_counts[3:]
     for k in counts:
         if k > n * n:
             raise FormatError(f"position count {k} exceeds the {n * n} cells of a plane")
-    expected = _HEAD_LEN + 3 * n * n + 3 * sum(counts) + 4 * sum(escapes) + 4
+    sections = sum(map(_section_len, counts, suffixes))
+    expected = _HEAD_LEN + 3 * n * n + sections + 2 * sum(counts) + 4
     if size != expected:
         raise FormatError(f"container size {size} does not match header (expected {expected})")
     schedule = _SCHEDULE.unpack_from(head, _FIXED.size)
     rotations = tuple(schedule[i : i + 3] for i in range(ROUNDS, 4 * ROUNDS, 3))
-    return n, schedule[:ROUNDS], rotations, counts, escapes
+    return n, schedule[:ROUNDS], rotations, counts, suffixes
 
 
 def read_header(path):
@@ -188,7 +275,7 @@ def read_bundle(path) -> CipherBundle:
     with open(path, "rb") as f:
         blob = f.read()
     try:
-        n, shifts, rotations, counts, escapes = _parse_header(blob, len(blob))
+        n, shifts, rotations, counts, suffixes = _parse_header(blob, len(blob))
         crc_stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
         crc_actual = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
         if crc_stored != crc_actual:
@@ -205,12 +292,11 @@ def read_bundle(path) -> CipherBundle:
             return a.astype(dtype.lstrip("<"))  # native byte order, aligned, a copy
 
         dic = tuple(take("<u1", n * n).reshape(n, n) for _ in range(3))
-        gaps = tuple(take("<u1", k) for k in counts)
-        escaped = tuple(take("<u4", e) for e in escapes)
+        sections = tuple(take("<u1", _section_len(k, s)) for k, s in zip(counts, suffixes))
         carriers = tuple(take("<u2", k) for k in counts)
         positions = tuple(
-            decode_positions(g, e, n * n, color)
-            for g, e, color in zip(gaps, escaped, COMPONENT_NAMES)
+            decode_positions(section, k, s, n * n, color)
+            for section, k, s, color in zip(sections, counts, suffixes, COMPONENT_NAMES)
         )
         return CipherBundle(
             n=n,

@@ -13,19 +13,24 @@ GOLDEN pins the sha256 of write_bundle output for the same cases.  A change
 meant to be byte-identical (a faster selection, shuffle or serializer) must
 leave both tables alone; a change that alters the container on purpose
 (format version, keystream definition) updates GOLDEN and says why.  The
-values below are for container version 7, which stores each carrier value
-as the u16 residue (twin * 2**12 + rint(log * 2**12)) mod 2**16 that
-encrypt rounds the log to before it takes the difference plane, and no cell
-whose log rounds to 0.  That changes the cipher on purpose, so all four
-encrypt-output tables were re-recorded with it, after the round trip was
-shown exact on every image here (and on the committed containers' makers)
-and on the hypothesis families:
+values below are for container version 8, which writes each carrier's
+position gaps as split Elias-gamma bit streams.  Only the file bytes moved
+with it: GOLDEN was re-recorded after each version 7 container here, read
+by the version 7 reader and written by version 8, decrypted to the same
+image, and the other three tables are unedited.  Version 7 stores each
+carrier value as the u16 residue (twin * 2**12 + rint(log * 2**12)) mod
+2**16 that encrypt rounds the log to before it takes the difference plane,
+and no cell whose log rounds to 0.  That changes the cipher on purpose, so
+all four encrypt-output tables were re-recorded with it, after the round
+trip was shown exact on every image here (and on the committed containers'
+makers) and on the hypothesis families:
 
 - BUNDLE_GOLDEN, because the carrier values are u16 residues and 0.5-5.5%
   of each difference plane's cells moved against version 6 to absorb the
   coarser rounding; no retained coefficient was dropped, every carrier
   keeps version 6's cell count;
-- GOLDEN, for those values and the version 7 layout;
+- GOLDEN, for those values and the version 7 layout (re-recorded for
+  version 8's positions);
 - REPORT_GOLDEN and SCATTER_GOLDEN, because each cipher image is the
   bundle's difference planes.
 
@@ -41,7 +46,7 @@ coefficients.  A head that large is more than a quarter of the plane, so the
 energy selection sorts the whole plane's magnitudes; both entries were
 recorded while that case still ran a whole-plane stable argsort.
 
-COMMITTED_CONTAINERS lists the version 7 containers committed under
+COMMITTED_CONTAINERS lists the version 8 containers committed under
 tests/data, each decrypted on every installation that runs the suite and
 checked, with the image its maker builds, against one image sha256 (the
 bytes of R, then G, then B).
@@ -57,11 +62,12 @@ re-encrypted with keys key(A)-key(C) at rotations (5, 11, 17), after its
 image was decrypted from the version 5 file.  Version 6 stored none of the
 zero-log cells: 5 cells in all, all in B.  Both committed files were
 re-encrypted from their makers for version 7, under the same keys, shifts
-and rotations; their image sha256s are unedited.  unit_dc_16.ldct is 842
-bytes and still holds 5 cells, all in B.
+and rotations, and transcoded to version 8 (read by the version 7 reader,
+written by version 8); their image sha256s are unedited.  unit_dc_16.ldct
+is 841 bytes and still holds 5 cells, all in B.
 
 near_tie_64.ldct holds `make_near_tie_image`, encrypted with keys
-key(A)-key(C) and the default shifts and rotations: 17,120 bytes, whose
+key(A)-key(C) and the default shifts and rotations: 15,985 bytes, whose
 carriers hold 1, 1 and 1,589 cells.  Its R plane, the level 46
 checkerboard, keeps only the DC, whose log is 14,228.0005 * 2**-12 and is
 stored as 14,228 steps; it reconstructs to 46.49998775, 1.2e-5 below a
@@ -114,11 +120,11 @@ BUNDLE_GOLDEN = {
 }
 
 GOLDEN = {
-    ("natural", 64): "397f133fb3cdd0d883a2731f5346906676479a04dfa76920b78fb3adb9c498c9",
-    ("natural", 256): "3d29bc54e75ca8da3212cefeb656ed62c21fd955a5f4e7952d144d5ed31c6eef",
-    ("two_level", 64): "d9f953dd5f78f67272c32ebe315c7688a595f22f68c5ccce1008d6c322d083bf",
-    ("two_level", 256): "2922a3d1182a8ff012dfc3ac7fe6054c4c9ebdaf89cce71c139bc189f3165da7",
-    ("dense_two_level", 331): "cdf163305c85aeb360fb4b31af3d49d9f7e2ded08860d584d211f2b6531fac38",
+    ("natural", 64): "f88c37b29daa9fa371f8b828ee36f9f958bc62f34d93b4d37ffe9605048b91d7",
+    ("natural", 256): "190995554058292664adbe30960eb7b15bf724c03d0a49cfaeeb61016fd2a68a",
+    ("two_level", 64): "8e7e2d9a6fd2ec1831c25dfb030218fdb9423f13f20ef8f0cae6c9fa0819d5e0",
+    ("two_level", 256): "44f18904879a4eb2f7d1a820a2725cf44cab5cf7a7a3173383de3ba4cf8b3f9d",
+    ("dense_two_level", 331): "df7c9a59fedf7e148d686776b18833c84e5d987542ba11982b523a575570db9b",
 }
 
 # Each committed container, the sha256 of the image it decrypts to, and the

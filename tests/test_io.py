@@ -60,7 +60,7 @@ VALUES = st.one_of(st.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFF]), st.integers(
 
 @st.composite
 def carriers(draw):
-    n = draw(st.integers(2, 24))  # from n = 16 on, a gap can be 255 or more
+    n = draw(st.integers(2, 24))  # gaps of 1 to n**2, so codes of 0 to 9 suffix bits
     planes = []
     for _ in range(3):
         cells = sorted(draw(st.sets(st.integers(0, n * n - 1))))
@@ -255,13 +255,13 @@ class TestContainer:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_2x2_total_size(self, rng, tmp_path):
-        # carriers with 0, 1 and 4 cells: header 31 bytes + 6*4 counts
-        # + 3*4 dic + (0+1+4)*(1+2) gaps and values + 4 CRC = 86
+        # carriers with 0, 1 and 4 cells, every gap 1: header 31 bytes +
+        # 6*4 counts + 3*4 dic + (0+1+1) gap bytes + 2*(0+1+4) values + 4 CRC = 83
         planes = [np.arange(k, dtype=np.uint32) for k in (0, 1, 4)]
         carriers = tuple((pos, np.full(pos.size, 0xFFFF, np.uint16)) for pos in planes)
         path = tmp_path / "s.ldct"
         write_bundle(path, random_bundle(rng, 2, carriers))
-        assert path.stat().st_size == 31 + 24 + 12 + 5 * 3 + 4
+        assert path.stat().st_size == 31 + 24 + 12 + 2 + 5 * 2 + 4
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int32, np.int16])
     def test_carriers_must_be_uint16(self, rng, dtype):
@@ -320,62 +320,71 @@ class TestContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _gamma_stream(gaps):
+    """The gap section and suffix bit count of gaps, one bit at a time: each
+    gap's Elias-gamma prefix, then each gap's suffix, then zero padding."""
+    codes = [bin(x)[2:] for x in gaps]
+    prefixes = "".join("0" * (len(code) - 1) + "1" for code in codes)
+    suffixes = "".join(code[1:] for code in codes)
+    bits = prefixes + suffixes + "0" * (-(len(prefixes) + len(suffixes)) % 8)
+    section = np.packbits(np.frombuffer(bits.encode(), np.uint8) - ord("0"))
+    return section.tobytes(), len(suffixes)
+
+
 def _reference_stream(cells):
-    """The position stream of ascending cells, one cell at a time."""
-    gaps, escaped, prev = bytearray(), bytearray(), 0
-    for cell in cells:
-        gap, prev = cell - prev, cell
-        gaps.append(min(gap, 0xFF))
-        if gap >= 0xFF:
-            escaped += struct.pack("<I", gap)
-    return bytes(gaps), bytes(escaped)
+    """The gap section and suffix bit count of ascending cells."""
+    return _gamma_stream([cell - prev for cell, prev in zip(cells, [-1, *cells])])
 
 
 class TestPositionCodec:
     """encode_positions and decode_positions on their own, at sizes no image
     in the suite reaches: the same cells come back, as the same bytes the
-    cell-by-cell reference writes."""
+    bit-by-bit reference writes."""
 
     def _round_trip(self, cells, n):
         pos = np.array(cells, dtype=np.uint32)
-        gaps, escaped = encode_positions(pos)
-        assert gaps.dtype == np.uint8 and escaped.dtype == np.dtype("<u4")
-        stream = (gaps.tobytes(), escaped.tobytes())
+        section, suffix_bits = encode_positions(pos)
+        assert section.dtype == np.uint8
+        stream = (section.tobytes(), suffix_bits)
         assert stream == _reference_stream(cells)
         again = encode_positions(pos)
-        assert (again[0].tobytes(), again[1].tobytes()) == stream
-        back = decode_positions(gaps, escaped.astype(np.uint32), n * n, "R")
+        assert (again[0].tobytes(), again[1]) == stream
+        back = decode_positions(section, len(cells), suffix_bits, n * n, "R")
         assert back.dtype == np.uint32 and back.tobytes() == pos.tobytes()
         return stream
 
     def test_empty_carrier(self):
-        assert self._round_trip([], 2) == (b"", b"")
+        assert self._round_trip([], 2) == (b"", 0)
 
     def test_cell_zero(self):
-        assert self._round_trip([0], 2) == (b"\x00", b"")
+        # the gap 1 is the prefix bit 1 alone
+        assert self._round_trip([0], 2) == (b"\x80", 0)
 
     def test_last_cell_of_the_largest_plane(self):
-        # the first gap is the cell itself, and must fit the u32 escape
+        # the first gap is the cell plus one, 2**32: N = 32 zeros and a one,
+        # then 32 zero suffix bits and 7 bits of padding
         n = 65536
-        assert self._round_trip([n * n - 1], n) == (b"\xff", struct.pack("<I", 2**32 - 1))
+        assert self._round_trip([n * n - 1], n) == (b"\x00" * 4 + b"\x80" + b"\x00" * 4, 32)
 
-    def test_all_escaped_gaps(self):
-        cells = [300 * i for i in range(1, 41)]
-        gaps, escaped = self._round_trip(cells, 110)
-        assert gaps == b"\xff" * 40 and escaped == struct.pack("<40I", *[300] * 40)
+    def test_hand_built_stream(self):
+        # gaps 1 1 2 5: prefix 1 1 01 001, suffix 0 01, padding 000000
+        assert self._round_trip([0, 1, 3, 8], 3) == (b"\xd2\x40", 3)
 
-    def test_escape_boundary(self):
-        # 254 is a byte, 255 the smallest escaped gap
-        assert self._round_trip([254, 509], 23) == (b"\xfe\xff", struct.pack("<I", 255))
+    def test_gaps_around_powers_of_two(self):
+        # 2**j - 1 has one suffix bit fewer than 2**j and 2**j + 1
+        n = 65536
+        for j in range(1, 33):
+            for gap in (2**j - 1, 2**j, 2**j + 1):
+                if gap < n * n:
+                    assert self._round_trip([0, gap], n)[1] == gap.bit_length() - 1
 
     def test_gaps_summing_past_u32_run_past(self):
-        # 16385 escaped gaps of 262143 sum to 2**32 + 245759: each gap is
-        # valid at n = 512, but a uint32 running sum wraps back into the plane
+        # 16385 gaps of 262143 sum to 2**32 + 245759: each gap is valid at
+        # n = 512, but a uint32 running sum would wrap back into the plane
         count, gap, n = 16385, 262143, 512
-        escaped = np.full(count, gap, dtype=np.uint32)
-        gaps = np.full(count, 0xFF, dtype=np.uint8)
+        section, suffix_bits = _gamma_stream([gap] * count)
         with pytest.raises(FormatError, match="carrier R positions run past the 262144 cells"):
-            decode_positions(gaps, escaped, n * n, "R")
+            decode_positions(np.frombuffer(section, np.uint8), count, suffix_bits, n * n, "R")
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(2, 64), st.integers(2, 65536)))
@@ -427,14 +436,14 @@ class TestBundleSchedule:
             random_bundle(rng, 2, shifts=(3, 7, 70000))
 
 
-# Offsets in a v7 container: the 31-byte header, whose last nine bytes are
-# the key rotations, then three u32 position counts k and three u32 escape
-# counts e, then the dic planes, the k gap bytes, the 4e bytes of escaped
-# gaps and the 2k bytes of values.
+# Offsets in a v8 container: the 31-byte header, whose last nine bytes are
+# the key rotations, then three u32 position counts k and three u32 suffix
+# bit counts S, then the dic planes, each carrier's gap section of
+# ceil((k + 2S) / 8) bytes and the 2k bytes of values.
 SIZE_AT = 6
 ROTATIONS_AT = 22
 COUNTS_AT = 31
-ESCAPES_AT = 43
+SUFFIXES_AT = 43
 HEAD_LEN = 55
 
 
@@ -444,25 +453,48 @@ def _reseal(blob):
 
 
 def _sections(body):
-    """Where each carrier's gap bytes, escaped gaps and values start in a v7
-    body, as three (R, G, B) lists read from its header."""
+    """Where each carrier's gap section and values start in a v8 body, as
+    two (R, G, B) lists read from its header."""
     n = struct.unpack_from("<I", body, SIZE_AT)[0]
     counts = struct.unpack_from("<6I", body, COUNTS_AT)
-    starts, at = [], HEAD_LEN + 3 * n * n
-    for width, sizes in ((1, counts[:3]), (4, counts[3:]), (2, counts[:3])):
-        starts.append([at + width * sum(sizes[:i]) for i in range(3)])
-        at += width * sum(sizes)
-    return starts
+    lengths = [(k + 2 * s + 7) // 8 for k, s in zip(counts[:3], counts[3:])]
+    at = HEAD_LEN + 3 * n * n
+    gap_starts = [at + sum(lengths[:i]) for i in range(3)]
+    at += sum(lengths)
+    return gap_starts, [at + 2 * sum(counts[:i]) for i in range(3)]
 
 
-# 400 cells, so a gap can be escaped.  The gaps are R 0 1 1 (298) 2 97,
-# G 5 1 (255) 1 and B 0 (255) 1: one escaped gap each, in parentheses.
+def _write_bits(body, at, bit, text):
+    """Overwrite, MSB first, the bits of the section at byte `at` from bit
+    `bit` on with the "0"/"1" string `text`."""
+    for i, value in enumerate(text, bit):
+        mask = 0x80 >> (i % 8)
+        body[at + i // 8] = body[at + i // 8] & ~mask | mask * int(value)
+
+
+def _v7_stream(cells):
+    """The version 7 position stream of ascending cells: one byte per gap,
+    0xFF for a gap of 255 or more, whose value goes to the escape list."""
+    gaps, escaped, prev = bytearray(), bytearray(), 0
+    for cell in cells:
+        gap, prev = cell - prev, cell
+        gaps.append(min(gap, 0xFF))
+        if gap >= 0xFF:
+            escaped += struct.pack("<I", gap)
+    return bytes(gaps), bytes(escaped)
+
+
+# 400 cells, so gaps reach 8 suffix bits.  The gaps are R 1 1 1 298 2 97,
+# G 6 1 255 1 and B 1 255 1, so R's section is 5 bytes: 21 prefix bits
+# (1 1 1 000000001 01 0000001), 15 suffix bits (00101010 0 100001) and 4 of
+# padding; G's and B's are 3 bytes, with 13 + 9 + 2 and 10 + 7 + 7 bits.
 HOSTILE_N = 20
 HOSTILE_CELLS = ([0, 1, 2, 300, 302, 399], [5, 6, 261, 262], [0, 255, 256])
+HOSTILE_SUFFIXES = (15, 9, 7)
 
 
 class TestHostileContainer:
-    """Containers with a valid CRC whose v7 structure is inconsistent."""
+    """Containers with a valid CRC whose v8 structure is inconsistent."""
 
     @pytest.fixture()
     def body(self, rng, tmp_path):
@@ -484,9 +516,28 @@ class TestHostileContainer:
         assert header == (bundle.n, bundle.shifts, bundle.rotations)
         return bundle
 
+    def _older_layout(self, body, version, values_dtype):
+        # the body in the version 5-7 layout: the escape counts in place of
+        # the suffix bit counts, the gap bytes, the escape lists, then the
+        # values as values_dtype
+        streams = [_v7_stream(cells) for cells in HOSTILE_CELLS]
+        head = bytearray(body[:HEAD_LEN])
+        struct.pack_into("<H", head, 4, version)
+        struct.pack_into("<3I", head, SUFFIXES_AT, *(len(e) // 4 for _, e in streams))
+        values_at = _sections(body)[1][0]
+        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2").astype(values_dtype)
+        return (
+            head
+            + body[HEAD_LEN : HEAD_LEN + 3 * HOSTILE_N**2]
+            + b"".join(gaps for gaps, _ in streams)
+            + b"".join(escaped for _, escaped in streams)
+            + values.tobytes()
+        )
+
     def test_intact_body_reads(self, body, tmp_path):
-        # 13 cells and 3 escaped gaps: 55 + 3n² + 3 * 13 + 4 * 3 + 4 bytes
-        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 3 * 13 + 4 * 3 + 4
+        # 13 cells in sections of 5, 3 and 3 bytes: 55 + 3n² + 11 + 2 * 13 + 4 bytes
+        assert len(body) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 11 + 2 * 13 + 4
+        assert struct.unpack_from("<3I", body, SUFFIXES_AT) == HOSTILE_SUFFIXES
         back = self._read(tmp_path, body)
         assert [p.tolist() for p in back.positions] == list(HOSTILE_CELLS)
 
@@ -505,58 +556,80 @@ class TestHostileContainer:
             self._read(tmp_path, body)
 
     def test_count_moved_between_planes(self, body, tmp_path):
-        # move one count from B to G: the total size still matches, and G
-        # now ends with B's first gap, a zero
+        # move one count from R to G: every section keeps its length, and R's
+        # 20 prefix bits now end before its last one, so its suffixes are
+        # read a bit early and its fourth gap becomes 405
         k_r, k_g, k_b = struct.unpack_from("<3I", body, COUNTS_AT)
-        struct.pack_into("<3I", body, COUNTS_AT, k_r, k_g + 1, k_b - 1)
-        with pytest.raises(FormatError, match="carrier G positions are not strictly ascending"):
+        struct.pack_into("<3I", body, COUNTS_AT, k_r - 1, k_g + 1, k_b)
+        with pytest.raises(FormatError, match="carrier R positions run past the 400 cells"):
+            self._read(tmp_path, body)
+
+    def test_suffix_bits_moved_between_planes(self, body, tmp_path):
+        # move one suffix bit from G to B: every section keeps its length,
+        # and G's 12 prefix bits hold only 3 of its 4 ones
+        struct.pack_into("<2I", body, SUFFIXES_AT + 4, 8, 8)
+        with pytest.raises(FormatError, match="carrier G gap prefix does not hold exactly 4 ones"):
             self._read(tmp_path, body)
 
     @pytest.mark.parametrize("edit", ["swap", "duplicate", "past_plane", "top"])
     def test_bad_positions(self, body, tmp_path, edit):
-        (gaps_at, _, _), (escaped_at, _, _), _ = _sections(body)
-        if edit == "swap":  # R's first two gaps, 0 1: cell 1 twice
-            body[gaps_at], body[gaps_at + 1] = body[gaps_at + 1], body[gaps_at]
-        elif edit == "duplicate":  # a zero gap after the first: R's third gap, 1
-            body[gaps_at + 2] = 0
+        gaps_at = _sections(body)[0][0]
+        if edit == "swap":  # R's last prefix one and the zero before it
+            _write_bits(body, gaps_at, 19, "10")
+            error = "gap prefix does not end in a one"
+        elif edit == "duplicate":  # R's third prefix one over the zero after it
+            _write_bits(body, gaps_at, 3, "1")
+            error = "gap prefix does not hold exactly 6 ones"
         elif edit == "past_plane":  # R's last gap, 97, becomes 98: cell 400
-            body[gaps_at + 5] += 1
-        else:  # R's escaped gap, 298, becomes 399: in range, but cell 401
-            struct.pack_into("<I", body, escaped_at, HOSTILE_N**2 - 1)
-        ascending = edit in ("swap", "duplicate")
-        error = "are not strictly ascending" if ascending else "run past the 400 cells"
-        with pytest.raises(FormatError, match=f"carrier R positions {error}"):
+            _write_bits(body, gaps_at, 30, "100010")
+            error = "positions run past the 400 cells"
+        else:  # R's gap 298 becomes 399, as many bits: in range, but cell 401
+            _write_bits(body, gaps_at, 21, "10001111")
+            error = "positions run past the 400 cells"
+        with pytest.raises(FormatError, match=f"carrier R {error}"):
             self._read(tmp_path, body)
 
-    @pytest.mark.parametrize("edit", ["escape_byte", "count_moved", "count_and_list"])
-    def test_escape_count_disagrees_with_escape_bytes(self, body, tmp_path, edit):
-        (gaps_at, _, _), (escaped_at, _, _), _ = _sections(body)
-        if edit == "escape_byte":  # R's second gap, 1, becomes 0xFF
-            body[gaps_at + 1] = 0xFF
-            found, listed = 2, 1
-        elif edit == "count_moved":  # R's escaped gap counted as G's; same size
-            struct.pack_into("<2I", body, ESCAPES_AT, 0, 2)
-            found, listed = 1, 0
-        else:  # R's escaped gap and its count both gone; same size
-            struct.pack_into("<I", body, ESCAPES_AT, 0)
-            del body[escaped_at : escaped_at + 4]
-            found, listed = 1, 0
-        with pytest.raises(
-            FormatError, match=f"carrier R has {found} escape bytes but {listed} escaped gaps"
+    def test_flipped_prefix_bit(self, body, tmp_path):
+        # one prefix bit more or fewer: some carrier's prefix no longer holds
+        # its count of ones, if nothing else fails first
+        gap_starts = _sections(body)[0]
+        for color, at, count, suffix_bits in zip(
+            "RGB", gap_starts, map(len, HOSTILE_CELLS), HOSTILE_SUFFIXES
         ):
-            self._read(tmp_path, body)
+            for bit in range(count + suffix_bits):
+                flipped = bytearray(body)
+                flipped[at + bit // 8] ^= 0x80 >> (bit % 8)
+                with pytest.raises(FormatError, match=f"carrier {color} "):
+                    self._read(tmp_path, flipped)
 
-    @pytest.mark.parametrize("gap", [0, 1, 254, 400, 2**32 - 1])
-    def test_escaped_gap_outside_range(self, body, tmp_path, gap):
-        # below 255 a gap is its own byte, and no gap reaches n²
-        escaped_at = _sections(body)[1][0]
-        struct.pack_into("<I", body, escaped_at, gap)
-        with pytest.raises(FormatError, match=r"R escaped gaps are not all in \[255, 400\)"):
-            self._read(tmp_path, body)
+    def test_set_padding_bit(self, body, tmp_path):
+        gap_starts = _sections(body)[0]
+        for color, at, count, suffix_bits in zip(
+            "RGB", gap_starts, map(len, HOSTILE_CELLS), HOSTILE_SUFFIXES
+        ):
+            end = count + 2 * suffix_bits
+            for bit in range(end, -(-end // 8) * 8):
+                padded = bytearray(body)
+                padded[at + bit // 8] |= 0x80 >> (bit % 8)
+                with pytest.raises(
+                    FormatError, match=f"carrier {color} gap section has a nonzero padding bit"
+                ):
+                    self._read(tmp_path, padded)
 
-    def test_truncated_escape_list(self, body, tmp_path):
-        escaped_at = _sections(body)[1][0]
-        del body[escaped_at : escaped_at + 4]
+    def test_gap_of_33_suffix_bits(self, body, tmp_path):
+        # R becomes one gap of 2**33: 33 zeros and a one, 33 suffix bits and 5
+        # of padding, 9 bytes in place of 5, with one value in place of 6
+        gaps_at, values_at = (starts[0] for starts in _sections(body))
+        blob = bytearray(body[:values_at] + body[values_at + 10 :])
+        blob[gaps_at : gaps_at + 5] = bytes(4) + b"\x40" + bytes(4)
+        struct.pack_into("<I", blob, COUNTS_AT, 1)
+        struct.pack_into("<I", blob, SUFFIXES_AT, 33)
+        with pytest.raises(FormatError, match="carrier R has a gap of more than 32 suffix bits"):
+            self._read(tmp_path, blob)
+
+    def test_truncated_gap_section(self, body, tmp_path):
+        gaps_at = _sections(body)[0][0]
+        del body[gaps_at]
         with pytest.raises(FormatError, match="size"):
             self._read(tmp_path, body)
 
@@ -613,10 +686,7 @@ class TestHostileContainer:
 
     def test_v5_container_rejected(self, body, tmp_path):
         # the v5 layout is v7's with each value a float64: 55 + 3n² + 9k + 4e + 4 bytes
-        values_at = _sections(body)[2][0]
-        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2")
-        blob = body[:values_at] + values.astype("<f8").tobytes()
-        struct.pack_into("<H", blob, 4, 5)
+        blob = self._older_layout(body, 5, "<f8")
         assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
         with pytest.raises(FormatError, match="unsupported container version 5"):
             self._read(tmp_path, blob)
@@ -624,21 +694,29 @@ class TestHostileContainer:
     def test_v6_container_rejected(self, body, tmp_path):
         # the v6 layout is v7's with each value a float32 twin + log:
         # 55 + 3n² + 5k + 4e + 4 bytes; the CLI's decrypt exits 2 on it
-        values_at = _sections(body)[2][0]
-        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2")
-        blob = body[:values_at] + values.astype("<f4").tobytes()
-        struct.pack_into("<H", blob, 4, 6)
+        blob = self._older_layout(body, 6, "<f4")
         assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 5 * 13 + 4 * 3 + 4
         with pytest.raises(FormatError, match="unsupported container version 6"):
             self._read(tmp_path, blob)
         path, out = tmp_path / "hostile.ldct", tmp_path / "v6.ppm"
         assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
 
+    def test_v7_container_rejected(self, body, tmp_path):
+        # the v7 layout: one byte per gap and an escape list of u32 for the
+        # gaps of 255 or more, 55 + 3n² + 3k + 4e + 4 bytes; the CLI's
+        # decrypt exits 2 on it
+        blob = self._older_layout(body, 7, "<u2")
+        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 3 * 13 + 4 * 3 + 4
+        with pytest.raises(FormatError, match="unsupported container version 7"):
+            self._read(tmp_path, blob)
+        path, out = tmp_path / "hostile.ldct", tmp_path / "v7.ppm"
+        assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
+
 
 def sparse_spectrum_image(n=32, seed=8):
     """Planes whose DCT holds two full low rows and two lone coefficients in
-    rows 12 and 28, so each carrier has runs of one-byte gaps and two
-    escaped gaps."""
+    rows 12 and 28, so each carrier has runs of gaps of 1 and two gaps of
+    hundreds of cells."""
     rng = np.random.default_rng(seed)
     planes = []
     for c in range(3):
@@ -669,33 +747,33 @@ def _valid_container():
 
 
 MUTATION_KINDS = [
-    "size", "counts", "length", "swap", "duplicate", "gap", "last", "zero_gap",
-    "escape_low", "escape_high", "escape_counts", "escape_cut", "value", "twin",
+    "size", "counts", "suffixes", "length", "prefix_bit", "suffix_bit", "pad_bit",
+    "section_byte", "value", "twin",
 ]
 
 
 @st.composite
 def mutations(draw):
-    """A valid v7 container body (no CRC) with one hostile edit."""
+    """A valid v8 container body (no CRC) with one hostile edit."""
     body, bundle, twins = _valid_container()
     body = bytearray(body)
-    n, counts = bundle.n, [p.size for p in bundle.positions]
-    escapes = list(struct.unpack_from("<3I", body, ESCAPES_AT))
-    assert min(escapes) >= 1  # every carrier has an escaped gap to edit
-    gap_starts, escape_starts, value_starts = _sections(body)
+    counts = [p.size for p in bundle.positions]
+    suffixes = list(struct.unpack_from("<3I", body, SUFFIXES_AT))
+    assert min(suffixes) >= 1  # every carrier has suffix bits to edit
+    gap_starts, value_starts = _sections(body)
     plane = draw(st.integers(0, 2))
-    i = draw(st.integers(0, counts[plane] - 1))
-    escape_at = escape_starts[plane] + 4 * draw(st.integers(0, escapes[plane] - 1))
+    k, s = counts[plane], suffixes[plane]
+    i = draw(st.integers(0, k - 1))
     kind = draw(st.sampled_from(MUTATION_KINDS))
     if kind == "size":
         w = draw(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)))
         h = draw(st.one_of(st.just(w), st.integers(0, 2**32 - 1)))
         struct.pack_into("<2I", body, SIZE_AT, w, h)
-    elif kind in ("counts", "escape_counts"):
-        at, old = (COUNTS_AT, counts) if kind == "counts" else (ESCAPES_AT, escapes)
+    elif kind in ("counts", "suffixes"):
+        at, old = (COUNTS_AT, counts) if kind == "counts" else (SUFFIXES_AT, suffixes)
         new = draw(
             st.one_of(
-                st.permutations(old),  # sizes still match
+                st.permutations(old),  # sizes may still match
                 st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
             )
         )
@@ -704,28 +782,18 @@ def mutations(draw):
         cut = draw(st.integers(0, len(body) - 1))
         extra = draw(st.binary(max_size=24))
         body = body[:cut] + extra if draw(st.booleans()) else body + extra
-    elif kind in ("swap", "duplicate"):
-        j = draw(st.integers(0, counts[plane] - 1))
-        a, b = gap_starts[plane] + i, gap_starts[plane] + j
-        if kind == "swap":
-            body[a], body[b] = body[b], body[a]
-        else:
-            body[a] = body[b]
-    elif kind in ("gap", "last", "zero_gap"):
-        if kind == "last":  # keeps the order, so only the range can fail
-            i = counts[plane] - 1
-        if kind == "zero_gap":  # a repeated cell
-            i = draw(st.integers(1, counts[plane] - 1))
-        byte = 0 if kind == "zero_gap" else draw(st.integers(kind == "last", 0xFF))
-        body[gap_starts[plane] + i] = byte
-    elif kind in ("escape_low", "escape_high"):
-        bounds = (0, 0xFE) if kind == "escape_low" else (n * n, 2**32 - 1)
-        struct.pack_into("<I", body, escape_at, draw(st.integers(*bounds)))
-    elif kind == "escape_cut":  # with or without the count that names it
-        del body[escape_at : escape_at + 4]
-        if draw(st.booleans()):
-            escapes[plane] -= 1
-            struct.pack_into("<3I", body, ESCAPES_AT, *escapes)
+    elif kind in ("prefix_bit", "suffix_bit", "pad_bit"):
+        # the prefix bits, then the suffix bits, then the padding, if any
+        used = k + 2 * s
+        start, end = {
+            "prefix_bit": (0, k + s), "suffix_bit": (k + s, used), "pad_bit": (used, -(-used // 8) * 8)
+        }[kind]
+        if start < end:
+            bit = draw(st.integers(start, end - 1))
+            body[gap_starts[plane] + bit // 8] ^= 0x80 >> (bit % 8)
+    elif kind == "section_byte":
+        at = gap_starts[plane] + draw(st.integers(0, (k + 2 * s + 7) // 8 - 1))
+        body[at] = draw(st.integers(0, 0xFF))
     elif kind == "value":
         struct.pack_into("<H", body, value_starts[plane] + 2 * i, draw(VALUES))
     else:  # the bare twin, a zero log: a cell that carries no coefficient
@@ -759,7 +827,7 @@ class TestMutatedContainer:
     def test_every_twin_valued_cell_drops_its_coefficient(self, tmp_path):
         body, bundle, twins = _valid_container()
         n = bundle.n
-        values_at = _sections(body)[2][0]
+        values_at = _sections(body)[1][0]
         bare = (np.concatenate(twins) << LOG_BITS).astype("<u2").tobytes()
         blob = body[:values_at] + bare
         path = tmp_path / "bare.ldct"
