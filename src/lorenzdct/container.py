@@ -33,12 +33,13 @@ the integers", IEEE Trans. Inf. Theory 21(2), 1975): x has N = bit_length(x)
 bits (each gap's N zeros, then a one), then S suffix bits (each gap's N
 bits below its leading one), then zero padding to the next byte, where S is
 the sum of the N.  Splitting the prefixes from the suffixes lets both
-directions work on whole arrays: the prefix's ones give every N, and one
-unaligned 8-byte read per gap gives its suffix.  A document's cells are
-mostly 1 or 2 apart, so a position costs about 2.2 bits (the gaps' entropy
-is about 2.04); a natural carrier's few hundred cells cluster at low
-frequencies.  The cipher's sizes stop at n = 65536, so every gap is at most
-2**32 and N at most 32; N <= x / 2 for every x, so S <= n**2 / 2 fits u32.
+directions work on whole arrays: the encoder sets one byte per bit and packs
+them, and the decoder takes every N from the prefix's ones and each suffix
+by one unaligned 8-byte read.  A document's cells are mostly 1 or 2 apart,
+so a position costs about 2.2 bits (the gaps' entropy is about 2.04); a
+natural carrier's few hundred cells cluster at low frequencies.  The
+cipher's sizes stop at n = 65536, so every gap is at most 2**32 and N at
+most 32; N <= x / 2 for every x, so S <= n**2 / 2 fits u32.
 One bundle has exactly one file: read_bundle refuses a prefix that does not
 hold exactly k ones in its k + S bits or does not end in a one, an N above
 32, a set padding bit and cells that reach n**2.
@@ -51,10 +52,7 @@ log back exactly; only the twin's low 4 bits enter a value, which shows the
 fraction of its log to 12 bits.  Any u16 decodes to a log below 8 in
 magnitude, so a value read from a file is always a finite coefficient.
 
-Every other version is refused: versions 1 to 3 stored each carrier cell,
-version 4 each position as a u32, version 5 each value as a float64,
-version 6 each as a float32 twin + log and version 7 each gap as a byte,
-with an escape list of u32 for the gaps of 255 or more.
+Every other version, the retired layouts 1 to 7 among them, is refused.
 """
 
 from __future__ import annotations
@@ -90,42 +88,15 @@ def encode_positions(positions) -> tuple[np.ndarray, int]:
     The section is u8: the Elias-gamma prefixes of the gaps x, then their
     suffixes, then zero padding (see the module docstring).
     """
-    cells = np.asarray(positions)
-    # each gap x as a float64, exact for x <= 2**32, whose bits hold 1022 +
-    # bit_length(x) in the exponent field and the suffix atop the fraction
-    x = np.empty(cells.size)
-    x[:1] = cells[:1]
-    x[:1] += 1
-    np.subtract(cells[1:], cells[:-1], out=x[1:])
-    ones = x.view(np.int64)  # the bits, turned in place into prefix ends
-    at = np.flatnonzero(ones >= 1 << 62)  # the gaps of 2 (bits 1 << 62) or more
-    field = np.take(ones, at)
-    ones >>= 52
-    ones -= 1022  # bit_length(x), the length of each gap's prefix
-    np.cumsum(ones, out=ones)  # one past each gap's prefix one
-    prefix = int(ones[-1]) if cells.size else 0
-    size = _section_len(cells.size, prefix - cells.size)
-    bits = np.zeros(8 * size + 1, dtype=np.uint8)
-    bits[ones] = 1
-    section = np.packbits(bits[1:])
-    # each suffix's last bit is prefix + (suffix bits through its gap) - 1.
-    # A field of at most 32 bits reaches at most one big-endian u32 word
-    # back, so each word is a sum of disjoint fields, exact in float64
-    low = np.take(ones, at)
-    low -= at
-    low += prefix - 2
-    shift = field >> 52
-    np.subtract(1075, shift, out=shift)  # 52 - N
-    field &= (1 << 52) - 1
-    field >>= shift
-    np.bitwise_and(low, 31, out=shift)
-    np.subtract(31, shift, out=shift)
-    field <<= shift
-    low >>= 5
-    words = np.bincount(low, weights=field & 0xFFFFFFFF, minlength=(size + 3) // 4)
-    words[:-1] += np.bincount(low, weights=field >> 32, minlength=words.size)[1:]
-    section |= words.astype(">u4").view(np.uint8)[:size]
-    return section, prefix - cells.size
+    x = np.diff(np.asarray(positions, dtype=np.int64), prepend=-1)  # each gap
+    n = np.frexp(x)[1] - 1  # each gap's N, exact as x <= 2**32
+    ends = np.cumsum(n)  # the suffix bits through each gap
+    suffix_bits = int(ends[-1]) if x.size else 0
+    bits = np.zeros(8 * _section_len(x.size, suffix_bits), dtype=np.uint8)  # one byte per bit
+    bits[ends + np.arange(x.size)] = 1  # each prefix's one, at cumsum(N + 1) - 1
+    offsets = np.repeat(ends, n) - np.arange(1, suffix_bits + 1)  # each suffix bit's place in x
+    bits[x.size + suffix_bits : x.size + 2 * suffix_bits] = np.repeat(x, n) >> offsets & 1
+    return np.packbits(bits), suffix_bits
 
 
 def decode_positions(section, count: int, suffix_bits: int, n_px: int, color: str) -> np.ndarray:
@@ -266,16 +237,18 @@ def read_bundle(path) -> CipherBundle:
     """Parse and validate a bundle file; exact inverse of write_bundle.
 
     The header is checked first (magic, version, rounds, flags, and the
-    cipher's size rule, `check_size`), then the size against the header and
-    the counts, then the CRC, then each carrier's position stream
-    (decode_positions).  `CipherBundle` then checks the key rotations (each
-    below 48) and each carrier's positions (strictly ascending, below
-    n * n).  Every failure raises FormatError.
+    cipher's size rule, `check_size`), then the file's size against the
+    header and the counts, before the body is read, then the CRC, then
+    each carrier's position stream (decode_positions).  `CipherBundle` then
+    checks the key rotations (each below 48) and each carrier's positions
+    (strictly ascending, below n * n).  Every failure raises FormatError.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
     try:
-        n, shifts, rotations, counts, suffixes = _parse_header(blob, len(blob))
+        with open(path, "rb") as f:
+            head, size = f.read(_HEAD_LEN), f.seek(0, 2)
+            n, shifts, rotations, counts, suffixes = _parse_header(head, size)
+            f.seek(0)
+            blob = f.read(size)
         crc_stored = struct.unpack_from("<I", blob, len(blob) - 4)[0]
         crc_actual = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
         if crc_stored != crc_actual:

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from functools import lru_cache
 
@@ -289,15 +290,6 @@ class TestContainer:
         with pytest.raises(FormatError, match="magic"):
             read_bundle(path)
 
-    def test_bad_version(self, rng, tmp_path):
-        path = tmp_path / "v.ldct"
-        write_bundle(path, random_bundle(rng, 3))
-        blob = bytearray(path.read_bytes())
-        blob[4] = 9
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
-            read_bundle(path)
-
     def test_size_mismatch(self, rng, tmp_path):
         path = tmp_path / "z.ldct"
         write_bundle(path, random_bundle(rng, 3))
@@ -386,6 +378,21 @@ class TestPositionCodec:
         with pytest.raises(FormatError, match="carrier R positions run past the 262144 cells"):
             decode_positions(np.frombuffer(section, np.uint8), count, suffix_bits, n * n, "R")
 
+    def test_dense_carrier_across_prefix_chunks(self):
+        # 48,000 seeded gaps: a run of 2,000 gaps of 1, then gaps of 1 to 3
+        # with five above 2**16, so the decoder unpacks the prefix, about 8
+        # KiB, in three 4 KiB chunks
+        rng = np.random.default_rng(36)
+        gaps = rng.choice([1, 2, 3], 48_000, p=[0.6, 0.25, 0.15])
+        gaps[:2000] = 1
+        gaps[rng.choice(np.arange(2000, gaps.size), 5, replace=False)] = rng.integers(
+            1 << 16, 1 << 17, 5
+        )
+        assert (gaps > 1 << 16).sum() == 5
+        cells = (np.cumsum(gaps) - 1).tolist()
+        suffix_bits = self._round_trip(cells, 1024)[1]
+        assert len(cells) + suffix_bits > 2 * 8 * 4096
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.one_of(st.integers(2, 64), st.integers(2, 65536)))
     def test_random_ascending_cells(self, data, n):
@@ -472,18 +479,6 @@ def _write_bits(body, at, bit, text):
         body[at + i // 8] = body[at + i // 8] & ~mask | mask * int(value)
 
 
-def _v7_stream(cells):
-    """The version 7 position stream of ascending cells: one byte per gap,
-    0xFF for a gap of 255 or more, whose value goes to the escape list."""
-    gaps, escaped, prev = bytearray(), bytearray(), 0
-    for cell in cells:
-        gap, prev = cell - prev, cell
-        gaps.append(min(gap, 0xFF))
-        if gap >= 0xFF:
-            escaped += struct.pack("<I", gap)
-    return bytes(gaps), bytes(escaped)
-
-
 # 400 cells, so gaps reach 8 suffix bits.  The gaps are R 1 1 1 298 2 97,
 # G 6 1 255 1 and B 1 255 1, so R's section is 5 bytes: 21 prefix bits
 # (1 1 1 000000001 01 0000001), 15 suffix bits (00101010 0 100001) and 4 of
@@ -515,24 +510,6 @@ class TestHostileContainer:
         bundle = read_bundle(path)
         assert header == (bundle.n, bundle.shifts, bundle.rotations)
         return bundle
-
-    def _older_layout(self, body, version, values_dtype):
-        # the body in the version 5-7 layout: the escape counts in place of
-        # the suffix bit counts, the gap bytes, the escape lists, then the
-        # values as values_dtype
-        streams = [_v7_stream(cells) for cells in HOSTILE_CELLS]
-        head = bytearray(body[:HEAD_LEN])
-        struct.pack_into("<H", head, 4, version)
-        struct.pack_into("<3I", head, SUFFIXES_AT, *(len(e) // 4 for _, e in streams))
-        values_at = _sections(body)[1][0]
-        values = np.frombuffer(bytes(body[values_at:]), dtype="<u2").astype(values_dtype)
-        return (
-            head
-            + body[HEAD_LEN : HEAD_LEN + 3 * HOSTILE_N**2]
-            + b"".join(gaps for gaps, _ in streams)
-            + b"".join(escaped for _, escaped in streams)
-            + values.tobytes()
-        )
 
     def test_intact_body_reads(self, body, tmp_path):
         # 13 cells in sections of 5, 3 and 3 bytes: 55 + 3n² + 11 + 2 * 13 + 4 bytes
@@ -654,63 +631,35 @@ class TestHostileContainer:
         with pytest.raises(FormatError, match="size"):
             self._read(tmp_path, body + struct.pack("<H", 1))
 
-    def test_v1_container_rejected(self, body, rng, tmp_path):
-        # the v1 layout: raw float64 carrier planes and no exception counts
-        bundle = random_bundle(rng, 4)
-        blob = struct.pack("<4sHIIBB", b"LDCT", 1, 4, 4, 3, 0)
-        blob += struct.pack("<3H", *bundle.shifts)
-        blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
-        blob += b"".join(p.tobytes() for p in bundle.dic)
-        blob += rng.uniform(0, 766, 3 * 16).astype("<f8").tobytes()
-        with pytest.raises(FormatError, match="unsupported container version 1"):
-            self._read(tmp_path, blob)
-        # v2 has v3's layout over the old keystream: it would decrypt to garbage
-        struct.pack_into("<H", body, 4, 2)
-        with pytest.raises(FormatError, match="unsupported container version 2"):
-            self._read(tmp_path, body)
+    def test_padded_file_refused_before_its_body_is_read(self, body, tmp_path):
+        # a valid container grown to a sparse 64 MiB file is refused from its
+        # header and its size alone
+        path = tmp_path / "padded.ldct"
+        path.write_bytes(_reseal(bytes(body)))
+        os.truncate(path, 64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="size"):
+                read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-    def test_v3_container_rejected(self, rng, tmp_path):
-        # the v3 layout: exception counts, the dic planes, every carrier
-        # cell as u16 (0xFFFF marks an exception), then the exceptions
-        bundle = random_bundle(rng, 4)
-        blob = struct.pack("<4sHIIBB", b"LDCT", 3, 4, 4, 3, 0)
-        blob += struct.pack("<3H", *bundle.shifts)
-        blob += b"".join(struct.pack("<3B", *rot) for rot in bundle.rotations)
-        blob += struct.pack("<3I", 1, 1, 1)
-        blob += b"".join(p.tobytes() for p in bundle.dic)
-        cells = rng.integers(0, 766, 16).astype("<u2")
-        cells[0] = 0xFFFF
-        blob += cells.tobytes() * 3 + struct.pack("<3d", 1.5, 2.5, 3.5)
-        with pytest.raises(FormatError, match="unsupported container version 3"):
-            self._read(tmp_path, blob)
-
-    def test_v5_container_rejected(self, body, tmp_path):
-        # the v5 layout is v7's with each value a float64: 55 + 3n² + 9k + 4e + 4 bytes
-        blob = self._older_layout(body, 5, "<f8")
-        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 9 * 13 + 4 * 3 + 4
-        with pytest.raises(FormatError, match="unsupported container version 5"):
-            self._read(tmp_path, blob)
-
-    def test_v6_container_rejected(self, body, tmp_path):
-        # the v6 layout is v7's with each value a float32 twin + log:
-        # 55 + 3n² + 5k + 4e + 4 bytes; the CLI's decrypt exits 2 on it
-        blob = self._older_layout(body, 6, "<f4")
-        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 5 * 13 + 4 * 3 + 4
-        with pytest.raises(FormatError, match="unsupported container version 6"):
-            self._read(tmp_path, blob)
-        path, out = tmp_path / "hostile.ldct", tmp_path / "v6.ppm"
-        assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
-
-    def test_v7_container_rejected(self, body, tmp_path):
-        # the v7 layout: one byte per gap and an escape list of u32 for the
-        # gaps of 255 or more, 55 + 3n² + 3k + 4e + 4 bytes; the CLI's
-        # decrypt exits 2 on it
-        blob = self._older_layout(body, 7, "<u2")
-        assert len(blob) + 4 == HEAD_LEN + 3 * HOSTILE_N**2 + 3 * 13 + 4 * 3 + 4
-        with pytest.raises(FormatError, match="unsupported container version 7"):
-            self._read(tmp_path, blob)
-        path, out = tmp_path / "hostile.ldct", tmp_path / "v7.ppm"
-        assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
+    @pytest.mark.parametrize("version", [*range(8), 9, 0xFFFF])
+    def test_other_version_refused(self, body, tmp_path, version):
+        # the retired layouts (versions 1 to 7) and every other number are
+        # refused from the version field, whatever follows it: here the v8
+        # body at its own size and one byte short
+        struct.pack_into("<H", body, 4, version)
+        path, out = tmp_path / "v.ldct", tmp_path / "v.ppm"
+        blob = _reseal(bytes(body))
+        for cut in (blob, blob[:-1]):
+            path.write_bytes(cut)
+            for read in (read_header, read_bundle):
+                with pytest.raises(FormatError, match=f"unsupported container version {version}$"):
+                    read(path)
+            assert cli_main(["decrypt", "--in", str(path), "--out", str(out)] + KEY_ARGS) == 2
 
 
 def sparse_spectrum_image(n=32, seed=8):
